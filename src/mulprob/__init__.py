@@ -9,7 +9,7 @@ equation is decidable and checked bit-exactly by the law suite.
 
 __version__ = "0.1.0"
 
-from .combinatorics import MEMO_CAP, Rational, binomial, factorial, multichoose
+from .combinatorics import binomial, factorial, multichoose
 from .elements import Elem, Pair, Space, elem_key
 from .errors import DomainError, MulprobError, ParseError, ResourceLimitError
 from .multiset import (
@@ -28,7 +28,6 @@ from .dist import (
     channel_equal,
     compose,
     ctensor,
-    dist_equal,
     dtensor,
     flatten,
     flrn,
@@ -40,20 +39,13 @@ from .dist import (
     validity,
 )
 from .channels import (
-    arr_channel,
-    acc_channel,
     arrange,
-    dd_channel,
     draw_delete,
-    flrn_channel,
-    hg_channel,
     hypergeometric,
-    mn_channel,
     msum_channel,
     multinomial,
     multiset_space,
     mzip,
-    mzip_channel,
     ppr,
     zip_tuples,
 )

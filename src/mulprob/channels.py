@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combinatorics import binomial
-from .dist import Channel, Dist, flrn, unit
+from .dist import Dist
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements, enumerate_multisets
@@ -147,51 +147,6 @@ def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
     return out
 
 
-# -- channel-valued wrappers -------------------------------------------------
-#
-# Each named operation paired with an enumerated domain, so laws can be
-# decided by exhausting the domain.  The true domain of the multinomial
-# channel is the whole (infinite) space of distributions; its wrapper
-# therefore takes the finite set of test distributions to quantify over.
-
-
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:
-    """The space of all size-k multisets over ``space``."""
+    """The space of all size-k multisets over ``space``, the domain of ``lifted_map``."""
     return Space(enumerate_multisets(space, k))
-
-
-def arr_channel(space, k: int) -> Channel:
-    return Channel(multiset_space(space, k), arrange)
-
-
-def acc_channel(space, k: int) -> Channel:
-    if not isinstance(space, Space):
-        space = Space(space)
-    return Channel(space.power(k), lambda xs: unit(accumulate(xs)))
-
-
-def flrn_channel(space, k: int) -> Channel:
-    if k < 1:
-        raise DomainError("normalization needs multisets of size at least 1")
-    return Channel(multiset_space(space, k), flrn)
-
-
-def mn_channel(test_dists: Iterable[Dist], k: int) -> Channel:
-    return Channel(test_dists, lambda w: multinomial(w, k))
-
-
-def hg_channel(space, n: int, k: int) -> Channel:
-    if not 0 <= k <= n:
-        raise DomainError(f"cannot draw {k} from urns of size {n}")
-    return Channel(multiset_space(space, n), lambda urn: hypergeometric(urn, k))
-
-
-def dd_channel(space, n: int) -> Channel:
-    if n < 1:
-        raise DomainError("draw-and-delete needs urns of size at least 1")
-    return Channel(multiset_space(space, n), draw_delete)
-
-
-def mzip_channel(xspace, yspace, k: int) -> Channel:
-    domain = multiset_space(xspace, k).product(multiset_space(yspace, k))
-    return Channel(domain, lambda p: mzip(p.fst, p.snd))

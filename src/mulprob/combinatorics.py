@@ -1,44 +1,24 @@
-"""Exact integer and rational kernels.
+"""Exact integer kernels.
 
 Everything downstream computes with arbitrary-precision values: ``int``
-for counts and multiplicities, ``fractions.Fraction`` (re-exported as
-``Rational``) for probabilities.  There is no floating point anywhere in
-the library; equality of distributions is decided exactly.
+for counts and multiplicities, ``fractions.Fraction`` for probabilities.
+There is no floating point anywhere in the library; equality of
+distributions is decided exactly.
 
-Small factorials and binomials are memoized (they are reused heavily by
-the draw distributions); above ``MEMO_CAP`` the math module is called
-directly.
+Factorials and binomials call the math module directly, with no memo
+table: for the small arguments used here, a cache lookup costs as much
+as the computation itself.
 """
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
-
-Rational = Fraction
-
-#: Largest argument kept in the memo tables.  The caches are lru_cache
-#: backed and therefore safe to share between threads.
-MEMO_CAP = 64
-
-
-@lru_cache(maxsize=None)
-def _factorial_small(n: int) -> int:
-    return math.factorial(n)
-
-
-@lru_cache(maxsize=None)
-def _binomial_small(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def factorial(n: int) -> int:
     """n! for a nonnegative integer n."""
     if n < 0:
         raise DomainError(f"factorial of negative number: {n}")
-    if n <= MEMO_CAP:
-        return _factorial_small(n)
     return math.factorial(n)
 
 
@@ -48,8 +28,6 @@ def binomial(n: int, k: int) -> int:
         raise DomainError(f"binomial arguments must be nonnegative: ({n}, {k})")
     if k > n:
         return 0
-    if n <= MEMO_CAP:
-        return _binomial_small(n, k)
     return math.comb(n, k)
 
 

@@ -117,12 +117,6 @@ class Dist:
         """Deterministic pushforward; weights of collided images add up."""
         return Dist((f(e), w) for e, w in self._entries)
 
-    def tensor(self, other: "Dist") -> "Dist":
-        """Product distribution on pair elements."""
-        return Dist(
-            ((Pair(x, y), v * w) for x, v in self._entries for y, w in other._entries)
-        )
-
 
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
@@ -187,10 +181,6 @@ class Channel:
         frozen = dict(table)
         return cls(frozen.keys(), lambda x: frozen[x])
 
-    def tabulate(self) -> list[tuple[Elem, Dist]]:
-        """The channel's full graph, in domain order."""
-        return [(x, self(x)) for x in self.domain]
-
 
 def push(f: Channel, omega: Dist) -> Dist:
     """State transformation of ``omega`` along the channel ``f``.
@@ -211,7 +201,7 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
-    return omega.tensor(rho)
+    return Dist((Pair(x, y), v * w) for x, v in omega.entries for y, w in rho.entries)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
@@ -323,11 +313,6 @@ def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
             out *= p(e) ** n
         return out
     return extended
-
-
-def dist_equal(omega: Dist, rho: Dist) -> bool:
-    """Exact equality of supports and weights."""
-    return omega == rho
 
 
 def channel_equal(f: Channel, g: Channel) -> bool:

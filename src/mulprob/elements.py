@@ -29,7 +29,8 @@ class Pair:
 
 
 # Rank of each element kind inside the global order.  Atoms that are pure
-# numerals sort numerically, before identifier atoms.
+# numerals sort numerically, before identifier atoms; numerals of equal
+# value, such as ``0`` and ``00``, sort by their text.
 _ATOM, _PAIR, _SEQ, _MULTISET, _DIST = range(5)
 
 
@@ -41,7 +42,7 @@ def elem_key(e: Elem) -> tuple:
     """
     if isinstance(e, str):
         if e.isascii() and e.isdigit():
-            return (_ATOM, 0, int(e), "")
+            return (_ATOM, 0, int(e), e)
         return (_ATOM, 1, 0, e)
     if isinstance(e, Pair):
         return (_PAIR, elem_key(e.fst), elem_key(e.snd))

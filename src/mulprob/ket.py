@@ -24,6 +24,9 @@ from .elements import Elem, Pair
 from .errors import DomainError, ParseError
 from .multiset import Multiset
 
+# Deepest nesting of pairs, multisets and distributions the parser accepts.
+_MAX_DEPTH = 100
+
 # -- formatting ---------------------------------------------------------------
 
 
@@ -97,6 +100,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -112,6 +116,18 @@ class _Parser:
         if tok[1] != text:
             raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
+
+    def enter(self, text: str) -> int:
+        """Consume an opening bracket one nesting level deeper; return its position."""
+        _, _, pos = self.expect(text)
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+        return pos
+
+    def leave(self, text: str) -> None:
+        self.expect(text)
+        self.depth -= 1
 
     def done(self) -> None:
         tok = self.peek()
@@ -149,11 +165,11 @@ class _Parser:
             self.next()
             return text
         if text == "(":
-            self.next()
+            self.enter("(")
             fst = self.element()
             self.expect(",")
             snd = self.element()
-            self.expect(")")
+            self.leave(")")
             return Pair(fst, snd)
         raise ParseError(f"expected an element, found {text or 'end of input'!r}", pos)
 
@@ -166,7 +182,7 @@ class _Parser:
         return self.element()
 
     def multiset(self) -> Multiset:
-        _, _, start = self.expect("[")
+        start = self.enter("[")
         entries = []
         if self.peek()[1] != "]":
             while True:
@@ -175,14 +191,14 @@ class _Parser:
                 if self.peek()[1] != ",":
                     break
                 self.next()
-        self.expect("]")
+        self.leave("]")
         try:
             return Multiset(entries)
         except DomainError as exc:
             raise ParseError(str(exc), start) from None
 
     def dist(self) -> Dist:
-        _, _, start = self.expect("<")
+        start = self.enter("<")
         entries = []
         while True:
             w = self.rational()
@@ -190,7 +206,7 @@ class _Parser:
             if self.peek()[1] != ",":
                 break
             self.next()
-        self.expect(">")
+        self.leave(">")
         try:
             return Dist(entries)
         except DomainError as exc:

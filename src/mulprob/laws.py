@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import channels as ch
 from .dist import (
@@ -82,14 +82,25 @@ def _witness(x, lhs, rhs) -> str:
     return f"input={_fmt(x)}; lhs={_fmt(lhs)}; rhs={_fmt(rhs)}"
 
 
-def _pointwise(domain: Iterable, lhs: Callable, rhs: Callable) -> tuple[bool, str | None]:
-    """Evaluate two legs over a whole domain; report the first mismatch."""
-    for x in domain:
-        a = lhs(x)
-        b = rhs(x)
-        if a != b:
-            return False, _witness(x, a, b)
-    return True, None
+_Case = tuple[Iterable, Callable, Callable]
+
+
+def _pointwise(cases: Callable[["LawContext"], Iterator[_Case]]) -> Callable:
+    """Turn a generator of ``(domain, lhs, rhs)`` cases into a law check.
+
+    The cases run in order, each evaluating both legs over its whole
+    domain; the first mismatch ends the check and becomes the witness.
+    """
+    def check(ctx: "LawContext") -> tuple[bool, str | None]:
+        for domain, lhs, rhs in cases(ctx):
+            for x in domain:
+                a = lhs(x)
+                b = rhs(x)
+                if a != b:
+                    return False, _witness(x, a, b)
+        return True, None
+
+    return check
 
 
 class LawContext:
@@ -268,6 +279,10 @@ def _tensor_pairs(omega: Dist) -> Dist:
     return omega.map(lambda p: p.fst.tensor(p.snd))
 
 
+def _zip_pair(q: Pair) -> tuple:
+    return ch.zip_tuples(q.fst, q.snd)
+
+
 def _mzip_pair(p: Pair) -> Dist:
     return ch.mzip(p.fst, p.snd)
 
@@ -279,21 +294,30 @@ def _iter_dd(psi_dist: Dist, times: int) -> Dist:
     return out
 
 
+def _pairs(left: Iterable, right: Iterable) -> Iterator[Pair]:
+    """Every Pair of the two domains, the left component varying slowest."""
+    right = list(right)
+    return (Pair(a, b) for a in left for b in right)
+
+
+def _multiset_pairs(k: int, left: Space, right: Space) -> Iterator[Pair]:
+    return _pairs(enumerate_multisets(left, k), enumerate_multisets(right, k))
+
+
 # -- the catalogue -------------------------------------------------------------
+#
+# A law decorated with ``@_pointwise`` is a generator of ``(domain, lhs,
+# rhs)`` cases.  Each case is checked before the generator resumes, so the
+# legs may close over the loop variables.
 
 
+@_pointwise
 def _law_acc_arr_id(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            enumerate_multisets(ctx.X, k),
-            lambda phi: _acc_dist(ch.arrange(phi)),
-            unit,
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield enumerate_multisets(ctx.X, k), lambda phi: _acc_dist(ch.arrange(phi)), unit
 
 
+@_pointwise
 def _law_arr_acc_perm(ctx: LawContext):
     def oracle(xs: tuple) -> Dist:
         perms = list(itertools.permutations(xs))
@@ -304,312 +328,185 @@ def _law_arr_acc_perm(ctx: LawContext):
         return Dist(acc)
 
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.X.power(k),
-            lambda xs: ch.arrange(accumulate(xs)),
-            oracle,
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield ctx.X.power(k), lambda xs: ch.arrange(accumulate(xs)), oracle
 
 
+@_pointwise
 def _law_arr_acc_tensor(ctx: LawContext):
     corners = ctx.corner_dists(ctx.X)
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            itertools.product(corners, repeat=k),
-            lambda ws: bind(ch.arrange(accumulate(ws)), lambda vs: big_tensor(list(vs))),
-            lambda ws: bind(big_tensor(list(ws)), lambda xs: ch.arrange(accumulate(xs))),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (itertools.product(corners, repeat=k),
+               lambda ws: bind(ch.arrange(accumulate(ws)), lambda vs: big_tensor(list(vs))),
+               lambda ws: bind(big_tensor(list(ws)), lambda xs: ch.arrange(accumulate(xs))))
 
 
+@_pointwise
 def _law_arr_mn_iid(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.dist_pool(ctx.X),
-            lambda omega: bind(ch.multinomial(omega, k), ch.arrange),
-            lambda omega: iid(omega, k),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), ch.arrange),
+               lambda omega: iid(omega, k))
 
 
+@_pointwise
 def _law_acc_iid_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.dist_pool(ctx.X),
-            lambda omega: _acc_dist(iid(omega, k)),
-            lambda omega: ch.multinomial(omega, k),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.dist_pool(ctx.X), lambda omega: _acc_dist(iid(omega, k)),
+               lambda omega: ch.multinomial(omega, k))
 
 
+@_pointwise
 def _law_mn_combine(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
-            held, w = _pointwise(
-                ctx.dist_pool(ctx.X),
-                lambda omega: ch.multinomial(omega, k + l),
-                lambda omega: monoid_sum(ch.multinomial(omega, k), ch.multinomial(omega, l)),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(omega, k + l),
+                   lambda omega: monoid_sum(ch.multinomial(omega, k), ch.multinomial(omega, l)))
 
 
+@_pointwise
 def _law_flrn_mn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.dist_pool(ctx.X),
-            lambda omega: bind(ch.multinomial(omega, k), flrn),
-            lambda omega: omega,
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), flrn),
+               lambda omega: omega)
 
 
+@_pointwise
 def _law_dd_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.dist_pool(ctx.X),
-            lambda omega: bind(ch.multinomial(omega, k + 1), ch.draw_delete),
-            lambda omega: ch.multinomial(omega, k),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.dist_pool(ctx.X),
+               lambda omega: bind(ch.multinomial(omega, k + 1), ch.draw_delete),
+               lambda omega: ch.multinomial(omega, k))
 
 
+@_pointwise
 def _law_flrn_dd(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
-        held, w = _pointwise(
-            enumerate_multisets(ctx.X, k + 1),
-            lambda psi: bind(ch.draw_delete(psi), flrn),
-            flrn,
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (enumerate_multisets(ctx.X, k + 1), lambda psi: bind(ch.draw_delete(psi), flrn),
+               flrn)
 
 
+@_pointwise
 def _law_hg_dd_iter(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
-            held, w = _pointwise(
-                enumerate_multisets(ctx.X, n),
-                lambda psi: ch.hypergeometric(psi, k),
-                lambda psi: _iter_dd(unit(psi), n - k),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (enumerate_multisets(ctx.X, n), lambda psi: ch.hypergeometric(psi, k),
+                   lambda psi: _iter_dd(unit(psi), n - k))
 
 
+@_pointwise
 def _law_hg_natural(ctx: LawContext):
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for n in range(ctx.n_max + 1):
             for k in range(n + 1):
-                held, w = _pointwise(
-                    enumerate_multisets(ctx.X, n),
-                    lambda psi: ch.hypergeometric(psi.map_elements(f.__getitem__), k),
-                    lambda psi: ch.hypergeometric(psi, k).map(
-                        lambda phi: phi.map_elements(f.__getitem__)
-                    ),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (enumerate_multisets(ctx.X, n),
+                       lambda psi: ch.hypergeometric(psi.map_elements(f.__getitem__), k),
+                       lambda psi: ch.hypergeometric(psi, k).map(
+                           lambda phi: phi.map_elements(f.__getitem__)))
 
 
+@_pointwise
 def _law_flrn_hg(ctx: LawContext):
     for n in range(1, ctx.n_max + 1):
         for k in range(1, n + 1):
-            held, w = _pointwise(
-                enumerate_multisets(ctx.X, n),
-                lambda psi: bind(ch.hypergeometric(psi, k), flrn),
-                flrn,
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (enumerate_multisets(ctx.X, n),
+                   lambda psi: bind(ch.hypergeometric(psi, k), flrn), flrn)
 
 
+@_pointwise
 def _law_hg_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for m in range(n + 1):
             for k in range(m + 1):
-                held, w = _pointwise(
-                    enumerate_multisets(ctx.X, n),
-                    lambda psi: bind(ch.hypergeometric(psi, m), lambda phi: ch.hypergeometric(phi, k)),
-                    lambda psi: ch.hypergeometric(psi, k),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (enumerate_multisets(ctx.X, n),
+                       lambda psi: bind(ch.hypergeometric(psi, m),
+                                        lambda phi: ch.hypergeometric(phi, k)),
+                       lambda psi: ch.hypergeometric(psi, k))
 
 
+@_pointwise
 def _law_hg_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
-            held, w = _pointwise(
-                ctx.dist_pool(ctx.X),
-                lambda omega: bind(ch.multinomial(omega, k + l), lambda psi: ch.hypergeometric(psi, k)),
-                lambda omega: ch.multinomial(omega, k),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.dist_pool(ctx.X),
+                   lambda omega: bind(ch.multinomial(omega, k + l),
+                                      lambda psi: ch.hypergeometric(psi, k)),
+                   lambda omega: ch.multinomial(omega, k))
 
 
+@_pointwise
 def _law_zip_iid(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(a, b) for a in ctx.dist_pool(ctx.X) for b in ctx.dist_pool(ctx.Y)),
-            lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(
-                lambda q: ch.zip_tuples(q.fst, q.snd)
-            ),
-            lambda p: iid(dtensor(p.fst, p.snd), k),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
+               lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(_zip_pair),
+               lambda p: iid(dtensor(p.fst, p.snd), k))
 
 
+@_pointwise
 def _law_zip_bigtensor(ctx: LawContext):
     cx = ctx.corner_dists(ctx.X)
     cy = ctx.corner_dists(ctx.Y)
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(ws, vs)
-             for ws in itertools.product(cx, repeat=k)
-             for vs in itertools.product(cy, repeat=k)),
-            lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(
-                lambda q: ch.zip_tuples(q.fst, q.snd)
-            ),
-            lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_pairs(itertools.product(cx, repeat=k), itertools.product(cy, repeat=k)),
+               lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(_zip_pair),
+               lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
 
 
+@_pointwise
 def _law_mzip_natural(ctx: LawContext):
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for g in ctx.function_pool(ctx.Y, ctx.X):
             for k in range(ctx.k_max + 1):
-                held, w = _pointwise(
-                    (Pair(phi, psi)
-                     for phi in enumerate_multisets(ctx.X, k)
-                     for psi in enumerate_multisets(ctx.Y, k)),
-                    lambda p: ch.mzip(
-                        p.fst.map_elements(f.__getitem__),
-                        p.snd.map_elements(g.__getitem__),
-                    ),
-                    lambda p: ch.mzip(p.fst, p.snd).map(
-                        lambda theta: theta.map_elements(
-                            lambda q: Pair(f[q.fst], g[q.snd])
-                        )
-                    ),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (_multiset_pairs(k, ctx.X, ctx.Y),
+                       lambda p: ch.mzip(p.fst.map_elements(f.__getitem__),
+                                         p.snd.map_elements(g.__getitem__)),
+                       lambda p: ch.mzip(p.fst, p.snd).map(lambda theta: theta.map_elements(
+                           lambda q: Pair(f[q.fst], g[q.snd]))))
 
 
+@_pointwise
 def _law_mzip_unit(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(phi, y) for phi in enumerate_multisets(ctx.X, k) for y in ctx.Y),
-            lambda p: ch.mzip(p.fst, Multiset({p.snd: k})),
-            lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
+               lambda p: ch.mzip(p.fst, Multiset({p.snd: k})),
+               lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
 
 
+@_pointwise
 def _law_mzip_assoc(ctx: LawContext):
     def reassoc(theta: Multiset) -> Multiset:
         return theta.map_elements(lambda p: Pair(p.fst.fst, Pair(p.fst.snd, p.snd)))
 
     for k in range(min(ctx.k_max, 3) + 1):
-        held, w = _pointwise(
-            ((phi, psi, chi)
-             for phi in enumerate_multisets(ctx.X, k)
-             for psi in enumerate_multisets(ctx.Y, k)
-             for chi in enumerate_multisets(ctx.Z, k)),
-            lambda t: bind(ch.mzip(t[0], t[1]), lambda th: ch.mzip(th, t[2])).map(reassoc),
-            lambda t: bind(ch.mzip(t[1], t[2]), lambda th: ch.mzip(t[0], th)),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (itertools.product(*(enumerate_multisets(s, k) for s in (ctx.X, ctx.Y, ctx.Z))),
+               lambda t: bind(ch.mzip(t[0], t[1]), lambda th: ch.mzip(th, t[2])).map(reassoc),
+               lambda t: bind(ch.mzip(t[1], t[2]), lambda th: ch.mzip(t[0], th)))
 
 
+@_pointwise
 def _law_mzip_proj(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        pairs = [Pair(phi, psi)
-                 for phi in enumerate_multisets(ctx.X, k)
-                 for psi in enumerate_multisets(ctx.Y, k)]
-        held, w = _pointwise(
-            pairs,
-            lambda p: ch.mzip(p.fst, p.snd).map(
-                lambda theta: theta.map_elements(lambda q: q.fst)
-            ),
-            lambda p: unit(p.fst),
-        )
-        if not held:
-            return held, w
-        held, w = _pointwise(
-            pairs,
-            lambda p: ch.mzip(p.fst, p.snd).map(
-                lambda theta: theta.map_elements(lambda q: q.snd)
-            ),
-            lambda p: unit(p.snd),
-        )
-        if not held:
-            return held, w
-    return True, None
+        pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
+        yield (pairs,
+               lambda p: ch.mzip(p.fst, p.snd).map(lambda th: th.map_elements(lambda q: q.fst)),
+               lambda p: unit(p.fst))
+        yield (pairs,
+               lambda p: ch.mzip(p.fst, p.snd).map(lambda th: th.map_elements(lambda q: q.snd)),
+               lambda p: unit(p.snd))
 
 
+@_pointwise
 def _law_mzip_arr(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(phi, psi)
-             for phi in enumerate_multisets(ctx.X, k)
-             for psi in enumerate_multisets(ctx.Y, k)),
-            lambda p: bind(ch.mzip(p.fst, p.snd), ch.arrange),
-            lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(
-                lambda q: ch.zip_tuples(q.fst, q.snd)
-            ),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_multiset_pairs(k, ctx.X, ctx.Y),
+               lambda p: bind(ch.mzip(p.fst, p.snd), ch.arrange),
+               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(_zip_pair))
 
 
+@_pointwise
 def _law_mzip_dd(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(phi, psi)
-             for phi in enumerate_multisets(ctx.X, k + 1)
-             for psi in enumerate_multisets(ctx.Y, k + 1)),
-            lambda p: bind(
-                dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), _mzip_pair
-            ),
-            lambda p: bind(ch.mzip(p.fst, p.snd), ch.draw_delete),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
+               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), _mzip_pair),
+               lambda p: bind(ch.mzip(p.fst, p.snd), ch.draw_delete))
 
 
 def _law_mzip_diag_counterexample(ctx: LawContext):
@@ -623,61 +520,39 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
     return False, "no counterexample found: duplication commuted on every size-2 multiset"
 
 
+@_pointwise
 def _law_mzip_flrn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(phi, psi)
-             for phi in enumerate_multisets(ctx.X, k)
-             for psi in enumerate_multisets(ctx.Y, k)),
-            lambda p: bind(ch.mzip(p.fst, p.snd), flrn),
-            lambda p: flrn(p.fst.tensor(p.snd)),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(ch.mzip(p.fst, p.snd), flrn),
+               lambda p: flrn(p.fst.tensor(p.snd)))
 
 
+@_pointwise
 def _law_mzip_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(a, b) for a in ctx.dist_pool(ctx.X) for b in ctx.dist_pool(ctx.Y)),
-            lambda p: bind(
-                dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)), _mzip_pair
-            ),
-            lambda p: ch.multinomial(dtensor(p.fst, p.snd), k),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
+               lambda p: bind(dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)),
+                              _mzip_pair),
+               lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
 
 
+@_pointwise
 def _law_mzip_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
-            held, w = _pointwise(
-                (Pair(phi, psi)
-                 for phi in enumerate_multisets(ctx.X, n)
-                 for psi in enumerate_multisets(ctx.Y, n)),
-                lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: ch.hypergeometric(theta, k)),
-                lambda p: bind(
-                    dtensor(ch.hypergeometric(p.fst, k), ch.hypergeometric(p.snd, k)),
-                    _mzip_pair,
-                ),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (_multiset_pairs(n, ctx.X, ctx.Y),
+                   lambda p: bind(ch.mzip(p.fst, p.snd), lambda th: ch.hypergeometric(th, k)),
+                   lambda p: bind(dtensor(ch.hypergeometric(p.fst, k),
+                                          ch.hypergeometric(p.snd, k)), _mzip_pair))
 
 
+@_pointwise
 def _law_mn_tensor_mismatch(ctx: LawContext):
     # Pinned counterexample: drawing 1 and 2 from the uniform coin and
     # tensoring the draws is not drawing 2 from the product distribution.
     omega = Dist.uniform(Space(("a", "b")))
-    lhs = ch.multinomial(dtensor(omega, omega), 2)
-    rhs = _tensor_pairs(dtensor(ch.multinomial(omega, 1), ch.multinomial(omega, 2)))
-    if lhs == rhs:
-        return True, None
-    return False, _witness(Pair(omega, omega), lhs, rhs)
+    yield ([Pair(omega, omega)], lambda p: ch.multinomial(dtensor(p.fst, p.snd), 2),
+           lambda p: _tensor_pairs(dtensor(ch.multinomial(p.fst, 1), ch.multinomial(p.snd, 2))))
 
 
 def _law_pml_defs_agree(ctx: LawContext):
@@ -698,149 +573,93 @@ def _law_pml_defs_agree(ctx: LawContext):
     return True, None
 
 
+@_pointwise
 def _law_pml_squeeze_left(ctx: LawContext):
     corners = ctx.corner_dists(ctx.X)
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            itertools.product(corners, repeat=k),
-            lambda ws: pml(accumulate(ws)),
-            lambda ws: _acc_dist(big_tensor(list(ws))),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (itertools.product(corners, repeat=k), lambda ws: pml(accumulate(ws)),
+               lambda ws: _acc_dist(big_tensor(list(ws))))
 
 
+@_pointwise
 def _law_pml_squeeze_right(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.psi_pool(ctx.X, k),
-            lambda psi: bind(pml(psi), ch.arrange),
-            lambda psi: bind(ch.arrange(psi), lambda ws: big_tensor(list(ws))),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), ch.arrange),
+               lambda psi: bind(ch.arrange(psi), lambda ws: big_tensor(list(ws))))
 
 
+@_pointwise
 def _law_pml_flrn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.psi_pool(ctx.X, k),
-            lambda psi: bind(pml(psi), flrn),
-            lambda psi: flatten(flrn(psi)),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), flrn),
+               lambda psi: flatten(flrn(psi)))
 
 
+@_pointwise
 def _law_pml_dd(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            ctx.psi_pool(ctx.X, k + 1),
-            lambda psi: bind(pml(psi), ch.draw_delete),
-            lambda psi: bind(ch.draw_delete(psi), pml),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.psi_pool(ctx.X, k + 1), lambda psi: bind(pml(psi), ch.draw_delete),
+               lambda psi: bind(ch.draw_delete(psi), pml))
 
 
+@_pointwise
 def _law_pml_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
-            held, w = _pointwise(
-                ctx.psi_pool(ctx.X, n),
-                lambda psi: bind(pml(psi), lambda phi: ch.hypergeometric(phi, k)),
-                lambda psi: bind(ch.hypergeometric(psi, k), pml),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.psi_pool(ctx.X, n),
+                   lambda psi: bind(pml(psi), lambda phi: ch.hypergeometric(phi, k)),
+                   lambda psi: bind(ch.hypergeometric(psi, k), pml))
 
 
+@_pointwise
 def _law_pml_sum(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
-            held, w = _pointwise(
-                (Pair(a, b)
-                 for a in ctx.psi_pool(ctx.X, k)
-                 for b in ctx.psi_pool(ctx.X, l)),
-                lambda p: pml(p.fst + p.snd),
-                lambda p: monoid_sum(pml(p.fst), pml(p.snd)),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)),
+                   lambda p: pml(p.fst + p.snd),
+                   lambda p: monoid_sum(pml(p.fst), pml(p.snd)))
 
 
+@_pointwise
 def _law_pml_unit(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            enumerate_multisets(ctx.X, k),
-            lambda phi: pml(phi.map_elements(unit)),
-            unit,
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield enumerate_multisets(ctx.X, k), lambda phi: pml(phi.map_elements(unit)), unit
 
 
+@_pointwise
 def _law_pml_mult(ctx: LawContext):
     for size in range(min(ctx.k_max, 3) + 1):
-        held, w = _pointwise(
-            ctx.nested_pool(ctx.X, size),
-            lambda xi: pml(xi.map_elements(flatten)),
-            lambda xi: flatten(pml(xi).map(pml)),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (ctx.nested_pool(ctx.X, size), lambda xi: pml(xi.map_elements(flatten)),
+               lambda xi: flatten(pml(xi).map(pml)))
 
 
+@_pointwise
 def _law_lift_id(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        lifted = lifted_map(Channel.identity(ctx.X), k)
-        held, w = _pointwise(enumerate_multisets(ctx.X, k), lifted, unit)
-        if not held:
-            return held, w
-    return True, None
+        yield enumerate_multisets(ctx.X, k), lifted_map(Channel.identity(ctx.X), k), unit
 
 
+@_pointwise
 def _law_lift_compose(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "lift-f"):
         for g in ctx.channel_pool(ctx.Y, ctx.Z, "lift-g"):
             for k in range(ctx.k_max + 1):
                 lf = lifted_map(f, k)
                 lg = lifted_map(g, k)
-                held, w = _pointwise(
-                    enumerate_multisets(ctx.X, k),
-                    lifted_map(compose(g, f), k),
-                    lambda phi: push(lg, lf(phi)),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (enumerate_multisets(ctx.X, k), lifted_map(compose(g, f), k),
+                       lambda phi: push(lg, lf(phi)))
 
 
+@_pointwise
 def _law_mzip_pml(ctx: LawContext):
     for k in range(ctx.k_max + 1):
-        held, w = _pointwise(
-            (Pair(a, b)
-             for a in ctx.psi_pool(ctx.X, k)
-             for b in ctx.psi_pool(ctx.Y, k)),
-            lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), _mzip_pair),
-            lambda p: bind(
-                ch.mzip(p.fst, p.snd),
-                lambda theta: pml(theta.map_elements(lambda q: dtensor(q.fst, q.snd))),
-            ),
-        )
-        if not held:
-            return held, w
-    return True, None
+        yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
+               lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), _mzip_pair),
+               lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
+                   theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
 
 
+@_pointwise
 def _law_lift_mzip(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "monoidal-f")[:3]:
         for g in ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]:
@@ -848,18 +667,12 @@ def _law_lift_mzip(ctx: LawContext):
                 lf = lifted_map(f, k)
                 lg = lifted_map(g, k)
                 lfg = lifted_map(ctensor(f, g), k)
-                held, w = _pointwise(
-                    (Pair(phi, psi)
-                     for phi in enumerate_multisets(ctx.X, k)
-                     for psi in enumerate_multisets(ctx.Z, k)),
-                    lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), _mzip_pair),
-                    lambda p: bind(ch.mzip(p.fst, p.snd), lfg),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (_multiset_pairs(k, ctx.X, ctx.Z),
+                       lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), _mzip_pair),
+                       lambda p: bind(ch.mzip(p.fst, p.snd), lfg))
 
 
+@_pointwise
 def _law_lift_sum(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "sum-f")[:3]:
         for k in range(ctx.k_max + 1):
@@ -867,199 +680,134 @@ def _law_lift_sum(ctx: LawContext):
                 lk = lifted_map(f, k)
                 ll = lifted_map(f, l)
                 lkl = lifted_map(f, k + l)
-                held, w = _pointwise(
-                    (Pair(phi, psi)
-                     for phi in enumerate_multisets(ctx.X, k)
-                     for psi in enumerate_multisets(ctx.X, l)),
-                    lambda p: lkl(p.fst + p.snd),
-                    lambda p: monoid_sum(lk(p.fst), ll(p.snd)),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
+                       lambda p: lkl(p.fst + p.snd),
+                       lambda p: monoid_sum(lk(p.fst), ll(p.snd)))
 
 
+@_pointwise
 def _law_arr_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lf = lifted_map(f, k)
-            held, w = _pointwise(
-                enumerate_multisets(ctx.X, k),
-                lambda phi: bind(ch.arrange(phi), _power_channel(f, k)),
-                lambda phi: bind(lf(phi), ch.arrange),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (enumerate_multisets(ctx.X, k),
+                   lambda phi: bind(ch.arrange(phi), _power_channel(f, k)),
+                   lambda phi: bind(lf(phi), ch.arrange))
 
 
+@_pointwise
 def _law_acc_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lf = lifted_map(f, k)
-            held, w = _pointwise(
-                ctx.X.power(k),
-                lambda xs: lf(accumulate(xs)),
-                lambda xs: _acc_dist(_power_channel(f, k)(xs)),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.X.power(k), lambda xs: lf(accumulate(xs)),
+                   lambda xs: _acc_dist(_power_channel(f, k)(xs)))
 
 
+@_pointwise
 def _law_dd_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lifted_big = lifted_map(f, k + 1)
             lifted_small = lifted_map(f, k)
-            held, w = _pointwise(
-                enumerate_multisets(ctx.X, k + 1),
-                lambda phi: bind(lifted_big(phi), ch.draw_delete),
-                lambda phi: bind(ch.draw_delete(phi), lifted_small),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (enumerate_multisets(ctx.X, k + 1),
+                   lambda phi: bind(lifted_big(phi), ch.draw_delete),
+                   lambda phi: bind(ch.draw_delete(phi), lifted_small))
 
 
+@_pointwise
 def _law_mn_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lf = lifted_map(f, k)
-            held, w = _pointwise(
-                ctx.dist_pool(ctx.X),
-                lambda omega: ch.multinomial(push(f, omega), k),
-                lambda omega: bind(ch.multinomial(omega, k), lf),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(push(f, omega), k),
+                   lambda omega: bind(ch.multinomial(omega, k), lf))
 
 
+@_pointwise
 def _law_hg_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for l in range(ctx.n_max + 1):
+            lifted_big = lifted_map(f, l)
             for k in range(l + 1):
-                lifted_big = lifted_map(f, l)
                 lifted_small = lifted_map(f, k)
-                held, w = _pointwise(
-                    enumerate_multisets(ctx.X, l),
-                    lambda phi: bind(lifted_big(phi), lambda psi: ch.hypergeometric(psi, k)),
-                    lambda phi: bind(ch.hypergeometric(phi, k), lifted_small),
-                )
-                if not held:
-                    return held, w
-    return True, None
+                yield (enumerate_multisets(ctx.X, l),
+                       lambda phi: bind(lifted_big(phi), lambda psi: ch.hypergeometric(psi, k)),
+                       lambda phi: bind(ch.hypergeometric(phi, k), lifted_small))
 
 
+@_pointwise
 def _law_pml_tensor_mismatch(ctx: LawContext):
     # Pinned counterexample with a two-copy multiset on one side and a
     # single-copy multiset on the other.
     omega = Dist({"a": Fraction(3, 4), "b": Fraction(1, 4)})
     rho = Dist({"0": Fraction(2, 3), "1": Fraction(1, 3)})
-    psi = Multiset({omega: 2})
-    phi = Multiset({rho: 1})
-    lhs = _tensor_pairs(dtensor(pml(psi), pml(phi)))
-    rhs = pml(psi.tensor(phi).map_elements(lambda p: dtensor(p.fst, p.snd)))
-    if lhs == rhs:
-        return True, None
-    return False, _witness(Pair(psi, phi), lhs, rhs)
+    yield ([Pair(Multiset({omega: 2}), Multiset({rho: 1}))],
+           lambda p: _tensor_pairs(dtensor(pml(p.fst), pml(p.snd))),
+           lambda p: pml(p.fst.tensor(p.snd).map_elements(lambda q: dtensor(q.fst, q.snd))))
 
 
+@_pointwise
 def _law_sampling(ctx: LawContext):
     for c in ctx.channel_pool(ctx.X, ctx.Y, "sampling"):
         for k in range(1, ctx.k_max + 1):
             lc = lifted_map(c, k)
-            held, w = _pointwise(
-                ctx.dist_pool(ctx.X),
-                lambda omega: bind(bind(ch.multinomial(omega, k), lc), flrn),
-                lambda omega: push(c, omega),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.dist_pool(ctx.X),
+                   lambda omega: bind(bind(ch.multinomial(omega, k), lc), flrn),
+                   lambda omega: push(c, omega))
 
 
+@_pointwise
 def _law_mn_update_validity(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
         for k in range(ctx.k_max + 1):
-            held, w = _pointwise(
-                ctx.dist_pool(ctx.X),
-                lambda omega: validity(ch.multinomial(omega, k), ext),
-                lambda omega: validity(omega, p) ** k,
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (ctx.dist_pool(ctx.X), lambda omega: validity(ch.multinomial(omega, k), ext),
+                   lambda omega: validity(omega, p) ** k)
 
 
+@_pointwise
 def _law_mn_update(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
+        pool = [w for w in ctx.dist_pool(ctx.X) if validity(w, p) != 0]
         for k in range(ctx.k_max + 1):
-            pool = [w for w in ctx.dist_pool(ctx.X) if validity(w, p) != 0]
-            held, w = _pointwise(
-                pool,
-                lambda omega: update(ch.multinomial(omega, k), ext),
-                lambda omega: ch.multinomial(update(omega, p), k),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (pool, lambda omega: update(ch.multinomial(omega, k), ext),
+                   lambda omega: ch.multinomial(update(omega, p), k))
 
 
+@_pointwise
 def _law_pml_update_validity(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
+
+        def product_leg(psi: Multiset) -> Fraction:
+            out = Fraction(1)
+            for omega, n in psi.entries:
+                out *= validity(omega, p) ** n
+            return out
+
         for size in range(ctx.k_max + 1):
-            def product_leg(psi: Multiset) -> Fraction:
-                out = Fraction(1)
-                for omega, n in psi.entries:
-                    out *= validity(omega, p) ** n
-                return out
-
-            held, w = _pointwise(
-                ctx.psi_pool(ctx.X, size),
-                lambda psi: validity(pml(psi), ext),
-                product_leg,
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield ctx.psi_pool(ctx.X, size), lambda psi: validity(pml(psi), ext), product_leg
 
 
+@_pointwise
 def _law_pml_update(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
         for size in range(ctx.k_max + 1):
-            pool = [
-                psi for psi in ctx.psi_pool(ctx.X, size)
-                if all(validity(omega, p) != 0 for omega, _ in psi.entries)
-            ]
-            held, w = _pointwise(
-                pool,
-                lambda psi: update(pml(psi), ext),
-                lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield ([psi for psi in ctx.psi_pool(ctx.X, size)
+                    if all(validity(omega, p) != 0 for omega, _ in psi.entries)],
+                   lambda psi: update(pml(psi), ext),
+                   lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))))
 
 
+@_pointwise
 def _law_msum_deterministic(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
-            held, w = _pointwise(
-                (Pair(phi, psi)
-                 for phi in enumerate_multisets(ctx.X, k)
-                 for psi in enumerate_multisets(ctx.X, l)),
-                lambda p: ch.msum_channel(p.fst, p.snd),
-                lambda p: unit(p.fst + p.snd),
-            )
-            if not held:
-                return held, w
-    return True, None
+            yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
+                   lambda p: ch.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
 
 
 LAWS: tuple[Law, ...] = (

@@ -8,6 +8,7 @@ rationals and equality is structural.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ from mulprob.dist import (
 )
 from mulprob.elements import Space
 from mulprob.errors import DomainError
-from mulprob.laws import run_laws
+from mulprob.laws import render_reports, run_laws
 from mulprob.multiset import (
     Multiset,
     accumulate,
@@ -40,6 +41,7 @@ from mulprob.pml import lifted_map, pml, pml_def1, pml_def2, pml_def3_check, pml
 
 F = Fraction
 AB = Space(["a", "b"])
+DATA = Path(__file__).parent / "data"
 
 
 def report(number: int, description: str, started: float, limit: float) -> None:
@@ -111,6 +113,8 @@ def test_criterion_4_law_catalogue():
     reports = run_laws(x_size=2, y_size=2, k_max=3, l_max=3, n_max=4, seed=0, n_random=20)
     failures = [r for r in reports if not r.ok]
     assert not failures, failures
+    # The rendered report at the default bounds is pinned byte for byte.
+    assert render_reports(reports) == (DATA / "laws_default.txt").read_text()
     verdicts = [r.verdict for r in reports]
     assert verdicts.count("expected-fail") == 2
     assert verdicts.count("pass") == len(reports) - 2

@@ -4,19 +4,13 @@ from fractions import Fraction
 import pytest
 
 from mulprob.channels import (
-    acc_channel,
-    arr_channel,
     arrange,
-    dd_channel,
     draw_delete,
-    hg_channel,
     hypergeometric,
-    mn_channel,
     msum_channel,
     multinomial,
     multiset_space,
     mzip,
-    mzip_channel,
     ppr,
     zip_tuples,
 )
@@ -231,30 +225,6 @@ class TestMsum:
 
 
 class TestChannelBuilders:
-    def test_mn_channel_quantifies_over_given_states(self):
-        chan = mn_channel([OMEGA, unit("a")], 2)
-        assert chan(OMEGA) == multinomial(OMEGA, 2)
-        with pytest.raises(DomainError):
-            chan(Dist.uniform(AB))
-
-    def test_arr_acc_round_trip(self):
-        arr = arr_channel(AB, 2)
-        acc = acc_channel(AB, 2)
-        for phi in arr.domain:
-            assert bind(arr(phi), acc) == unit(phi)
-
-    def test_hg_dd_domains(self):
-        hg = hg_channel(AB, 3, 2)
-        dd = dd_channel(AB, 3)
-        assert list(hg.domain) == enumerate_multisets(AB, 3)
-        for psi in dd.domain:
-            assert dd(psi) == draw_delete(psi)
-
-    def test_mzip_channel_domain_pairs(self):
-        chan = mzip_channel(AB, Space(["u", "v"]), 2)
-        p = next(iter(chan.domain))
-        assert chan(p) == mzip(p.fst, p.snd)
-
     def test_multiset_space(self):
         assert list(multiset_space(AB, 2)) == enumerate_multisets(AB, 2)
 

@@ -112,6 +112,17 @@ class TestErrors:
         assert code == 1
         assert "mismatch" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["acc", "(" * 2000 + "a"],
+        ["flrn", "[1 " * 200 + "a" + "]" * 200],
+    ])
+    def test_deep_nesting_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: nesting deeper than 100 levels")
+        assert err.count("\n") == 1
+
     def test_cell_budget_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("MULPROB_MAX_CELLS", "4")
         code, _, err = run(capsys, "arr", "[4 a, 4 b]")

@@ -12,7 +12,6 @@ from mulprob.dist import (
     bind,
     compose,
     ctensor,
-    dist_equal,
     dtensor,
     flatten,
     flrn,
@@ -65,11 +64,6 @@ class TestConstruction:
 
     def test_equality_is_order_insensitive(self):
         assert Dist([("a", F(1, 2)), ("b", F(1, 2))]) == Dist([("b", F(1, 2)), ("a", F(1, 2))])
-
-    def test_dist_equal(self):
-        assert dist_equal(OMEGA, OMEGA)
-        assert dist_equal(d(a=F(1, 2), b=F(1, 2)), Dist([("b", F(1, 2)), ("a", F(1, 2))]))
-        assert not dist_equal(d(a=F(1, 2), b=F(1, 2)), OMEGA)
 
 
 class TestPushAndCompose:

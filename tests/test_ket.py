@@ -102,6 +102,14 @@ class TestCanonicalization:
     def test_weights_on_same_value_merge(self):
         assert format_dist(parse_dist("<1/2 a, 1/2 a>")) == "<1 a>"
 
+    def test_numerals_of_equal_value_order_by_text(self):
+        # "0" and "00" are distinct atoms with the same numeric value; the
+        # canonical order must still be total, so entry order cannot matter.
+        assert parse_multiset("[1 0, 1 00]") == parse_multiset("[1 00, 1 0]")
+        assert format_multiset(parse_multiset("[1 00, 1 0]")) == "[1 0, 1 00]"
+        assert format_dist(parse_dist("<1/2 007, 1/2 7>")) == "<1/2 007, 1/2 7>"
+        assert format_multiset(parse_multiset("[1 10, 1 9, 1 09]")) == "[1 09, 1 9, 1 10]"
+
 
 class TestFormatting:
     def test_tuples(self):
@@ -153,6 +161,17 @@ class TestErrors:
     def test_empty_dist_is_invalid(self):
         with pytest.raises(ParseError):
             parse_dist("<>")
+
+    def test_nesting_depth_is_bounded(self):
+        deepest = "[1 " * 100 + "a" + "]" * 100
+        assert format_multiset(parse_multiset(deepest)) == deepest
+        with pytest.raises(ParseError) as err:
+            parse_multiset("[1 " * 101 + "a" + "]" * 101)
+        assert err.value.position == 300
+        with pytest.raises(ParseError):
+            parse_element("(" * 101 + "a" + ",b)" * 101)
+        with pytest.raises(ParseError):
+            parse_dist("<1 " * 101 + "a" + ">" * 101)
 
     def test_positions_reported(self):
         with pytest.raises(ParseError) as err:
