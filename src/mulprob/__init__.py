@@ -42,7 +42,6 @@ from .channels import (
     arrange,
     draw_delete,
     hypergeometric,
-    msum_channel,
     multinomial,
     multiset_space,
     mzip,

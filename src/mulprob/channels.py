@@ -1,24 +1,24 @@
 """The library's named probabilistic channels.
 
 Draws with replacement (multinomial) and without (hypergeometric), single
-draw-and-delete, uniform arrangement of a multiset into sequences, the
-probabilistic zip of two equal-size multisets, and the deterministic
-concatenation-style sum channel.
+draw-and-delete, uniform arrangement of a multiset into sequences, and
+the probabilistic zip of two equal-size multisets.
 
-The draw distributions are computed from their closed coefficient
-formulas over the enumerated multiset space, so the support cost is
-multichoose-sized; the equivalent sequence-space route exists in the test
-suite as an independent oracle.
+Each channel is computed from a closed formula over its own support, so
+its cost follows the size of its output: the draw distributions enumerate
+the multisets they weigh, and ``mzip`` enumerates contingency tables
+rather than pairs of arrangements.  The literal definitions survive in
+``mulprob.oracles`` and the test suite as independent cross-checks.
 """
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import binomial
+from .combinatorics import binomial, factorial, multichoose
 from .dist import Dist
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
-from .multiset import Multiset, accumulate, enumerate_arrangements, enumerate_multisets
+from .multiset import Multiset, enumerate_arrangements, enumerate_multisets
 
 
 def arrange(m: Multiset) -> Dist:
@@ -45,35 +45,61 @@ def multinomial(omega: Dist, k: int) -> Dist:
     return Dist(weights)
 
 
-def _sub_multisets(urn: Multiset, k: int) -> list[Multiset]:
-    """All size-k multisets below ``urn`` in the pointwise order."""
-    entries = urn.entries
+def _sub_multiset_count(urn: Multiset, k: int) -> int:
+    """Number of size-k multisets below ``urn``.
 
-    def rec(i: int, budget: int) -> list[list[tuple[Elem, int]]]:
-        if i == len(entries):
-            return [[]] if budget == 0 else []
-        elem, avail = entries[i]
+    The coefficient of ``t^k`` in the product over the urn's entries of
+    ``1 + t + ... + t^urn(x)``, one polynomial multiplication per entry.
+    """
+    coeffs = [1] + [0] * k
+    for _, avail in urn.entries:
+        window = 0
         out = []
-        for n in range(min(avail, budget) + 1):
-            for rest in rec(i + 1, budget - n):
-                out.append(([(elem, n)] + rest) if n else rest)
-        return out
+        for j, c in enumerate(coeffs):
+            window += c
+            if j > avail:
+                window -= coeffs[j - avail - 1]
+            out.append(window)
+        coeffs = out
+    return coeffs[k]
 
-    return [Multiset(es) for es in rec(0, k)]
+
+def _splits(n: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All ways to split ``n`` into parts bounded by ``caps``, in order.
+
+    Each part takes at least what the parts after it cannot hold, so every
+    prefix extends to a split and the walk has no dead ends.
+    """
+    if not caps:
+        if n == 0:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for t in range(max(0, n - rest), min(n, caps[0]) + 1):
+        for tail in _splits(n - t, caps[1:]):
+            yield (t,) + tail
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:
-    """Distribution of size-k draws without replacement from the urn."""
+    """Distribution of size-k draws without replacement from the urn.
+
+    A draw takes ``phi(x)`` of the ``urn(x)`` copies of each ``x``; its
+    weight is the product of ``binomial(urn(x), phi(x))`` over ``C(|urn|, k)``.
+    The budget counts the draws exactly.
+    """
     n = urn.size
     if not 0 <= k <= n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
+    check_cells(_sub_multiset_count(urn, k), f"size-{k} sub-multisets of a size-{n} urn")
     denom = binomial(n, k)
+    support, caps = urn.support, tuple(c for _, c in urn.entries)
     weights = {}
-    for phi in _sub_multisets(urn, k):
+    for split in _splits(k, caps):
         w = 1
-        for x, m in phi.entries:
-            w *= binomial(urn[x], m)
-        weights[phi] = Fraction(w, denom)
+        for c, t in zip(caps, split):
+            if t:
+                w *= binomial(c, t)
+        weights[Multiset(zip(support, split))] = Fraction(w, denom)
     return Dist(weights)
 
 
@@ -104,47 +130,58 @@ def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:
     return tuple(Pair(x, y) for x, y in zip(xs, ys))
 
 
+def _factorial_product(counts: Iterable[int]) -> int:
+    out = 1
+    for n in counts:
+        out *= factorial(n)
+    return out
+
+
 def mzip(phi: Multiset, psi: Multiset) -> Dist:
     """Probabilistic zip of two equal-size multisets.
 
-    Every pair of arrangements of the inputs is zipped positionwise and
-    re-accumulated; each pair contributes uniformly.  The cost is the
-    product of the two multiset coefficients.
+    By definition every pair of arrangements of the inputs is zipped
+    positionwise and re-accumulated, each pair contributing uniformly
+    (``oracles.mzip_arrangements`` runs that route).  Counting the pairs
+    that zip to a multiset ``tau`` on pairs gives the closed form used
+    here: the support is the set of contingency tables whose row margins
+    are ``phi`` and whose column margins are ``psi``, and ``tau`` weighs
+    ``prod phi(x)! * prod psi(y)! / (K! * prod tau(x,y)!)``.
+
+    Tables are built row by row over the support of ``phi``; each row is
+    split within the capacity the columns have left and the last row is
+    forced, so the cost is one step per table and row.  The budget counts
+    tables, bounded by the product of ``multichoose(|supp psi|, phi(x))``
+    over all rows but the last.
     """
     if phi.size != psi.size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
-    cphi = phi.coefficient()
-    cpsi = psi.coefficient()
-    check_cells(cphi * cpsi, "mzip arrangement pairs")
-    w = Fraction(1, cphi * cpsi)
-    acc: dict[Multiset, Fraction] = {}
-    for xs in enumerate_arrangements(phi):
-        for ys in enumerate_arrangements(psi):
-            zipped = accumulate(zip_tuples(xs, ys))
-            acc[zipped] = acc.get(zipped, Fraction(0)) + w
-    return Dist(acc)
+    rows, cols = phi.entries, psi.entries
+    if not rows:
+        return Dist.point(Multiset())
+    bound = 1
+    for _, r in rows[:-1]:
+        bound *= multichoose(len(cols), r)
+    check_cells(bound, "mzip contingency tables")
 
-
-def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
-    """Sum of two multisets, computed the long way round.
-
-    Arranges both inputs, concatenates every pair of sequences, and
-    accumulates again.  The mixture provably collapses to a single point;
-    this is asserted before returning.
-    """
-    cphi = phi.coefficient()
-    cpsi = psi.coefficient()
-    check_cells(cphi * cpsi, "concatenation arrangement pairs")
-    w = Fraction(1, cphi * cpsi)
-    acc: dict[Multiset, Fraction] = {}
-    for xs in enumerate_arrangements(phi):
-        for ys in enumerate_arrangements(psi):
-            joined = accumulate(xs + ys)
-            acc[joined] = acc.get(joined, Fraction(0)) + w
-    out = Dist(acc)
-    if out.support != (phi + psi,):
-        raise DomainError("concatenation channel failed to collapse to the sum")
-    return out
+    numer = _factorial_product(n for _, n in rows + cols)
+    cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
+    # A partial table: its cells, the product of their factorials, and the
+    # capacity each column has left.
+    tables = [((), 1, tuple(c for _, c in cols))]
+    for i, (_, r) in enumerate(rows[:-1]):
+        tables = [
+            (taken + tuple(zip(cells[i], split)), denom * _factorial_product(split),
+             tuple(c - t for c, t in zip(caps, split)))
+            for taken, denom, caps in tables
+            for split in _splits(r, caps)
+        ]
+    total = factorial(phi.size)
+    weights = {}
+    for taken, denom, caps in tables:
+        tau = Multiset(taken + tuple(zip(cells[-1], caps)))
+        weights[tau] = Fraction(numer, total * denom * _factorial_product(caps))
+    return Dist(weights)
 
 
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:

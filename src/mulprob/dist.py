@@ -201,6 +201,7 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
+    check_cells(len(omega.entries) * len(rho.entries), "tensor product support")
     return Dist((Pair(x, y), v * w) for x, v in omega.entries for y, w in rho.entries)
 
 

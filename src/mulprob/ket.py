@@ -166,12 +166,15 @@ class _Parser:
             return text
         if text == "(":
             self.enter("(")
-            fst = self.element()
-            self.expect(",")
-            snd = self.element()
-            self.leave(")")
-            return Pair(fst, snd)
+            return self.pair_rest(self.element())
         raise ParseError(f"expected an element, found {text or 'end of input'!r}", pos)
+
+    def pair_rest(self, fst: Elem) -> Pair:
+        """The rest of a pair whose opening bracket and first element are read."""
+        self.expect(",")
+        snd = self.element()
+        self.leave(")")
+        return Pair(fst, snd)
 
     def value(self):
         kind, text, pos = self.peek()
@@ -214,14 +217,18 @@ class _Parser:
 
     def predicate(self) -> Predicate:
         _, _, start = self.expect("(")
+        return self.predicate_rest(self.element(), start)
+
+    def predicate_rest(self, key: Elem, start: int) -> Predicate:
+        """The rest of a predicate whose opening bracket and first key are read."""
         entries = []
         while True:
-            key = self.element()
             self.expect(":")
             entries.append((key, self.rational()))
             if self.peek()[1] != ",":
                 break
             self.next()
+            key = self.element()
         self.expect(")")
         try:
             return Predicate(entries)
@@ -253,10 +260,14 @@ class _Parser:
             return self.channel()
         if text == "(":
             # A parenthesis opens either a pair or a predicate; the token
-            # after the first inner element tells them apart.
-            if self.peek(2)[1] == ":":
-                return self.predicate()
-            return self.element()
+            # after the first inner element, which may itself be a pair,
+            # tells them apart.
+            self.enter("(")
+            first = self.element()
+            if self.peek()[1] == ":":
+                self.depth -= 1
+                return self.predicate_rest(first, pos)
+            return self.pair_rest(first)
         return self.element()
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import channels as ch
+from . import oracles
 from .dist import (
     Channel,
     Dist,
@@ -43,7 +44,7 @@ from .dist import (
     validity,
 )
 from .elements import Pair, Space
-from .errors import DomainError
+from .errors import DomainError, MulprobError
 from .ket import format_value
 from .multiset import Multiset, accumulate, enumerate_multisets
 from .pml import lifted_map, monoid_sum, pml, pml_def1, pml_def2, pml_def3_check, pml_def4
@@ -807,7 +808,7 @@ def _law_msum_deterministic(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
             yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
-                   lambda p: ch.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
+                   lambda p: oracles.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
 
 
 LAWS: tuple[Law, ...] = (
@@ -875,7 +876,11 @@ def catalogue() -> list[tuple[str, str]]:
 
 
 def run_law(law: Law, ctx: LawContext) -> LawReport:
-    held, witness = law.check(ctx)
+    """Check one law; a library error raised by its legs fails the law alone."""
+    try:
+        held, witness = law.check(ctx)
+    except MulprobError as exc:
+        return LawReport(law.name, ctx.params(), "fail", f"raised {type(exc).__name__}: {exc}")
     if law.expect_fail:
         if held:
             return LawReport(law.name, ctx.params(), "fail",

@@ -1,0 +1,65 @@
+"""Long-way-round routes kept only to cross-check the production ones.
+
+Each function here computes something the library already computes more
+cheaply, by following the paper's definition literally.  They are not
+part of the calculator: the law suite and the tests call them to confirm
+that the fast route and the definition agree.
+
+* ``mzip_arrangements``: the multiset zip as defined, by arranging both
+  inputs, zipping every pair of sequences positionwise and accumulating.
+  Its cost is the product of the two multiset coefficients, where the
+  production ``channels.mzip`` costs one step per contingency table.
+* ``msum_channel``: the sum of two multisets via concatenation of
+  arrangements, which collapses to the point mass at ``phi + psi``.
+"""
+
+from fractions import Fraction
+
+from .channels import zip_tuples
+from .dist import Dist
+from .errors import DomainError, check_cells
+from .multiset import Multiset, accumulate, enumerate_arrangements
+
+
+def _arrangement_pairs(phi: Multiset, psi: Multiset, what: str):
+    """Every pair of arrangements of the inputs, with its uniform weight."""
+    cphi = phi.coefficient()
+    cpsi = psi.coefficient()
+    check_cells(cphi * cpsi, what)
+    w = Fraction(1, cphi * cpsi)
+    ys_all = enumerate_arrangements(psi)
+    for xs in enumerate_arrangements(phi):
+        for ys in ys_all:
+            yield xs, ys, w
+
+
+def mzip_arrangements(phi: Multiset, psi: Multiset) -> Dist:
+    """Probabilistic zip of two equal-size multisets, by its definition.
+
+    Every pair of arrangements of the inputs is zipped positionwise and
+    re-accumulated; each pair contributes uniformly.
+    """
+    if phi.size != psi.size:
+        raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
+    acc: dict[Multiset, Fraction] = {}
+    for xs, ys, w in _arrangement_pairs(phi, psi, "mzip arrangement pairs"):
+        zipped = accumulate(zip_tuples(xs, ys))
+        acc[zipped] = acc.get(zipped, Fraction(0)) + w
+    return Dist(acc)
+
+
+def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
+    """Sum of two multisets, computed the long way round.
+
+    Arranges both inputs, concatenates every pair of sequences, and
+    accumulates again.  The mixture provably collapses to a single point;
+    this is asserted before returning.
+    """
+    acc: dict[Multiset, Fraction] = {}
+    for xs, ys, w in _arrangement_pairs(phi, psi, "concatenation arrangement pairs"):
+        joined = accumulate(xs + ys)
+        acc[joined] = acc.get(joined, Fraction(0)) + w
+    out = Dist(acc)
+    if out.support != (phi + psi,):
+        raise DomainError("concatenation channel failed to collapse to the sum")
+    return out

@@ -54,8 +54,9 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
 
     The convolution with respect to multiset addition; it makes the set of
     distributions over multisets a commutative monoid, with unit the point
-    mass at the empty multiset.
+    mass at the empty multiset.  The budget counts pairs of outcomes.
     """
+    check_cells(len(a.entries) * len(b.entries), "monoid sum outcome pairs")
     acc: dict[Multiset, Fraction] = {}
     for phi, w in a.entries:
         for chi, v in b.entries:

@@ -2,21 +2,23 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mulprob import oracles
 from mulprob.channels import (
     arrange,
     draw_delete,
     hypergeometric,
-    msum_channel,
     multinomial,
     multiset_space,
     mzip,
     ppr,
     zip_tuples,
 )
+from mulprob.combinatorics import factorial
 from mulprob.dist import Dist, bind, flrn, unit
 from mulprob.elements import Pair, Space
-from mulprob.errors import DomainError
+from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
 
 F = Fraction
@@ -205,23 +207,58 @@ class TestMzip:
             mzip(ms(a=1), ms(a=1, b=1))
 
 
-class TestMsum:
-    def test_disjoint(self):
-        assert msum_channel(ms(a=2), ms(b=1)) == unit(ms(a=2, b=1))
+def sized_multisets(atoms, k):
+    return st.lists(st.sampled_from(atoms), min_size=k, max_size=k).map(accumulate)
 
-    def test_empty_right(self):
-        phi = ms(a=1, b=1)
-        assert msum_channel(phi, Multiset()) == unit(phi)
 
-    def test_overlapping(self):
-        assert msum_channel(ms(a=1, b=1), ms(a=1)) == unit(ms(a=2, b=1))
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda k: st.tuples(sized_multisets("abc", k), sized_multisets("uvw", k))))
+def test_mzip_agrees_with_arrangement_pairs(pair):
+    phi, psi = pair
+    assert mzip(phi, psi) == oracles.mzip_arrangements(phi, psi)
 
-    def test_always_deterministic(self):
-        for k in range(4):
-            for l in range(4):
-                for phi in enumerate_multisets(AB, k):
-                    for psi in enumerate_multisets(AB, l):
-                        assert msum_channel(phi, psi) == unit(phi + psi)
+
+class TestMzipCost:
+    """mzip enumerates contingency tables, not pairs of arrangements."""
+
+    def test_size_twelve_closed_form(self):
+        # 853,776 arrangement pairs by definition; 7 tables here.
+        got = mzip(ms(a=6, b=6), ms(u=6, v=6))
+        assert len(got.entries) == 7
+        for j in range(7):
+            tau = Multiset({Pair("a", "u"): j, Pair("a", "v"): 6 - j,
+                            Pair("b", "u"): 6 - j, Pair("b", "v"): j})
+            want = F(factorial(6) ** 4,
+                     factorial(12) * factorial(j) ** 2 * factorial(6 - j) ** 2)
+            assert got[tau] == want
+
+    def test_budget_counts_tables(self, monkeypatch):
+        # 63,504 arrangement pairs, at most 6 tables.
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "10")
+        got = mzip(ms(a=5, b=5), ms(u=5, v=5))
+        assert len(got.entries) == 6
+
+    def test_many_rows_over_budget(self, monkeypatch):
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "1000")
+        phi = Multiset({x: 3 for x in "abcdefgh"})
+        psi = Multiset({y: 6 for y in "uvwz"})
+        with pytest.raises(ResourceLimitError, match="mzip contingency tables"):
+            mzip(phi, psi)
+
+
+class TestBudgets:
+    def test_hypergeometric_counts_sub_multisets(self, monkeypatch):
+        urn = Multiset({x: 4 for x in "abcdefgh"})
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        with pytest.raises(ResourceLimitError, match="sub-multisets"):
+            hypergeometric(urn, 10)
+
+    def test_hypergeometric_feasible_urn_runs(self, monkeypatch):
+        # 70 sub-multisets of size 4, though multichoose(8, 4) = 330.
+        urn = Multiset({x: 1 for x in "abcdefgh"})
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "70")
+        assert len(hypergeometric(urn, 4).entries) == 70
 
 
 class TestChannelBuilders:

@@ -23,7 +23,7 @@ from mulprob.dist import (
     validity,
 )
 from mulprob.elements import Pair, Space
-from mulprob.errors import DomainError
+from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets
 
 F = Fraction
@@ -138,6 +138,12 @@ class TestTensors:
     def test_point_mass_tensor(self):
         got = dtensor(unit("a"), RHO)
         assert got == Dist({Pair("a", x): w for x, w in RHO.entries})
+
+    def test_tensor_is_under_the_cell_budget(self, monkeypatch):
+        u = Dist.uniform(Space([str(i) for i in range(11)]))  # 121 pairs
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        with pytest.raises(ResourceLimitError, match="tensor product support"):
+            dtensor(u, u)
 
     def test_uniform_tensor(self):
         u = Dist.uniform(AB)

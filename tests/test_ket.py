@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulprob.dist import Dist, Predicate
 from mulprob.elements import Pair
@@ -35,6 +36,13 @@ class TestParseBasics:
 
     def test_predicate(self):
         assert parse_predicate("(a:1, b:1/2)") == Predicate({"a": 1, "b": F(1, 2)})
+
+    def test_pair_keyed_predicate(self):
+        # The token after "(" cannot tell a predicate from a pair when the
+        # first key is itself a pair; the parser decides after reading it.
+        got = parse_value("((a,b):1, (a,c):1/2)")
+        assert got == Predicate({Pair("a", "b"): 1, Pair("a", "c"): F(1, 2)})
+        assert parse_value("((a,b),c)") == Pair(Pair("a", "b"), "c")
 
     def test_pair_element(self):
         assert parse_element("(a,0)") == Pair("a", "0")
@@ -109,6 +117,20 @@ class TestCanonicalization:
         assert format_multiset(parse_multiset("[1 00, 1 0]")) == "[1 0, 1 00]"
         assert format_dist(parse_dist("<1/2 007, 1/2 7>")) == "<1/2 007, 1/2 7>"
         assert format_multiset(parse_multiset("[1 10, 1 9, 1 09]")) == "[1 09, 1 9, 1 10]"
+
+
+atoms = st.sampled_from(["a", "b", "z0", "0", "00", "7"])
+keys = st.recursive(atoms, lambda inner: st.builds(Pair, inner, inner), max_leaves=4)
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(keys, unit_rationals, min_size=1, max_size=5))
+def test_predicate_round_trip(values):
+    p = Predicate(values)
+    text = format_value(p)
+    assert parse_value(text) == p
+    assert format_value(parse_value(text)) == text
 
 
 class TestFormatting:

@@ -93,3 +93,19 @@ def test_run_law_params_capture_bounds():
     report = run_law(LAWS[0], ctx)
     assert "K<=2" in report.params
     assert report.ok
+
+
+def test_raising_law_fails_alone(monkeypatch):
+    # A library error inside one law's legs fails that law with the error
+    # as its witness; the rest of the sweep still runs.
+    def broken(urn):
+        raise DomainError("tampered draw_delete")
+
+    monkeypatch.setattr(mulprob.channels, "draw_delete", broken)
+    reports = run_laws(**FAST)
+    assert len(reports) == len(LAWS) == 53
+    failed = {r.name: r.witness for r in reports if r.verdict == "fail"}
+    assert set(failed) == {"dd-mn", "flrn-dd", "hg-dd-iter", "mzip-dd", "pml-dd",
+                           "dd-chan-natural"}
+    assert set(failed.values()) == {"raised DomainError: tampered draw_delete"}
+    assert sum(r.verdict == "expected-fail" for r in reports) == 2

@@ -18,7 +18,7 @@ from mulprob.dist import (
     validity,
 )
 from mulprob.elements import Space
-from mulprob.errors import DomainError
+from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate
 from mulprob.pml import (
     lifted_map,
@@ -134,6 +134,12 @@ class TestMonoidStructure:
     def test_algebra_counts_multiplicities(self):
         d = multinomial(OMEGA, 1)
         assert monoid_algebra(Multiset({d: 2})) == monoid_sum(d, d)
+
+    def test_sum_is_under_the_cell_budget(self, monkeypatch):
+        d = multinomial(OMEGA, 10)  # 11 outcomes: 121 pairs
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        with pytest.raises(ResourceLimitError, match="monoid sum outcome pairs"):
+            monoid_sum(d, d)
 
 
 class TestLiftedMap:
