@@ -11,7 +11,6 @@ rather than pairs of arrangements.  The literal definitions survive in
 ``mulprob.oracles`` and the test suite as independent cross-checks.
 """
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import binomial, factorial, multichoose
@@ -24,8 +23,7 @@ from .multiset import Multiset, enumerate_arrangements, enumerate_multisets
 def arrange(m: Multiset) -> Dist:
     """Uniform distribution over the distinct sequences accumulating to m."""
     seqs = enumerate_arrangements(m)
-    w = Fraction(1, len(seqs))
-    return Dist((s, w) for s in seqs)
+    return Dist(dict.fromkeys(seqs, 1), denominator=len(seqs))
 
 
 def multinomial(omega: Dist, k: int) -> Dist:
@@ -36,13 +34,14 @@ def multinomial(omega: Dist, k: int) -> Dist:
     """
     if k < 0:
         raise DomainError(f"draw size must be nonnegative: {k}")
+    nums = omega._nums
     weights = {}
     for phi in enumerate_multisets(omega.support, k):
-        w = Fraction(phi.coefficient())
+        w = phi.coefficient()
         for x, n in phi.entries:
-            w *= omega[x] ** n
+            w *= nums[x] ** n
         weights[phi] = w
-    return Dist(weights)
+    return Dist(weights, denominator=omega._den ** k)
 
 
 def _sub_multiset_count(urn: Multiset, k: int) -> int:
@@ -68,16 +67,33 @@ def _splits(n: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All ways to split ``n`` into parts bounded by ``caps``, in order.
 
     Each part takes at least what the parts after it cannot hold, so every
-    prefix extends to a split and the walk has no dead ends.
+    prefix extends to a split and the walk has no dead ends.  The walk is
+    an odometer: the last part that can still grow grows by one, and the
+    parts after it restart at their least values.
     """
-    if not caps:
-        if n == 0:
-            yield ()
+    if not 0 <= n <= sum(caps):
         return
-    rest = sum(caps[1:])
-    for t in range(max(0, n - rest), min(n, caps[0]) + 1):
-        for tail in _splits(n - t, caps[1:]):
-            yield (t,) + tail
+    size = len(caps)
+    rest = [0] * size  # what the parts after each one can hold
+    for i in range(size - 2, -1, -1):
+        rest[i] = rest[i + 1] + caps[i + 1]
+    parts = [0] * size
+    left = [0] * size  # what is left to split at each part
+    start = 0
+    while True:
+        remaining = n if start == 0 else left[start - 1] - parts[start - 1]
+        for i in range(start, size):
+            left[i] = remaining
+            parts[i] = t = max(0, remaining - rest[i])
+            remaining -= t
+        yield tuple(parts)
+        i = size - 2
+        while i >= 0 and parts[i] >= min(left[i], caps[i]):
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        start = i + 1
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:
@@ -99,8 +115,8 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
         for c, t in zip(caps, split):
             if t:
                 w *= binomial(c, t)
-        weights[Multiset(zip(support, split))] = Fraction(w, denom)
-    return Dist(weights)
+        weights[Multiset(zip(support, split))] = w
+    return Dist(weights, denominator=denom)
 
 
 def draw_delete(urn: Multiset) -> Dist:
@@ -108,19 +124,18 @@ def draw_delete(urn: Multiset) -> Dist:
     size = urn.size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
-    return Dist((urn.remove_one(x), Fraction(n, size)) for x, n in urn.entries)
+    return Dist({urn.remove_one(x): n for x, n in urn.entries}, denominator=size)
 
 
 def ppr(xs: tuple) -> Dist:
     """Uniform mixture of the single-position deletions of a sequence."""
     if len(xs) == 0:
         raise DomainError("cannot project away a position of the empty sequence")
-    w = Fraction(1, len(xs))
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int] = {}
     for i in range(len(xs)):
         shorter = xs[:i] + xs[i + 1:]
-        acc[shorter] = acc.get(shorter, Fraction(0)) + w
-    return Dist(acc)
+        acc[shorter] = acc.get(shorter, 0) + 1
+    return Dist(acc, denominator=len(xs))
 
 
 def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:
@@ -133,8 +148,13 @@ def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:
 def _factorial_product(counts: Iterable[int]) -> int:
     out = 1
     for n in counts:
-        out *= factorial(n)
+        if n > 1:
+            out *= factorial(n)
     return out
+
+
+def _nonzero_cells(cells: list[Pair], counts: tuple[int, ...]) -> tuple:
+    return tuple([(c, t) for c, t in zip(cells, counts) if t])
 
 
 def mzip(phi: Multiset, psi: Multiset) -> Dist:
@@ -146,7 +166,10 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     that zip to a multiset ``tau`` on pairs gives the closed form used
     here: the support is the set of contingency tables whose row margins
     are ``phi`` and whose column margins are ``psi``, and ``tau`` weighs
-    ``prod phi(x)! * prod psi(y)! / (K! * prod tau(x,y)!)``.
+    ``prod phi(x)! * prod psi(y)! / (K! * prod tau(x,y)!)``.  That is the
+    count ``K! / prod tau(x,y)!`` of sequences of pairs accumulating to
+    ``tau`` over the ``coefficient(phi) * coefficient(psi)`` pairs of
+    arrangements.
 
     Tables are built row by row over the support of ``phi``; each row is
     split within the capacity the columns have left and the last row is
@@ -164,14 +187,13 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
         bound *= multichoose(len(cols), r)
     check_cells(bound, "mzip contingency tables")
 
-    numer = _factorial_product(n for _, n in rows + cols)
     cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
-    # A partial table: its cells, the product of their factorials, and the
-    # capacity each column has left.
+    # A partial table: its nonzero cells, the product of their factorials,
+    # and the capacity each column has left.
     tables = [((), 1, tuple(c for _, c in cols))]
     for i, (_, r) in enumerate(rows[:-1]):
         tables = [
-            (taken + tuple(zip(cells[i], split)), denom * _factorial_product(split),
+            (taken + _nonzero_cells(cells[i], split), denom * _factorial_product(split),
              tuple(c - t for c, t in zip(caps, split)))
             for taken, denom, caps in tables
             for split in _splits(r, caps)
@@ -179,10 +201,10 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     total = factorial(phi.size)
     weights = {}
     for taken, denom, caps in tables:
-        tau = Multiset(taken + tuple(zip(cells[-1], caps)))
-        weights[tau] = Fraction(numer, total * denom * _factorial_product(caps))
-    return Dist(weights)
-
+        tau = Multiset(taken + _nonzero_cells(cells[-1], caps))
+        weights[tau] = total // (denom * _factorial_product(caps))
+    arrangement_pairs = total * total // _factorial_product(n for _, n in rows + cols)
+    return Dist(weights, denominator=arrangement_pairs)
 
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:
     """The space of all size-k multisets over ``space``, the domain of ``lifted_map``."""

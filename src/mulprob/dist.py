@@ -6,17 +6,29 @@ in the library is normalized by construction.  A ``Channel`` pairs a
 finite domain with a kernel producing a ``Dist`` per input; evaluating
 both kernels over the whole domain decides channel equality.
 
+Internally a ``Dist`` stores positive integer numerators over one common
+denominator, reduced once on construction so that the numerators and the
+denominator share no factor.  That representation is canonical, so
+equality compares integers, and the operations that build distributions
+(``bind``, the tensors, the draw channels, the monoid sum behind ``pml``)
+add and multiply integers rather than ``Fraction``s.  The modules of the
+package read it through ``_nums`` (element to numerator, in canonical
+order) and ``_den``, and build from it with ``Dist(nums, denominator=d)``.
+The public views, ``entries`` and indexing, give the weights as
+``Fraction``s, built on first use.
+
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
 over distributions exist without any special cases.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .elements import Elem, Pair, Space, elem_key
 from .errors import DomainError, check_cells
-from .multiset import Multiset
+from .multiset import Multiset, _pairs
 
 _DIST_RANK = 4
 
@@ -29,26 +41,49 @@ def _as_fraction(w: Weight) -> Fraction:
     return Fraction(w)
 
 
+def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], int]:
+    """Exact positive weights as integer numerators over their least common
+    denominator; zero weights are dropped, repeated elements add up."""
+    weights: dict[Elem, Fraction | int] = {}
+    for elem, w in items:
+        t = type(w)
+        if t is not Fraction and t is not int:
+            w = _as_fraction(w)
+        if w < 0:
+            raise DomainError(f"negative weight {w} for {elem!r}")
+        if w:
+            prev = weights.get(elem)
+            weights[elem] = w if prev is None else prev + w
+    den = lcm(*[w.denominator for w in weights.values()])
+    return {e: w.numerator * (den // w.denominator) for e, w in weights.items()}, den
+
+
 class Dist:
     """An immutable distribution: elements mapped to weights in (0, 1]."""
 
-    __slots__ = ("_entries", "_index", "_key", "_hash")
+    __slots__ = ("_nums", "_den", "_entries", "_key", "_hash")
 
-    def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
-        weights: dict[Elem, Fraction] = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for elem, w in items:
-            w = _as_fraction(w)
-            if w < 0:
-                raise DomainError(f"negative weight {w} for {elem!r}")
-            if w:
-                weights[elem] = weights.get(elem, Fraction(0)) + w
-        total = sum(weights.values(), Fraction(0))
-        if total != 1:
-            raise DomainError(f"weights sum to {total}, not 1")
-        entries = tuple(sorted(weights.items(), key=lambda it: elem_key(it[0])))
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_index", weights)
+    def __init__(
+        self,
+        data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]],
+        *,
+        denominator: int | None = None,
+    ):
+        # With ``denominator``, ``data`` is a dict of positive integer
+        # numerators over it, as the library's own operations produce.
+        if denominator is None:
+            data, denominator = _numerators(_pairs(data))
+        total = sum(data.values())
+        if total != denominator:
+            raise DomainError(f"weights sum to {Fraction(total, denominator)}, not 1")
+        g = gcd(denominator, *data.values())
+        if g != 1:
+            denominator //= g
+            data = {e: n // g for e, n in data.items()}
+        nums = {e: data[e] for e in sorted(data, key=elem_key)}
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", denominator)
+        object.__setattr__(self, "_entries", None)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
@@ -57,42 +92,48 @@ class Dist:
 
     @classmethod
     def point(cls, elem: Elem) -> "Dist":
-        return cls({elem: Fraction(1)})
+        return cls({elem: 1}, denominator=1)
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
-        values = list(values)
-        if not values:
+        counts: dict[Elem, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        if not counts:
             raise DomainError("uniform distribution over nothing")
-        w = Fraction(1, len(values))
-        return cls((v, w) for v in values)
+        return cls(counts, denominator=sum(counts.values()))
 
     # -- views -------------------------------------------------------------
 
     @property
     def entries(self) -> tuple[tuple[Elem, Fraction], ...]:
+        if self._entries is None:
+            den = self._den
+            entries = tuple([(e, Fraction(n, den)) for e, n in self._nums.items()])
+            object.__setattr__(self, "_entries", entries)
         return self._entries
 
     @property
     def support(self) -> tuple[Elem, ...]:
-        return tuple(e for e, _ in self._entries)
+        return tuple(self._nums)
 
     def __getitem__(self, elem: Elem) -> Fraction:
-        return self._index.get(elem, Fraction(0))
+        return Fraction(self._nums.get(elem, 0), self._den)
 
     def __contains__(self, elem: Elem) -> bool:
-        return elem in self._index
+        return elem in self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dist) and self._entries == other._entries
+        return (isinstance(other, Dist) and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("Dist", self._entries)))
+            object.__setattr__(self, "_hash", hash(("Dist", self._den, tuple(self._nums.items()))))
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{w} {e!r}" for e, w in self._entries)
+        inner = ", ".join(f"{w} {e!r}" for e, w in self.entries)
         return f"Dist<{inner}>"
 
     def __str__(self) -> str:
@@ -105,8 +146,8 @@ class Dist:
         if self._key is None:
             key = (
                 _DIST_RANK,
-                tuple(elem_key(e) for e, _ in self._entries),
-                tuple(w for _, w in self._entries),
+                tuple(elem_key(e) for e in self._nums),
+                tuple(w for _, w in self.entries),
             )
             object.__setattr__(self, "_key", key)
         return self._key
@@ -115,7 +156,11 @@ class Dist:
 
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
-        return Dist((f(e), w) for e, w in self._entries)
+        acc: dict[Elem, int] = {}
+        for e, n in self._nums.items():
+            y = f(e)
+            acc[y] = acc.get(y, 0) + n
+        return Dist(acc, denominator=self._den)
 
 
 def unit(elem: Elem) -> Dist:
@@ -124,12 +169,20 @@ def unit(elem: Elem) -> Dist:
 
 
 def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
-    """Kleisli extension of a raw kernel function over a distribution."""
-    acc: dict[Elem, Fraction] = {}
-    for x, w in omega.entries:
-        for y, v in f(x).entries:
-            acc[y] = acc.get(y, Fraction(0)) + w * v
-    return Dist(acc)
+    """Kleisli extension of a raw kernel function over a distribution.
+
+    The kernel runs on the support in canonical order.  The budget counts
+    the outcomes of all kernel calls together, before they are combined.
+    """
+    outs = [(n, f(x)) for x, n in omega._nums.items()]
+    check_cells(sum(len(d._nums) for _, d in outs), "bind kernel outcomes")
+    den = lcm(*[d._den for _, d in outs])
+    acc: dict[Elem, int] = {}
+    for n, d in outs:
+        scale = n * (den // d._den)
+        for y, m in d._nums.items():
+            acc[y] = acc.get(y, 0) + scale * m
+    return Dist(acc, denominator=omega._den * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -201,8 +254,10 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
-    check_cells(len(omega.entries) * len(rho.entries), "tensor product support")
-    return Dist((Pair(x, y), v * w) for x, v in omega.entries for y, w in rho.entries)
+    check_cells(len(omega._nums) * len(rho._nums), "tensor product support")
+    rho_nums = rho._nums.items()
+    return Dist({Pair(x, y): n * m for x, n in omega._nums.items() for y, m in rho_nums},
+                denominator=omega._den * rho._den)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
@@ -215,16 +270,15 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
     """Product of a whole sequence of distributions, over tuple elements."""
     cells = 1
     for w in omegas:
-        cells *= len(w.entries)
+        cells *= len(w._nums)
     check_cells(cells, "big tensor support")
-    acc: dict[tuple, Fraction] = {(): Fraction(1)}
+    acc: dict[tuple, int] = {(): 1}
+    den = 1
     for omega in omegas:
-        acc = {
-            xs + (x,): w * v
-            for xs, w in acc.items()
-            for x, v in omega.entries
-        }
-    return Dist(acc)
+        nums = omega._nums.items()
+        acc = {xs + (x,): w * v for xs, w in acc.items() for x, v in nums}
+        den *= omega._den
+    return Dist(acc, denominator=den)
 
 
 def iid(omega: Dist, k: int) -> Dist:
@@ -238,8 +292,7 @@ def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
     if m.size == 0:
         raise DomainError("cannot normalize the empty multiset")
-    total = m.size
-    return Dist((e, Fraction(n, total)) for e, n in m.entries)
+    return Dist(dict(m.entries), denominator=m.size)
 
 
 class Predicate:
@@ -249,15 +302,14 @@ class Predicate:
 
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         values: dict[Elem, Fraction] = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for elem, v in items:
+        for elem, v in _pairs(data):
             v = _as_fraction(v)
             if not 0 <= v <= 1:
                 raise DomainError(f"predicate value {v} for {elem!r} outside [0, 1]")
             if elem in values:
                 raise DomainError(f"duplicate predicate entry for {elem!r}")
             values[elem] = v
-        entries = tuple(sorted(values.items(), key=lambda it: elem_key(it[0])))
+        entries = tuple([(e, values[e]) for e in sorted(values, key=elem_key)])
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_index", values)
 
@@ -295,7 +347,7 @@ PredicateLike = Predicate | Callable[[Elem], Fraction]
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    return sum((w * p(x) for x, w in omega.entries), Fraction(0))
+    return sum((n * p(x) for x, n in omega._nums.items()), Fraction(0)) / omega._den
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:

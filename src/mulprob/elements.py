@@ -17,9 +17,25 @@ from .errors import DomainError, check_cells
 Elem = Any
 
 
+# Rank of each element kind inside the global order.  Atoms that are pure
+# numerals sort numerically, before identifier atoms; numerals of equal
+# value, such as ``0`` and ``00``, sort by their text.
+_ATOM, _PAIR, _SEQ, _MULTISET, _DIST = range(5)
+
+# Atom keys are memoized: the same few atoms are sorted over and over.
+# The memo stops growing at this many atoms; later ones are keyed afresh.
+_ATOM_KEY_CAP = 1 << 16
+_atom_keys: dict[str, tuple] = {}
+
+
 @dataclass(frozen=True)
 class Pair:
-    """An element of a product space; components are elements themselves."""
+    """An element of a product space; components are elements themselves.
+
+    A pair keeps its hash and its sort key once computed.  Both live
+    outside the dataclass fields, so equality still looks at the
+    components only.
+    """
 
     fst: Elem
     snd: Elem
@@ -27,11 +43,31 @@ class Pair:
     def __repr__(self) -> str:
         return f"Pair({self.fst!r}, {self.snd!r})"
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.fst, self.snd))
+            object.__setattr__(self, "_hash", h)
+            return h
 
-# Rank of each element kind inside the global order.  Atoms that are pure
-# numerals sort numerically, before identifier atoms; numerals of equal
-# value, such as ``0`` and ``00``, sort by their text.
-_ATOM, _PAIR, _SEQ, _MULTISET, _DIST = range(5)
+    def _element_sort_key(self) -> tuple:
+        try:
+            return self._key
+        except AttributeError:
+            key = (_PAIR, elem_key(self.fst), elem_key(self.snd))
+            object.__setattr__(self, "_key", key)
+            return key
+
+
+def _atom_key(e: str) -> tuple:
+    if e.isascii() and e.isdigit():
+        key = (_ATOM, 0, int(e), e)
+    else:
+        key = (_ATOM, 1, 0, e)
+    if len(_atom_keys) < _ATOM_KEY_CAP:
+        _atom_keys[e] = key
+    return key
 
 
 def elem_key(e: Elem) -> tuple:
@@ -40,14 +76,15 @@ def elem_key(e: Elem) -> tuple:
     Mixed kinds are ranked atom < pair < sequence < multiset < dist; within
     a kind the comparison is recursive (pairs and sequences lexicographic).
     """
-    if isinstance(e, str):
-        if e.isascii() and e.isdigit():
-            return (_ATOM, 0, int(e), e)
-        return (_ATOM, 1, 0, e)
-    if isinstance(e, Pair):
-        return (_PAIR, elem_key(e.fst), elem_key(e.snd))
+    t = type(e)
+    if t is str:
+        return _atom_keys.get(e) or _atom_key(e)
+    if t is Pair:
+        return e._element_sort_key()
     if isinstance(e, tuple):
-        return (_SEQ, tuple(elem_key(c) for c in e))
+        return (_SEQ, tuple([elem_key(c) for c in e]))
+    if isinstance(e, str):
+        return _atom_key(e)
     key = getattr(e, "_element_sort_key", None)
     if key is not None:
         return key()
@@ -57,11 +94,12 @@ def elem_key(e: Elem) -> tuple:
 class Space:
     """A finite, ordered, duplicate-free universe of elements."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_members")
 
     def __init__(self, elements: Iterable[Elem]):
-        ordered = sorted(set(elements), key=elem_key)
-        object.__setattr__(self, "elements", tuple(ordered))
+        members = frozenset(elements)
+        object.__setattr__(self, "elements", tuple(sorted(members, key=elem_key)))
+        object.__setattr__(self, "_members", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
@@ -73,7 +111,10 @@ class Space:
         return len(self.elements)
 
     def __contains__(self, e: Elem) -> bool:
-        return e in self.elements
+        try:
+            return e in self._members
+        except TypeError:  # unhashable, so not an element value
+            return False
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Space) and self.elements == other.elements

@@ -47,7 +47,7 @@ from .elements import Pair, Space
 from .errors import DomainError, MulprobError
 from .ket import format_value
 from .multiset import Multiset, accumulate, enumerate_multisets
-from .pml import lifted_map, monoid_sum, pml, pml_def1, pml_def2, pml_def3_check, pml_def4
+from .pml import lifted_map, monoid_sum, pml, pml_def2, pml_def3_check
 
 Verdict = str  # "pass" | "fail" | "expected-fail"
 
@@ -560,9 +560,9 @@ def _law_pml_defs_agree(ctx: LawContext):
     for size in range(min(ctx.k_max + 1, 4) + 1):
         for psi in ctx.psi_pool(ctx.X, size):
             results = {
-                "joint-outcomes": pml_def1(psi),
+                "joint-outcomes": oracles.pml_def1(psi),
                 "parallel-draws": pml_def2(psi),
-                "monoid-algebra": pml_def4(psi),
+                "monoid-algebra": oracles.pml_def4(psi),
             }
             baseline = results["parallel-draws"]
             for tag, got in results.items():

@@ -10,6 +10,7 @@ library is built on: all multisets of a fixed size over a finite space,
 and all distinct sequences that collapse onto a given multiset.
 """
 
+from types import GeneratorType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import factorial, multichoose
@@ -17,6 +18,20 @@ from .elements import Elem, Pair, Space, elem_key
 from .errors import DomainError, check_cells
 
 _MULTISET_RANK = 3
+
+# Containers the constructors meet most, known not to be mappings; the
+# ``Mapping`` check is an ABC lookup, too slow for every construction.
+_PAIR_ITERABLES = frozenset({tuple, list, GeneratorType, zip, map})
+
+
+def _pairs(data) -> Iterable[tuple]:
+    """The ``(element, value)`` pairs of a mapping or an iterable of pairs."""
+    t = type(data)
+    if t is dict:
+        return data.items()
+    if t in _PAIR_ITERABLES:
+        return data
+    return data.items() if isinstance(data, Mapping) else data
 
 
 class Multiset:
@@ -26,17 +41,16 @@ class Multiset:
 
     def __init__(self, data: Mapping[Elem, int] | Iterable[tuple[Elem, int]] = ()):
         counts: dict[Elem, int] = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for elem, n in items:
-            if not isinstance(n, int) or isinstance(n, bool):
+        for elem, n in _pairs(data):
+            if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
                 raise DomainError(f"multiplicity must be an integer: {n!r}")
             if n < 0:
                 raise DomainError(f"negative multiplicity {n} for {elem!r}")
             if n:
                 counts[elem] = counts.get(elem, 0) + n
-        entries = tuple(sorted(counts.items(), key=lambda it: elem_key(it[0])))
+        entries = tuple([(e, counts[e]) for e in sorted(counts, key=elem_key)])
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_size", sum(n for _, n in entries))
+        object.__setattr__(self, "_size", sum(counts.values()))
         object.__setattr__(self, "_index", counts)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
@@ -90,7 +104,7 @@ class Multiset:
         # the largest elements first, missing entries counting as zero.
         # Realized as lexicographic comparison of the reversed entry list.
         if self._key is None:
-            key = (_MULTISET_RANK, tuple((elem_key(e), n) for e, n in reversed(self._entries)))
+            key = (_MULTISET_RANK, tuple([(elem_key(e), n) for e, n in reversed(self._entries)]))
             object.__setattr__(self, "_key", key)
         return self._key
 
@@ -179,48 +193,58 @@ def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]
                 f"multisets of size {k} over {len(space.elements)} elements")
 
     elems = space.elements
-
-    def rec(upto: int, budget: int) -> list[list[tuple[Elem, int]]]:
-        # Count for the largest remaining element varies slowest, ascending.
-        if upto == 0:
-            return [[]] if budget == 0 else []
-        if upto == 1:
-            return [[(elems[0], budget)] if budget else []]
-        out = []
-        for n in range(budget + 1):
-            suffix = [(elems[upto - 1], n)] if n else []
-            for rest in rec(upto - 1, budget - n):
-                out.append(rest + suffix)
-        return out
-
-    return [Multiset(entries) for entries in rec(len(elems), k)]
+    # An odometer over the counts of all elements but the first, which
+    # takes what is left.  ``counts`` holds the nonzero ones as
+    # ``[index, count]``, highest index first; the count at the lowest
+    # index turns fastest, and a full first element carries into the next
+    # index up.
+    out = []
+    counts: list[list[int]] = []
+    first = k
+    while True:
+        entries = [(elems[0], first)] if first else []
+        entries.extend((elems[i], n) for i, n in reversed(counts))
+        out.append(Multiset(entries))
+        if first:
+            i, first = 1, first - 1
+        elif counts:
+            i, n = counts.pop()
+            i, first = i + 1, n - 1
+        else:
+            break
+        if i == len(elems):
+            break
+        if counts and counts[-1][0] == i:
+            counts[-1][1] += 1
+        else:
+            counts.append([i, 1])
+    return out
 
 
 def enumerate_arrangements(m: Multiset) -> list[tuple]:
     """All distinct sequences accumulating to ``m``, without duplicates.
 
-    Works by recursive descent over the sorted support, so the cost is the
-    number of distinct sequences (the multiset coefficient), not size!.
-    Sequences come out in lexicographic element order.
+    Steps from each sequence to the next in lexicographic element order,
+    so the cost is the number of distinct sequences (the multiset
+    coefficient), not size!.
     """
     check_cells(m.coefficient(), f"arrangements of a size-{m.size} multiset")
-    remaining = {e: n for e, n in m.entries}
-    support = list(m.support)
+    support = m.support
+    # Positions in the support, ascending: the least sequence.
+    seq = [i for i, (_, n) in enumerate(m.entries) for _ in range(n)]
+    last = len(seq) - 1
     out: list[tuple] = []
-    prefix: list[Elem] = []
-
-    def rec(left: int) -> None:
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for e in support:
-            n = remaining[e]
-            if n == 0:
-                continue
-            remaining[e] = n - 1
-            prefix.append(e)
-            rec(left - 1)
-            prefix.pop()
-            remaining[e] = n
-    rec(m.size)
-    return out
+    while True:
+        out.append(tuple([support[i] for i in seq]))
+        # The next permutation: grow the last position that has a larger
+        # value after it, then put the tail in ascending order.
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])

@@ -11,14 +11,24 @@ that the fast route and the definition agree.
   production ``channels.mzip`` costs one step per contingency table.
 * ``msum_channel``: the sum of two multisets via concatenation of
   arrangements, which collapses to the point mass at ``phi + psi``.
+* ``pml_def1``: the distributive law by joint outcomes, tensoring
+  every occurrence of every member and collapsing each outcome tuple.
+  Its cost is the product of the support sizes, one factor per
+  occurrence; ``pml.pml`` draws each member once with its multiplicity.
+  It adds ``Fraction``s, independently of the integer arithmetic of the
+  production route.
+* ``pml_def4`` and ``monoid_algebra``: the law by the monoid structure,
+  folding ``monoid_sum`` over the point-mass images of the members one
+  occurrence at a time.
 """
 
 from fractions import Fraction
 
 from .channels import zip_tuples
-from .dist import Dist
+from .dist import Dist, unit
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
+from .pml import _check_members, monoid_sum
 
 
 def _arrangement_pairs(phi: Multiset, psi: Multiset, what: str):
@@ -63,3 +73,53 @@ def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
     if out.support != (phi + psi,):
         raise DomainError("concatenation channel failed to collapse to the sum")
     return out
+
+
+def pml_def1(psi: Multiset) -> Dist:
+    """Joint-outcome formulation: tensor all members, collapse each tuple.
+
+    The members are ordered canonically before tensoring; the result does
+    not depend on that order.
+    """
+    _check_members(psi)
+    cells = 1
+    for member, n in psi.entries:
+        cells *= len(member.entries) ** n
+    check_cells(cells, "joint outcome enumeration")
+
+    partial: dict[tuple, Fraction] = {(): Fraction(1)}
+    for member, n in psi.entries:
+        for _ in range(n):
+            partial = {
+                xs + (x,): w * v
+                for xs, w in partial.items()
+                for x, v in member.entries
+            }
+    acc: dict[Multiset, Fraction] = {}
+    for xs, w in partial.items():
+        key = accumulate(xs)
+        acc[key] = acc.get(key, Fraction(0)) + w
+    return Dist(acc)
+
+
+def monoid_algebra(psi: Multiset) -> Dist:
+    """Fold a multiset of multiset-valued distributions with ``monoid_sum``.
+
+    This is the structure map induced by the monoid: formal sums of
+    distributions become iterated convolutions.  The empty multiset maps
+    to the monoid unit.
+    """
+    out = unit(Multiset())
+    for member, n in psi.entries:
+        if not isinstance(member, Dist):
+            raise DomainError(f"expected distribution elements, found {member!r}")
+        for _ in range(n):
+            out = monoid_sum(out, member)
+    return out
+
+
+def pml_def4(psi: Multiset) -> Dist:
+    """Algebraic formulation: point-mass images folded by the monoid."""
+    _check_members(psi)
+    singletons = psi.map_elements(lambda w: w.map(lambda x: Multiset({x: 1})))
+    return monoid_algebra(singletons)

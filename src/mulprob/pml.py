@@ -1,29 +1,25 @@
 """Turning a multiset of distributions into a distribution over multisets.
 
 This is the library's central construction.  It admits several equivalent
-formulations, all implemented here:
+formulations; the two computed here are
 
-* ``pml_def1``: enumerate joint outcomes of the product of the member
-  distributions (each taken as often as its multiplicity) and collapse
-  every outcome tuple to its multiset of counts.
 * ``pml_def2``: draw from each member with the multinomial of its
-  multiplicity, independently in parallel, and sum the draws.  This is
-  the cheapest route and what ``pml`` delegates to.
-* ``pml_def4``: the algebraic route.  Distributions over a commutative
-  monoid form a commutative monoid themselves, with sum given by
-  ``monoid_sum`` below; folding that structure over point-mass images of
-  the members yields the same law.
-* ``pml_def3_check``: the remaining characterization is universal rather
-  than computational, so it is exposed as a decidable check: collapsing a
-  tuple of distributions to a multiset and applying ``pml`` must agree
-  with tensoring the tuple and collapsing the outcomes.
+  multiplicity, independently in parallel, and sum the draws with
+  ``monoid_sum``.  This is the cheapest route and what ``pml`` delegates
+  to.
+* ``pml_def3_check``: the characterization that is universal rather than
+  computational, exposed as a decidable check: collapsing a tuple of
+  distributions to a multiset and applying ``pml`` must agree with
+  tensoring the tuple and collapsing the outcomes.
 
-Their agreement is checked, not assumed: the law suite re-derives it on
-enumerated inputs.  ``lifted_map`` uses the law to apply a channel
-elementwise to a multiset, the workhorse behind the sampling round trip.
+The joint-outcome route (``pml_def1``) and the algebraic route through
+the monoid structure (``pml_def4``, ``monoid_algebra``) exist only to
+cross-check this one and live in ``mulprob.oracles``.  Their agreement is
+checked, not assumed: the law suite re-derives it on enumerated inputs.
+``lifted_map`` uses the law to apply a channel elementwise to a multiset,
+the workhorse behind the sampling round trip.
 """
 
-from fractions import Fraction
 from typing import Sequence
 
 from .channels import multinomial, multiset_space
@@ -31,16 +27,7 @@ from .dist import Channel, Dist, big_tensor, bind, unit
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate
 
-__all__ = [
-    "monoid_sum",
-    "monoid_algebra",
-    "pml",
-    "pml_def1",
-    "pml_def2",
-    "pml_def4",
-    "pml_def3_check",
-    "lifted_map",
-]
+__all__ = ["monoid_sum", "pml", "pml_def2", "pml_def3_check", "lifted_map"]
 
 
 def _check_members(psi: Multiset) -> None:
@@ -56,57 +43,14 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     distributions over multisets a commutative monoid, with unit the point
     mass at the empty multiset.  The budget counts pairs of outcomes.
     """
-    check_cells(len(a.entries) * len(b.entries), "monoid sum outcome pairs")
-    acc: dict[Multiset, Fraction] = {}
-    for phi, w in a.entries:
-        for chi, v in b.entries:
+    check_cells(len(a._nums) * len(b._nums), "monoid sum outcome pairs")
+    acc: dict[Multiset, int] = {}
+    b_nums = b._nums.items()
+    for phi, w in a._nums.items():
+        for chi, v in b_nums:
             key = phi + chi
-            acc[key] = acc.get(key, Fraction(0)) + w * v
-    return Dist(acc)
-
-
-def monoid_algebra(psi: Multiset) -> Dist:
-    """Fold a multiset of multiset-valued distributions with ``monoid_sum``.
-
-    This is the structure map induced by the monoid: formal sums of
-    distributions become iterated convolutions.  The empty multiset maps
-    to the monoid unit.
-    """
-    out = unit(Multiset())
-    for member, n in psi.entries:
-        if not isinstance(member, Dist):
-            raise DomainError(f"expected distribution elements, found {member!r}")
-        for _ in range(n):
-            out = monoid_sum(out, member)
-    return out
-
-
-def pml_def1(psi: Multiset) -> Dist:
-    """Joint-outcome formulation: tensor all members, collapse each tuple.
-
-    The members are ordered canonically before tensoring; the result does
-    not depend on that order.  Cost is the product of the support sizes,
-    one factor per occurrence.
-    """
-    _check_members(psi)
-    cells = 1
-    for member, n in psi.entries:
-        cells *= len(member.entries) ** n
-    check_cells(cells, "joint outcome enumeration")
-
-    partial: dict[tuple, Fraction] = {(): Fraction(1)}
-    for member, n in psi.entries:
-        for _ in range(n):
-            partial = {
-                xs + (x,): w * v
-                for xs, w in partial.items()
-                for x, v in member.entries
-            }
-    acc: dict[Multiset, Fraction] = {}
-    for xs, w in partial.items():
-        key = accumulate(xs)
-        acc[key] = acc.get(key, Fraction(0)) + w
-    return Dist(acc)
+            acc[key] = acc.get(key, 0) + w * v
+    return Dist(acc, denominator=a._den * b._den)
 
 
 def pml_def2(psi: Multiset) -> Dist:
@@ -116,13 +60,6 @@ def pml_def2(psi: Multiset) -> Dist:
     for member, n in psi.entries:
         out = monoid_sum(out, multinomial(member, n))
     return out
-
-
-def pml_def4(psi: Multiset) -> Dist:
-    """Algebraic formulation: point-mass images folded by the monoid."""
-    _check_members(psi)
-    singletons = psi.map_elements(lambda w: w.map(lambda x: Multiset({x: 1})))
-    return monoid_algebra(singletons)
 
 
 def pml(psi: Multiset) -> Dist:

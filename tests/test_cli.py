@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,40 @@ class TestErrors:
         code, _, err = run(capsys, "arr", "[4 a, 4 b]")
         assert code == 1
         assert "cells" in err
+
+
+def atoms(n):
+    return [f"x{i}" for i in range(n)]
+
+
+class TestWideInputs:
+    """Enumerations walk iteratively: the stack does not grow with the size
+    of the input or the number of its distinct elements."""
+
+    @pytest.mark.parametrize("argv", [
+        ["arr", "[1000 a]"],
+        ["mn", "--k", "1", "<" + ", ".join(f"1/1500 {x}" for x in atoms(1500)) + ">"],
+        ["hg", "--k", "1", "[" + ", ".join(f"1 {x}" for x in atoms(1500)) + "]"],
+    ], ids=["arr", "mn", "hg"])
+    def test_wide_input_succeeds(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("<")
+
+    @pytest.fixture
+    def shallow_stack(self):
+        # mzip over many columns prints a table per column, each listing
+        # every column; a capped stack keeps the case small.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_mzip_many_columns(self, capsys, shallow_stack):
+        cols = "[" + ", ".join(f"1 {x}" for x in atoms(300)) + "]"
+        code, out, err = run(capsys, "mzip", "[1 a, 299 b]", cols)
+        assert (code, err) == (0, "")
+        assert out.count("1/300 [") == 300
 
 
 class TestLawsCommand:

@@ -94,6 +94,17 @@ class TestPushAndCompose:
         assert compose(Channel.identity(Space(["0", "1"])), self.f)("a") == self.f("a")
         assert compose(self.f, Channel.identity(AB))("b") == self.f("b")
 
+    def test_bind_is_under_the_cell_budget(self, monkeypatch):
+        # Two inputs, each kernel call with six outcomes: 12 cells.
+        def kernel(x):
+            return Dist.uniform([f"{x}{i}" for i in range(6)])
+
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "11")
+        with pytest.raises(ResourceLimitError, match="bind kernel outcomes needs 12 cells"):
+            bind(OMEGA, kernel)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "12")
+        assert len(bind(OMEGA, kernel).support) == 12
+
     def test_associativity_on_random_channels(self):
         rng = random.Random(7)
         spaces = [AB, Space(["0", "1"]), Space(["u", "v"]), Space(["s", "t"])]

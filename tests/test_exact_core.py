@@ -1,0 +1,169 @@
+"""Properties of the exact core: integer numerators over one denominator.
+
+Each operation that builds distributions from integers is compared with a
+plain-``Fraction`` reference written out here from its definition.  The
+generated distributions draw their denominators from families with no
+common factor, so products of denominators and the reduction on
+construction are both exercised.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mulprob.channels import hypergeometric, multinomial
+from mulprob.dist import Dist, big_tensor, bind, dtensor
+from mulprob.elements import Pair, elem_key
+from mulprob.ket import parse_value
+from mulprob.multiset import Multiset
+from mulprob.pml import monoid_sum
+
+F = Fraction
+
+# Denominator families: powers of 2 and 3, and of 5 and 7.
+DENS_23 = (1, 2, 3, 4, 6, 8, 9, 12)
+DENS_57 = (5, 7, 25, 35)
+
+
+@st.composite
+def dists(draw, elements, dens=DENS_23):
+    support = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3, unique=True))
+    den = draw(st.sampled_from([d for d in dens if d >= len(support)]))
+    cuts = []
+    if len(support) > 1:
+        cuts = draw(st.lists(st.integers(1, den - 1), min_size=len(support) - 1,
+                             max_size=len(support) - 1, unique=True))
+    bounds = [0, *sorted(cuts), den]
+    return Dist({x: F(hi - lo, den) for x, lo, hi in zip(support, bounds, bounds[1:])})
+
+
+SMALL_MULTISETS = [Multiset(), Multiset({"a": 1}), Multiset({"b": 2}),
+                   Multiset({"a": 1, "b": 1}), Multiset({"a": 2, "c": 1})]
+
+
+def same_weights(got: Dist, want: dict) -> None:
+    """``got`` has exactly the weights ``want``, in canonical order."""
+    want = {x: w for x, w in want.items() if w}
+    assert dict(got.entries) == want
+    assert got.support == tuple(sorted(want, key=elem_key))
+
+
+def accumulate_into(acc: dict, key, w: Fraction) -> None:
+    acc[key] = acc.get(key, F(0)) + w
+
+
+@settings(max_examples=150, deadline=None)
+@given(dists("abc"), st.fixed_dictionaries({x: dists("uvw", DENS_57) for x in "abc"}))
+def test_bind_matches_fraction_reference(omega, table):
+    want: dict = {}
+    for x, w in omega.entries:
+        for y, v in table[x].entries:
+            accumulate_into(want, y, w * v)
+    same_weights(bind(omega, table.__getitem__), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dists("abc"), dists("uvw", DENS_57))
+def test_dtensor_matches_fraction_reference(omega, rho):
+    want = {Pair(x, y): w * v for x, w in omega.entries for y, v in rho.entries}
+    same_weights(dtensor(omega, rho), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(dists("ab"), dists("uv", DENS_57)), max_size=3))
+def test_big_tensor_matches_fraction_reference(omegas):
+    want: dict = {}
+    for combo in itertools.product(*(omega.entries for omega in omegas)):
+        accumulate_into(want, tuple(x for x, _ in combo), math.prod((w for _, w in combo), start=F(1)))
+    same_weights(big_tensor(omegas), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dists(SMALL_MULTISETS), dists(SMALL_MULTISETS, DENS_57))
+def test_monoid_sum_matches_fraction_reference(a, b):
+    want: dict = {}
+    for phi, w in a.entries:
+        for chi, v in b.entries:
+            accumulate_into(want, phi + chi, w * v)
+    same_weights(monoid_sum(a, b), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dists("abc"), dists("abc", DENS_57)), st.integers(0, 4))
+def test_multinomial_matches_fraction_reference(omega, k):
+    # Every sequence of k independent draws, collapsed to its multiset.
+    want: dict = {}
+    for seq in itertools.product(omega.entries, repeat=k):
+        draw = Multiset((x, 1) for x, _ in seq)
+        accumulate_into(want, draw, math.prod((w for _, w in seq), start=F(1)))
+    same_weights(multinomial(omega, k), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from("abc"), st.integers(1, 3), min_size=1), st.data())
+def test_hypergeometric_matches_fraction_reference(counts, data):
+    urn = Multiset(counts)
+    k = data.draw(st.integers(0, urn.size))
+    # Every k-subset of the urn's numbered copies, equally likely.
+    copies = [x for x, n in urn.entries for _ in range(n)]
+    subsets = list(itertools.combinations(range(len(copies)), k))
+    want: dict = {}
+    for subset in subsets:
+        accumulate_into(want, Multiset((copies[i], 1) for i in subset), F(1, len(subsets)))
+    same_weights(hypergeometric(urn, k), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "0", "00", Pair("a", "0")]),
+                          st.fractions(min_value=0, max_value=1, max_denominator=12)),
+                min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_constructor_order_does_not_matter(weighted, rng):
+    total = sum(w for _, w in weighted)
+    if total == 0:
+        return
+    entries = [(x, w / total) for x, w in weighted]
+    shuffled = list(entries)
+    rng.shuffle(shuffled)
+    a, b = Dist(entries), Dist(shuffled)
+    assert a == b and hash(a) == hash(b)
+    assert a.entries == b.entries
+    assert Dist(dict(a.entries)) == a
+    counts = [(x, w.numerator) for x, w in weighted]
+    assert Multiset(counts) == Multiset(list(reversed(counts)))
+    assert Multiset(counts).entries == Multiset(list(reversed(counts))).entries
+
+
+ATOMS = ["a", "b", "0", "00", "7", "007"]
+element_texts = st.recursive(
+    st.sampled_from(ATOMS), lambda inner: st.builds("({},{})".format, inner, inner),
+    max_leaves=3)
+
+
+def multiset_text(entries) -> str:
+    return "[" + ", ".join(f"{n} {v}" for v, n in entries) + "]"
+
+
+def dist_text(entries) -> str:
+    total = sum(n for _, n in entries)
+    return "<" + ", ".join(f"{n}/{total} {v}" for v, n in entries) + ">"
+
+
+value_texts = st.recursive(
+    element_texts,
+    lambda inner: st.one_of(
+        st.lists(st.tuples(inner, st.integers(0, 2)), max_size=3).map(multiset_text),
+        st.lists(st.tuples(inner, st.integers(1, 3)), min_size=1, max_size=3).map(dist_text),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(value_texts, min_size=2, max_size=5))
+def test_elem_key_is_injective_on_parsed_values(texts):
+    values = [parse_value(t) for t in texts]
+    for u, v in itertools.combinations(values, 2):
+        assert (elem_key(u) == elem_key(v)) == (u == v)

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from mulprob.dist import unit
+from mulprob.channels import multinomial
+from mulprob.dist import Dist, unit
 from mulprob.elements import Space
 from mulprob.errors import DomainError
 from mulprob.multiset import Multiset, enumerate_multisets
-from mulprob.oracles import msum_channel, mzip_arrangements
+from mulprob.oracles import monoid_algebra, msum_channel, mzip_arrangements, pml_def1, pml_def4
+from mulprob.pml import monoid_sum
 
+F = Fraction
 AB = Space(["a", "b"])
 
 
@@ -39,3 +44,29 @@ class TestMzipArrangements:
 
     def test_empty(self):
         assert mzip_arrangements(Multiset(), Multiset()) == unit(Multiset())
+
+
+class TestPmlDefinitions:
+    OMEGA = Dist({"a": F(1, 3), "b": F(2, 3)})
+    PSI = Multiset({OMEGA: 2, Dist({"a": F(3, 4), "b": F(1, 4)}): 1})
+    EXPECTED = Dist({
+        Multiset({"a": 3}): F(1, 12),
+        Multiset({"a": 2, "b": 1}): F(13, 36),
+        Multiset({"a": 1, "b": 2}): F(4, 9),
+        Multiset({"b": 3}): F(1, 9),
+    })
+
+    def test_def1(self):
+        assert pml_def1(self.PSI) == self.EXPECTED
+
+    def test_def4(self):
+        assert pml_def4(self.PSI) == self.EXPECTED
+
+
+class TestMonoidAlgebra:
+    def test_algebra_on_empty(self):
+        assert monoid_algebra(Multiset()) == unit(Multiset())
+
+    def test_algebra_counts_multiplicities(self):
+        d = multinomial(Dist({"a": F(1, 3), "b": F(2, 3)}), 1)
+        assert monoid_algebra(Multiset({d: 2})) == monoid_sum(d, d)
