@@ -7,17 +7,27 @@ the probabilistic zip of two equal-size multisets.
 Each channel is computed from a closed formula over its own support, so
 its cost follows the size of its output: the draw distributions enumerate
 the multisets they weigh, and ``mzip`` enumerates contingency tables
-rather than pairs of arrangements.  The literal definitions survive in
-``mulprob.oracles`` and the test suite as independent cross-checks.
+rather than pairs of arrangements.  All three enumerate through the one
+walk over bounded count vectors in ``mulprob.multiset``: ``multinomial``
+through ``enumerate_multisets``, ``hypergeometric`` with the urn's counts
+as caps, and each ``mzip`` row with the capacity its columns have left.
+The literal definitions survive in ``mulprob.oracles`` and the test suite
+as independent cross-checks.
 """
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .combinatorics import binomial, factorial, multichoose
 from .dist import Dist
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
-from .multiset import Multiset, enumerate_arrangements, enumerate_multisets
+from .multiset import (
+    Multiset,
+    _bounded_counts,
+    _sub_multiset_count,
+    enumerate_arrangements,
+    enumerate_multisets,
+)
 
 
 def arrange(m: Multiset) -> Dist:
@@ -44,58 +54,6 @@ def multinomial(omega: Dist, k: int) -> Dist:
     return Dist(weights, denominator=omega._den ** k)
 
 
-def _sub_multiset_count(urn: Multiset, k: int) -> int:
-    """Number of size-k multisets below ``urn``.
-
-    The coefficient of ``t^k`` in the product over the urn's entries of
-    ``1 + t + ... + t^urn(x)``, one polynomial multiplication per entry.
-    """
-    coeffs = [1] + [0] * k
-    for _, avail in urn.entries:
-        window = 0
-        out = []
-        for j, c in enumerate(coeffs):
-            window += c
-            if j > avail:
-                window -= coeffs[j - avail - 1]
-            out.append(window)
-        coeffs = out
-    return coeffs[k]
-
-
-def _splits(n: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All ways to split ``n`` into parts bounded by ``caps``, in order.
-
-    Each part takes at least what the parts after it cannot hold, so every
-    prefix extends to a split and the walk has no dead ends.  The walk is
-    an odometer: the last part that can still grow grows by one, and the
-    parts after it restart at their least values.
-    """
-    if not 0 <= n <= sum(caps):
-        return
-    size = len(caps)
-    rest = [0] * size  # what the parts after each one can hold
-    for i in range(size - 2, -1, -1):
-        rest[i] = rest[i + 1] + caps[i + 1]
-    parts = [0] * size
-    left = [0] * size  # what is left to split at each part
-    start = 0
-    while True:
-        remaining = n if start == 0 else left[start - 1] - parts[start - 1]
-        for i in range(start, size):
-            left[i] = remaining
-            parts[i] = t = max(0, remaining - rest[i])
-            remaining -= t
-        yield tuple(parts)
-        i = size - 2
-        while i >= 0 and parts[i] >= min(left[i], caps[i]):
-            i -= 1
-        if i < 0:
-            return
-        parts[i] += 1
-        start = i + 1
-
-
 def hypergeometric(urn: Multiset, k: int) -> Dist:
     """Distribution of size-k draws without replacement from the urn.
 
@@ -106,17 +64,16 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     n = urn.size
     if not 0 <= k <= n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
-    check_cells(_sub_multiset_count(urn, k), f"size-{k} sub-multisets of a size-{n} urn")
-    denom = binomial(n, k)
-    support, caps = urn.support, tuple(c for _, c in urn.entries)
+    caps = dict(urn.entries)
+    check_cells(_sub_multiset_count(urn.entries, k), f"size-{k} sub-multisets of a size-{n} urn")
     weights = {}
-    for split in _splits(k, caps):
+    for draw in _bounded_counts(urn.entries, k):
         w = 1
-        for c, t in zip(caps, split):
-            if t:
-                w *= binomial(c, t)
-        weights[Multiset(zip(support, split))] = w
-    return Dist(weights, denominator=denom)
+        for x, t in draw:
+            if t < caps[x]:  # taking every copy weighs 1
+                w *= binomial(caps[x], t)
+        weights[Multiset(draw)] = w
+    return Dist(weights, denominator=binomial(n, k))
 
 
 def draw_delete(urn: Multiset) -> Dist:
@@ -153,10 +110,6 @@ def _factorial_product(counts: Iterable[int]) -> int:
     return out
 
 
-def _nonzero_cells(cells: list[Pair], counts: tuple[int, ...]) -> tuple:
-    return tuple([(c, t) for c, t in zip(cells, counts) if t])
-
-
 def mzip(phi: Multiset, psi: Multiset) -> Dist:
     """Probabilistic zip of two equal-size multisets.
 
@@ -171,11 +124,11 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     ``tau`` over the ``coefficient(phi) * coefficient(psi)`` pairs of
     arrangements.
 
-    Tables are built row by row over the support of ``phi``; each row is
-    split within the capacity the columns have left and the last row is
-    forced, so the cost is one step per table and row.  The budget counts
-    tables, bounded by the product of ``multichoose(|supp psi|, phi(x))``
-    over all rows but the last.
+    Tables are built row by row over the support of ``phi``; each row walks
+    the splits within the capacity the columns have left, and the last row
+    takes all of it, so the cost is one step per table and row.  The
+    budget counts tables, bounded by the product of
+    ``multichoose(|supp psi|, phi(x))`` over all rows but the last.
     """
     if phi.size != psi.size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
@@ -190,21 +143,23 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
     # A partial table: its nonzero cells, the product of their factorials,
     # and the capacity each column has left.
-    tables = [((), 1, tuple(c for _, c in cols))]
-    for i, (_, r) in enumerate(rows[:-1]):
-        tables = [
-            (taken + _nonzero_cells(cells[i], split), denom * _factorial_product(split),
-             tuple(c - t for c, t in zip(caps, split)))
-            for taken, denom, caps in tables
-            for split in _splits(r, caps)
-        ]
+    tables = [((), 1, dict(cols))]
+    for row, (_, r) in zip(cells, rows):
+        grown = []
+        for taken, denom, caps in tables:
+            for split in _bounded_counts(zip(row, caps.values()), r):
+                left, d = dict(caps), denom
+                for cell, t in split:
+                    left[cell.snd] -= t
+                    if t > 1:
+                        d *= factorial(t)
+                grown.append((taken + split, d, left))
+        tables = grown
     total = factorial(phi.size)
-    weights = {}
-    for taken, denom, caps in tables:
-        tau = Multiset(taken + _nonzero_cells(cells[-1], caps))
-        weights[tau] = total // (denom * _factorial_product(caps))
+    weights = {Multiset(taken): total // denom for taken, denom, _ in tables}
     arrangement_pairs = total * total // _factorial_product(n for _, n in rows + cols)
     return Dist(weights, denominator=arrangement_pairs)
+
 
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:
     """The space of all size-k multisets over ``space``, the domain of ``lifted_map``."""

@@ -17,6 +17,8 @@ pure function of the bounds and the seed, and its rendered output is
 byte-identical across repetitions.
 """
 
+import functools
+import inspect
 import itertools
 import random
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ from .elements import Pair, Space
 from .errors import DomainError, MulprobError
 from .ket import format_value
 from .multiset import Multiset, accumulate, enumerate_multisets
-from .pml import lifted_map, monoid_sum, pml, pml_def2, pml_def3_check
+from .pml import lifted_map, monoid_sum, pml, pml_def3_check
 
 Verdict = str  # "pass" | "fail" | "expected-fail"
 
@@ -104,6 +106,18 @@ def _pointwise(cases: Callable[["LawContext"], Iterator[_Case]]) -> Callable:
     return check
 
 
+def _pooled(method: Callable) -> Callable:
+    """Build a pool once per context and argument tuple, then reuse it."""
+    @functools.wraps(method)
+    def pool(self: "LawContext", *args):
+        key = (method.__name__, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return pool
+
+
 class LawContext:
     """Bounds, spaces, and seeded input pools shared by the law checks."""
 
@@ -149,117 +163,103 @@ class LawContext:
         total = sum(weights)
         return Dist((x, Fraction(w, total)) for x, w in zip(space.elements, weights))
 
+    @_pooled
     def corner_dists(self, space: Space) -> list[Dist]:
         """Point masses plus the uniform distribution."""
-        key = ("corners", space)
-        if key not in self._cache:
-            out = [unit(x) for x in space]
-            if len(space) > 1:
-                out.append(Dist.uniform(space))
-            self._cache[key] = out
-        return self._cache[key]
+        out = [unit(x) for x in space]
+        if len(space) > 1:
+            out.append(Dist.uniform(space))
+        return out
 
+    @_pooled
     def dist_pool(self, space: Space) -> list[Dist]:
         """Corner distributions followed by the seeded random ones."""
-        key = ("pool", space)
-        if key not in self._cache:
-            rng = self._rng(f"dists:{space.elements}")
-            out = list(self.corner_dists(space))
-            seen = set(out)
-            for _ in range(self.n_random):
-                d = self._random_dist(rng, space)
-                if d not in seen:
-                    seen.add(d)
-                    out.append(d)
-            self._cache[key] = out
-        return self._cache[key]
+        rng = self._rng(f"dists:{space.elements}")
+        out = list(self.corner_dists(space))
+        seen = set(out)
+        for _ in range(self.n_random):
+            d = self._random_dist(rng, space)
+            if d not in seen:
+                seen.add(d)
+                out.append(d)
+        return out
 
+    @_pooled
     def psi_pool(self, space: Space, size: int) -> list[Multiset]:
         """Multisets of distributions: all over the corners, plus random ones."""
-        key = ("psis", space, size)
-        if key not in self._cache:
-            out = list(enumerate_multisets(Space(self.corner_dists(space)), size))
-            rng = self._rng(f"psis:{space.elements}:{size}")
-            pool = self.dist_pool(space)
-            seen = set(out)
-            for _ in range(max(4, self.n_random // 3)):
-                psi = accumulate([rng.choice(pool) for _ in range(size)])
-                if psi not in seen:
-                    seen.add(psi)
-                    out.append(psi)
-            self._cache[key] = out
-        return self._cache[key]
+        out = list(enumerate_multisets(Space(self.corner_dists(space)), size))
+        rng = self._rng(f"psis:{space.elements}:{size}")
+        pool = self.dist_pool(space)
+        seen = set(out)
+        for _ in range(max(4, self.n_random // 3)):
+            psi = accumulate([rng.choice(pool) for _ in range(size)])
+            if psi not in seen:
+                seen.add(psi)
+                out.append(psi)
+        return out
 
+    @_pooled
     def nested_pool(self, space: Space, size: int) -> list[Multiset]:
         """Multisets of distributions over distributions, for the squared law."""
-        key = ("nested", space, size)
-        if key not in self._cache:
-            corners = self.corner_dists(space)
-            inner: list[Dist] = [unit(d) for d in corners[:2]]
-            if len(corners) > 1:
-                inner.append(Dist.uniform(corners[:2]))
-            rng = self._rng(f"nested:{space.elements}:{size}")
-            pool = self.dist_pool(space)
-            for _ in range(3):
-                pair = [rng.choice(pool), rng.choice(pool)]
-                w = Fraction(rng.randint(1, 3), 4)
-                if pair[0] == pair[1]:
-                    inner.append(unit(pair[0]))
-                else:
-                    inner.append(Dist({pair[0]: w, pair[1]: 1 - w}))
-            out = list(enumerate_multisets(Space(inner[:3]), size))
-            seen = set(out)
-            for _ in range(4):
-                xi = accumulate([rng.choice(inner) for _ in range(size)])
-                if xi not in seen:
-                    seen.add(xi)
-                    out.append(xi)
-            self._cache[key] = out
-        return self._cache[key]
+        corners = self.corner_dists(space)
+        inner: list[Dist] = [unit(d) for d in corners[:2]]
+        if len(corners) > 1:
+            inner.append(Dist.uniform(corners[:2]))
+        rng = self._rng(f"nested:{space.elements}:{size}")
+        pool = self.dist_pool(space)
+        for _ in range(3):
+            pair = [rng.choice(pool), rng.choice(pool)]
+            w = Fraction(rng.randint(1, 3), 4)
+            if pair[0] == pair[1]:
+                inner.append(unit(pair[0]))
+            else:
+                inner.append(Dist({pair[0]: w, pair[1]: 1 - w}))
+        out = list(enumerate_multisets(Space(inner[:3]), size))
+        seen = set(out)
+        for _ in range(4):
+            xi = accumulate([rng.choice(inner) for _ in range(size)])
+            if xi not in seen:
+                seen.add(xi)
+                out.append(xi)
+        return out
 
+    @_pooled
     def channel_pool(self, src: Space, dst: Space, tag: str) -> list[Channel]:
         """A few deterministic channels and a few seeded random ones."""
-        key = ("channels", src, dst, tag)
-        if key not in self._cache:
-            out = [
-                Channel.constant(src, unit(dst.elements[0])),
-                Channel.deterministic(
-                    src,
-                    lambda x, _d=dst.elements: _d[list(src.elements).index(x) % len(_d)],
-                ),
-            ]
-            rng = self._rng(f"channels:{tag}")
-            for _ in range(3):
-                table = {x: self._random_dist(rng, dst) for x in src.elements}
-                out.append(Channel.from_mapping(table))
-            self._cache[key] = out
-        return self._cache[key]
+        out = [
+            Channel.constant(src, unit(dst.elements[0])),
+            Channel.deterministic(
+                src,
+                lambda x, _d=dst.elements: _d[list(src.elements).index(x) % len(_d)],
+            ),
+        ]
+        rng = self._rng(f"channels:{tag}")
+        for _ in range(3):
+            table = {x: self._random_dist(rng, dst) for x in src.elements}
+            out.append(Channel.from_mapping(table))
+        return out
 
+    @_pooled
     def function_pool(self, src: Space, dst: Space) -> list[dict]:
         """All plain functions between two small spaces, as dictionaries."""
-        key = ("functions", src, dst)
-        if key not in self._cache:
-            images = itertools.product(dst.elements, repeat=len(src.elements))
-            self._cache[key] = [dict(zip(src.elements, img)) for img in images]
-        return self._cache[key]
+        images = itertools.product(dst.elements, repeat=len(src.elements))
+        return [dict(zip(src.elements, img)) for img in images]
 
+    @_pooled
     def predicate_pool(self, space: Space) -> list[Predicate]:
         """Evidence to update with; random ones stay strictly positive."""
-        key = ("predicates", space)
-        if key not in self._cache:
-            elems = space.elements
-            out = [
-                Predicate({x: 1 for x in elems}),
-                Predicate({x: (1 if i == 0 else Fraction(1, 2)) for i, x in enumerate(elems)}),
-                Predicate({x: (1 if i == 0 else 0) for i, x in enumerate(elems)}),
-            ]
-            rng = self._rng(f"predicates:{space.elements}")
-            values = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
-                      Fraction(2, 3), Fraction(3, 4), Fraction(1)]
-            for _ in range(4):
-                out.append(Predicate({x: rng.choice(values) for x in elems}))
-            self._cache[key] = out
-        return self._cache[key]
+        elems = space.elements
+        out = [
+            Predicate({x: 1 for x in elems}),
+            Predicate({x: (1 if i == 0 else Fraction(1, 2)) for i, x in enumerate(elems)}),
+            Predicate({x: (1 if i == 0 else 0) for i, x in enumerate(elems)}),
+        ]
+        rng = self._rng(f"predicates:{space.elements}")
+        values = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+        for _ in range(4):
+            out.append(Predicate({x: rng.choice(values) for x in elems}))
+        return out
 
 
 # -- helpers shared by several checks -----------------------------------------
@@ -270,7 +270,7 @@ def _acc_dist(omega: Dist) -> Dist:
     return omega.map(accumulate)
 
 
-def _power_channel(f: Channel, k: int) -> Callable[[tuple], Dist]:
+def _power_channel(f: Channel) -> Callable[[tuple], Dist]:
     """A channel applied independently at every position of a sequence."""
     return lambda xs: big_tensor([f(x) for x in xs])
 
@@ -307,18 +307,32 @@ def _multiset_pairs(k: int, left: Space, right: Space) -> Iterator[Pair]:
 
 # -- the catalogue -------------------------------------------------------------
 #
-# A law decorated with ``@_pointwise`` is a generator of ``(domain, lhs,
-# rhs)`` cases.  Each case is checked before the generator resumes, so the
-# legs may close over the loop variables.
+# ``@law`` adds each check to the catalogue in the order it is defined.  A
+# check that is a generator yields ``(domain, lhs, rhs)`` cases for
+# ``_pointwise``; each case is checked before the generator resumes, so the
+# legs may close over the loop variables.  The other checks return
+# ``(held, witness)`` themselves.
+
+_registered: list[Law] = []
 
 
-@_pointwise
+def law(name: str, summary: str, expect_fail: bool = False) -> Callable:
+    """Register the decorated check as the law ``name``."""
+    def register(check: Callable) -> Callable:
+        run = _pointwise(check) if inspect.isgeneratorfunction(check) else check
+        _registered.append(Law(name, summary, run, expect_fail))
+        return check
+
+    return register
+
+
+@law("acc-arr-id", "collapsing the arrangements of a multiset returns it")
 def _law_acc_arr_id(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield enumerate_multisets(ctx.X, k), lambda phi: _acc_dist(ch.arrange(phi)), unit
 
 
-@_pointwise
+@law("arr-acc-perm", "arranging a collapsed sequence is the uniform permutation mix")
 def _law_arr_acc_perm(ctx: LawContext):
     def oracle(xs: tuple) -> Dist:
         perms = list(itertools.permutations(xs))
@@ -332,7 +346,7 @@ def _law_arr_acc_perm(ctx: LawContext):
         yield ctx.X.power(k), lambda xs: ch.arrange(accumulate(xs)), oracle
 
 
-@_pointwise
+@law("arr-acc-tensor", "the permutation mix commutes with the big tensor")
 def _law_arr_acc_tensor(ctx: LawContext):
     corners = ctx.corner_dists(ctx.X)
     for k in range(ctx.k_max + 1):
@@ -341,21 +355,21 @@ def _law_arr_acc_tensor(ctx: LawContext):
                lambda ws: bind(big_tensor(list(ws)), lambda xs: ch.arrange(accumulate(xs))))
 
 
-@_pointwise
+@law("arr-mn-iid", "arranging multinomial draws gives independent copies")
 def _law_arr_mn_iid(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), ch.arrange),
                lambda omega: iid(omega, k))
 
 
-@_pointwise
+@law("acc-iid-mn", "collapsing independent copies gives multinomial draws")
 def _law_acc_iid_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (ctx.dist_pool(ctx.X), lambda omega: _acc_dist(iid(omega, k)),
                lambda omega: ch.multinomial(omega, k))
 
 
-@_pointwise
+@law("mn-combine", "draws of combined sizes are sums of independent draws")
 def _law_mn_combine(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
@@ -363,14 +377,14 @@ def _law_mn_combine(ctx: LawContext):
                    lambda omega: monoid_sum(ch.multinomial(omega, k), ch.multinomial(omega, l)))
 
 
-@_pointwise
+@law("flrn-mn", "learning from draws with replacement recovers the urn")
 def _law_flrn_mn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
         yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), flrn),
                lambda omega: omega)
 
 
-@_pointwise
+@law("dd-mn", "deleting one element from a draw shrinks the draw size")
 def _law_dd_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (ctx.dist_pool(ctx.X),
@@ -378,14 +392,14 @@ def _law_dd_mn(ctx: LawContext):
                lambda omega: ch.multinomial(omega, k))
 
 
-@_pointwise
+@law("flrn-dd", "learning is unchanged by deleting one random element")
 def _law_flrn_dd(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
         yield (enumerate_multisets(ctx.X, k + 1), lambda psi: bind(ch.draw_delete(psi), flrn),
                flrn)
 
 
-@_pointwise
+@law("hg-dd-iter", "draws without replacement are iterated single deletions")
 def _law_hg_dd_iter(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
@@ -393,7 +407,7 @@ def _law_hg_dd_iter(ctx: LawContext):
                    lambda psi: _iter_dd(unit(psi), n - k))
 
 
-@_pointwise
+@law("hg-natural", "relabeling the urn commutes with draws without replacement")
 def _law_hg_natural(ctx: LawContext):
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for n in range(ctx.n_max + 1):
@@ -404,7 +418,7 @@ def _law_hg_natural(ctx: LawContext):
                            lambda phi: phi.map_elements(f.__getitem__)))
 
 
-@_pointwise
+@law("flrn-hg", "learning from draws without replacement recovers the urn")
 def _law_flrn_hg(ctx: LawContext):
     for n in range(1, ctx.n_max + 1):
         for k in range(1, n + 1):
@@ -412,7 +426,7 @@ def _law_flrn_hg(ctx: LawContext):
                    lambda psi: bind(ch.hypergeometric(psi, k), flrn), flrn)
 
 
-@_pointwise
+@law("hg-hg", "two-stage subsampling equals one-stage subsampling")
 def _law_hg_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for m in range(n + 1):
@@ -423,7 +437,7 @@ def _law_hg_hg(ctx: LawContext):
                        lambda psi: ch.hypergeometric(psi, k))
 
 
-@_pointwise
+@law("hg-mn", "subsampling a replacement draw is a smaller replacement draw")
 def _law_hg_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
@@ -433,7 +447,7 @@ def _law_hg_mn(ctx: LawContext):
                    lambda omega: ch.multinomial(omega, k))
 
 
-@_pointwise
+@law("zip-iid", "zipping independent copies matches copies of the product")
 def _law_zip_iid(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
@@ -441,7 +455,7 @@ def _law_zip_iid(ctx: LawContext):
                lambda p: iid(dtensor(p.fst, p.snd), k))
 
 
-@_pointwise
+@law("zip-bigtensor", "zipping commutes with big tensors of distributions")
 def _law_zip_bigtensor(ctx: LawContext):
     cx = ctx.corner_dists(ctx.X)
     cy = ctx.corner_dists(ctx.Y)
@@ -451,7 +465,7 @@ def _law_zip_bigtensor(ctx: LawContext):
                lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
 
 
-@_pointwise
+@law("mzip-natural", "relabeling both sides commutes with multiset zipping")
 def _law_mzip_natural(ctx: LawContext):
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for g in ctx.function_pool(ctx.Y, ctx.X):
@@ -463,7 +477,7 @@ def _law_mzip_natural(ctx: LawContext):
                            lambda q: Pair(f[q.fst], g[q.snd]))))
 
 
-@_pointwise
+@law("mzip-unit", "zipping against a constant multiset is deterministic")
 def _law_mzip_unit(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
@@ -471,7 +485,7 @@ def _law_mzip_unit(ctx: LawContext):
                lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
 
 
-@_pointwise
+@law("mzip-assoc", "multiset zipping is associative up to rebracketing")
 def _law_mzip_assoc(ctx: LawContext):
     def reassoc(theta: Multiset) -> Multiset:
         return theta.map_elements(lambda p: Pair(p.fst.fst, Pair(p.fst.snd, p.snd)))
@@ -482,7 +496,7 @@ def _law_mzip_assoc(ctx: LawContext):
                lambda t: bind(ch.mzip(t[1], t[2]), lambda th: ch.mzip(t[0], th)))
 
 
-@_pointwise
+@law("mzip-proj", "projecting a zipped multiset returns either input")
 def _law_mzip_proj(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
@@ -494,22 +508,7 @@ def _law_mzip_proj(ctx: LawContext):
                lambda p: unit(p.snd))
 
 
-@_pointwise
-def _law_mzip_arr(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (_multiset_pairs(k, ctx.X, ctx.Y),
-               lambda p: bind(ch.mzip(p.fst, p.snd), ch.arrange),
-               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(_zip_pair))
-
-
-@_pointwise
-def _law_mzip_dd(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
-               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), _mzip_pair),
-               lambda p: bind(ch.mzip(p.fst, p.snd), ch.draw_delete))
-
-
+@law("mzip-diag-counterexample", "zipping a multiset with itself is not duplication")
 def _law_mzip_diag_counterexample(ctx: LawContext):
     # The zipping operation must not commute with duplication; search for
     # one multiset witnessing the failure.
@@ -521,14 +520,30 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
     return False, "no counterexample found: duplication commuted on every size-2 multiset"
 
 
-@_pointwise
+@law("mzip-arr", "arranging a zipped multiset zips the arrangements")
+def _law_mzip_arr(ctx: LawContext):
+    for k in range(ctx.k_max + 1):
+        yield (_multiset_pairs(k, ctx.X, ctx.Y),
+               lambda p: bind(ch.mzip(p.fst, p.snd), ch.arrange),
+               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(_zip_pair))
+
+
+@law("mzip-dd", "deleting one element on both sides commutes with zipping")
+def _law_mzip_dd(ctx: LawContext):
+    for k in range(ctx.k_max + 1):
+        yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
+               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), _mzip_pair),
+               lambda p: bind(ch.mzip(p.fst, p.snd), ch.draw_delete))
+
+
+@law("mzip-flrn", "learning from a zipped multiset learns the tensor")
 def _law_mzip_flrn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
         yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(ch.mzip(p.fst, p.snd), flrn),
                lambda p: flrn(p.fst.tensor(p.snd)))
 
 
-@_pointwise
+@law("mzip-mn", "zipped replacement draws are draws from the product")
 def _law_mzip_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
@@ -537,7 +552,7 @@ def _law_mzip_mn(ctx: LawContext):
                lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
 
 
-@_pointwise
+@law("mzip-hg", "zipping commutes with draws without replacement")
 def _law_mzip_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
@@ -547,7 +562,8 @@ def _law_mzip_hg(ctx: LawContext):
                                           ch.hypergeometric(p.snd, k)), _mzip_pair))
 
 
-@_pointwise
+@law("mn-tensor-mismatch", "tensoring draws of different sizes is NOT a product draw",
+     expect_fail=True)
 def _law_mn_tensor_mismatch(ctx: LawContext):
     # Pinned counterexample: drawing 1 and 2 from the uniform coin and
     # tensoring the draws is not drawing 2 from the product distribution.
@@ -556,12 +572,13 @@ def _law_mn_tensor_mismatch(ctx: LawContext):
            lambda p: _tensor_pairs(dtensor(ch.multinomial(p.fst, 1), ch.multinomial(p.snd, 2))))
 
 
+@law("pml-defs-agree", "all formulations of the parallel draw law coincide")
 def _law_pml_defs_agree(ctx: LawContext):
     for size in range(min(ctx.k_max + 1, 4) + 1):
         for psi in ctx.psi_pool(ctx.X, size):
             results = {
                 "joint-outcomes": oracles.pml_def1(psi),
-                "parallel-draws": pml_def2(psi),
+                "parallel-draws": pml(psi),
                 "monoid-algebra": oracles.pml_def4(psi),
             }
             baseline = results["parallel-draws"]
@@ -574,7 +591,7 @@ def _law_pml_defs_agree(ctx: LawContext):
     return True, None
 
 
-@_pointwise
+@law("pml-squeeze-left", "the law collapses tuples of distributions as tensors do")
 def _law_pml_squeeze_left(ctx: LawContext):
     corners = ctx.corner_dists(ctx.X)
     for k in range(ctx.k_max + 1):
@@ -582,28 +599,28 @@ def _law_pml_squeeze_left(ctx: LawContext):
                lambda ws: _acc_dist(big_tensor(list(ws))))
 
 
-@_pointwise
+@law("pml-squeeze-right", "arranging the law's output tensors the arrangements")
 def _law_pml_squeeze_right(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), ch.arrange),
                lambda psi: bind(ch.arrange(psi), lambda ws: big_tensor(list(ws))))
 
 
-@_pointwise
+@law("pml-flrn", "learning from the law averages the member distributions")
 def _law_pml_flrn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
         yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), flrn),
                lambda psi: flatten(flrn(psi)))
 
 
-@_pointwise
+@law("pml-dd", "single deletion commutes with the parallel draw law")
 def _law_pml_dd(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (ctx.psi_pool(ctx.X, k + 1), lambda psi: bind(pml(psi), ch.draw_delete),
                lambda psi: bind(ch.draw_delete(psi), pml))
 
 
-@_pointwise
+@law("pml-hg", "draws without replacement commute with the law")
 def _law_pml_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
         for k in range(n + 1):
@@ -612,7 +629,7 @@ def _law_pml_hg(ctx: LawContext):
                    lambda psi: bind(ch.hypergeometric(psi, k), pml))
 
 
-@_pointwise
+@law("pml-sum", "the law turns multiset sums into independent sums")
 def _law_pml_sum(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
@@ -621,26 +638,26 @@ def _law_pml_sum(ctx: LawContext):
                    lambda p: monoid_sum(pml(p.fst), pml(p.snd)))
 
 
-@_pointwise
+@law("pml-unit", "a multiset of point masses maps to a point mass")
 def _law_pml_unit(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield enumerate_multisets(ctx.X, k), lambda phi: pml(phi.map_elements(unit)), unit
 
 
-@_pointwise
+@law("pml-mult", "flattening inner distributions commutes with the law")
 def _law_pml_mult(ctx: LawContext):
     for size in range(min(ctx.k_max, 3) + 1):
         yield (ctx.nested_pool(ctx.X, size), lambda xi: pml(xi.map_elements(flatten)),
                lambda xi: flatten(pml(xi).map(pml)))
 
 
-@_pointwise
+@law("lift-id", "lifting the identity channel is the identity")
 def _law_lift_id(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield enumerate_multisets(ctx.X, k), lifted_map(Channel.identity(ctx.X), k), unit
 
 
-@_pointwise
+@law("lift-compose", "lifting preserves channel composition")
 def _law_lift_compose(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "lift-f"):
         for g in ctx.channel_pool(ctx.Y, ctx.Z, "lift-g"):
@@ -651,7 +668,7 @@ def _law_lift_compose(ctx: LawContext):
                        lambda phi: push(lg, lf(phi)))
 
 
-@_pointwise
+@law("mzip-pml", "the lifted tensor intertwines the law and zipping")
 def _law_mzip_pml(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
@@ -660,7 +677,7 @@ def _law_mzip_pml(ctx: LawContext):
                    theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
 
 
-@_pointwise
+@law("lift-mzip", "lifted channels form a monoidal pair with zipping")
 def _law_lift_mzip(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "monoidal-f")[:3]:
         for g in ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]:
@@ -673,7 +690,7 @@ def _law_lift_mzip(ctx: LawContext):
                        lambda p: bind(ch.mzip(p.fst, p.snd), lfg))
 
 
-@_pointwise
+@law("lift-sum", "lifted channels commute with multiset sums")
 def _law_lift_sum(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "sum-f")[:3]:
         for k in range(ctx.k_max + 1):
@@ -686,26 +703,26 @@ def _law_lift_sum(ctx: LawContext):
                        lambda p: monoid_sum(lk(p.fst), ll(p.snd)))
 
 
-@_pointwise
+@law("arr-chan-natural", "arrangement is natural for lifted channels")
 def _law_arr_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lf = lifted_map(f, k)
             yield (enumerate_multisets(ctx.X, k),
-                   lambda phi: bind(ch.arrange(phi), _power_channel(f, k)),
+                   lambda phi: bind(ch.arrange(phi), _power_channel(f)),
                    lambda phi: bind(lf(phi), ch.arrange))
 
 
-@_pointwise
+@law("acc-chan-natural", "accumulation is natural for lifted channels")
 def _law_acc_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
             lf = lifted_map(f, k)
             yield (ctx.X.power(k), lambda xs: lf(accumulate(xs)),
-                   lambda xs: _acc_dist(_power_channel(f, k)(xs)))
+                   lambda xs: _acc_dist(_power_channel(f)(xs)))
 
 
-@_pointwise
+@law("dd-chan-natural", "single deletion is natural for lifted channels")
 def _law_dd_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
@@ -716,7 +733,7 @@ def _law_dd_chan_natural(ctx: LawContext):
                    lambda phi: bind(ch.draw_delete(phi), lifted_small))
 
 
-@_pointwise
+@law("mn-chan-natural", "replacement draws are natural for lifted channels")
 def _law_mn_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for k in range(ctx.k_max + 1):
@@ -725,7 +742,7 @@ def _law_mn_chan_natural(ctx: LawContext):
                    lambda omega: bind(ch.multinomial(omega, k), lf))
 
 
-@_pointwise
+@law("hg-chan-natural", "no-replacement draws are natural for lifted channels")
 def _law_hg_chan_natural(ctx: LawContext):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
         for l in range(ctx.n_max + 1):
@@ -737,7 +754,7 @@ def _law_hg_chan_natural(ctx: LawContext):
                        lambda phi: bind(ch.hypergeometric(phi, k), lifted_small))
 
 
-@_pointwise
+@law("pml-tensor-mismatch", "the law does NOT commute with mixed-size tensors", expect_fail=True)
 def _law_pml_tensor_mismatch(ctx: LawContext):
     # Pinned counterexample with a two-copy multiset on one side and a
     # single-copy multiset on the other.
@@ -748,7 +765,7 @@ def _law_pml_tensor_mismatch(ctx: LawContext):
            lambda p: pml(p.fst.tensor(p.snd).map_elements(lambda q: dtensor(q.fst, q.snd))))
 
 
-@_pointwise
+@law("sampling-correctness", "sample, transform, resample, learn: the composite state")
 def _law_sampling(ctx: LawContext):
     for c in ctx.channel_pool(ctx.X, ctx.Y, "sampling"):
         for k in range(1, ctx.k_max + 1):
@@ -758,7 +775,7 @@ def _law_sampling(ctx: LawContext):
                    lambda omega: push(c, omega))
 
 
-@_pointwise
+@law("mn-update-validity", "evidence on draws has the product validity")
 def _law_mn_update_validity(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
@@ -767,7 +784,7 @@ def _law_mn_update_validity(ctx: LawContext):
                    lambda omega: validity(omega, p) ** k)
 
 
-@_pointwise
+@law("mn-update", "updating draws equals drawing from the update")
 def _law_mn_update(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
@@ -777,7 +794,7 @@ def _law_mn_update(ctx: LawContext):
                    lambda omega: ch.multinomial(update(omega, p), k))
 
 
-@_pointwise
+@law("pml-update-validity", "evidence on the law multiplies member validities")
 def _law_pml_update_validity(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
@@ -792,7 +809,7 @@ def _law_pml_update_validity(ctx: LawContext):
             yield ctx.psi_pool(ctx.X, size), lambda psi: validity(pml(psi), ext), product_leg
 
 
-@_pointwise
+@law("pml-update", "updating the law's output updates every member")
 def _law_pml_update(ctx: LawContext):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
@@ -803,7 +820,7 @@ def _law_pml_update(ctx: LawContext):
                    lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))))
 
 
-@_pointwise
+@law("msum-deterministic", "concatenating arrangements collapses to multiset sum")
 def _law_msum_deterministic(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         for l in range(ctx.l_max + 1):
@@ -811,61 +828,7 @@ def _law_msum_deterministic(ctx: LawContext):
                    lambda p: oracles.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
 
 
-LAWS: tuple[Law, ...] = (
-    Law("acc-arr-id", "collapsing the arrangements of a multiset returns it", _law_acc_arr_id),
-    Law("arr-acc-perm", "arranging a collapsed sequence is the uniform permutation mix", _law_arr_acc_perm),
-    Law("arr-acc-tensor", "the permutation mix commutes with the big tensor", _law_arr_acc_tensor),
-    Law("arr-mn-iid", "arranging multinomial draws gives independent copies", _law_arr_mn_iid),
-    Law("acc-iid-mn", "collapsing independent copies gives multinomial draws", _law_acc_iid_mn),
-    Law("mn-combine", "draws of combined sizes are sums of independent draws", _law_mn_combine),
-    Law("flrn-mn", "learning from draws with replacement recovers the urn", _law_flrn_mn),
-    Law("dd-mn", "deleting one element from a draw shrinks the draw size", _law_dd_mn),
-    Law("flrn-dd", "learning is unchanged by deleting one random element", _law_flrn_dd),
-    Law("hg-dd-iter", "draws without replacement are iterated single deletions", _law_hg_dd_iter),
-    Law("hg-natural", "relabeling the urn commutes with draws without replacement", _law_hg_natural),
-    Law("flrn-hg", "learning from draws without replacement recovers the urn", _law_flrn_hg),
-    Law("hg-hg", "two-stage subsampling equals one-stage subsampling", _law_hg_hg),
-    Law("hg-mn", "subsampling a replacement draw is a smaller replacement draw", _law_hg_mn),
-    Law("zip-iid", "zipping independent copies matches copies of the product", _law_zip_iid),
-    Law("zip-bigtensor", "zipping commutes with big tensors of distributions", _law_zip_bigtensor),
-    Law("mzip-natural", "relabeling both sides commutes with multiset zipping", _law_mzip_natural),
-    Law("mzip-unit", "zipping against a constant multiset is deterministic", _law_mzip_unit),
-    Law("mzip-assoc", "multiset zipping is associative up to rebracketing", _law_mzip_assoc),
-    Law("mzip-proj", "projecting a zipped multiset returns either input", _law_mzip_proj),
-    Law("mzip-diag-counterexample", "zipping a multiset with itself is not duplication", _law_mzip_diag_counterexample),
-    Law("mzip-arr", "arranging a zipped multiset zips the arrangements", _law_mzip_arr),
-    Law("mzip-dd", "deleting one element on both sides commutes with zipping", _law_mzip_dd),
-    Law("mzip-flrn", "learning from a zipped multiset learns the tensor", _law_mzip_flrn),
-    Law("mzip-mn", "zipped replacement draws are draws from the product", _law_mzip_mn),
-    Law("mzip-hg", "zipping commutes with draws without replacement", _law_mzip_hg),
-    Law("mn-tensor-mismatch", "tensoring draws of different sizes is NOT a product draw", _law_mn_tensor_mismatch, expect_fail=True),
-    Law("pml-defs-agree", "all formulations of the parallel draw law coincide", _law_pml_defs_agree),
-    Law("pml-squeeze-left", "the law collapses tuples of distributions as tensors do", _law_pml_squeeze_left),
-    Law("pml-squeeze-right", "arranging the law's output tensors the arrangements", _law_pml_squeeze_right),
-    Law("pml-flrn", "learning from the law averages the member distributions", _law_pml_flrn),
-    Law("pml-dd", "single deletion commutes with the parallel draw law", _law_pml_dd),
-    Law("pml-hg", "draws without replacement commute with the law", _law_pml_hg),
-    Law("pml-sum", "the law turns multiset sums into independent sums", _law_pml_sum),
-    Law("pml-unit", "a multiset of point masses maps to a point mass", _law_pml_unit),
-    Law("pml-mult", "flattening inner distributions commutes with the law", _law_pml_mult),
-    Law("lift-id", "lifting the identity channel is the identity", _law_lift_id),
-    Law("lift-compose", "lifting preserves channel composition", _law_lift_compose),
-    Law("mzip-pml", "the lifted tensor intertwines the law and zipping", _law_mzip_pml),
-    Law("lift-mzip", "lifted channels form a monoidal pair with zipping", _law_lift_mzip),
-    Law("lift-sum", "lifted channels commute with multiset sums", _law_lift_sum),
-    Law("arr-chan-natural", "arrangement is natural for lifted channels", _law_arr_chan_natural),
-    Law("acc-chan-natural", "accumulation is natural for lifted channels", _law_acc_chan_natural),
-    Law("dd-chan-natural", "single deletion is natural for lifted channels", _law_dd_chan_natural),
-    Law("mn-chan-natural", "replacement draws are natural for lifted channels", _law_mn_chan_natural),
-    Law("hg-chan-natural", "no-replacement draws are natural for lifted channels", _law_hg_chan_natural),
-    Law("pml-tensor-mismatch", "the law does NOT commute with mixed-size tensors", _law_pml_tensor_mismatch, expect_fail=True),
-    Law("sampling-correctness", "sample, transform, resample, learn: the composite state", _law_sampling),
-    Law("mn-update-validity", "evidence on draws has the product validity", _law_mn_update_validity),
-    Law("mn-update", "updating draws equals drawing from the update", _law_mn_update),
-    Law("pml-update-validity", "evidence on the law multiplies member validities", _law_pml_update_validity),
-    Law("pml-update", "updating the law's output updates every member", _law_pml_update),
-    Law("msum-deterministic", "concatenating arrangements collapses to multiset sum", _law_msum_deterministic),
-)
+LAWS: tuple[Law, ...] = tuple(_registered)
 
 _BY_NAME = {law.name: law for law in LAWS}
 

@@ -5,11 +5,18 @@ order, zero multiplicities dropped.  Two multisets are equal exactly when
 they are equal as functions from elements to counts, so ``==`` is the
 semantic equality the law checks rely on.
 
-The module also provides the two enumeration routines the rest of the
-library is built on: all multisets of a fixed size over a finite space,
-and all distinct sequences that collapse onto a given multiset.
+The module also owns the enumerations the rest of the library is built
+on.  One walk, ``_bounded_counts``, lists the count vectors of a fixed
+sum under caps, stepping only through nonzero counts; it gives all
+multisets of a fixed size over a finite space (every cap the size), the
+draws without replacement from an urn (the urn's counts as caps) and the
+rows of ``mzip``'s contingency tables (the capacity the columns have
+left).  ``_sub_multiset_count`` counts that family for the budget.  The
+other enumeration lists all distinct sequences that collapse onto a given
+multiset.
 """
 
+from bisect import bisect_right
 from types import GeneratorType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -176,6 +183,92 @@ def flatten_multiset(outer: Multiset) -> Multiset:
     return total
 
 
+def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
+    """Every count vector under ``caps`` that sums to ``k``, in colex order.
+
+    ``caps`` pairs distinct labels with their caps, as the entries of a
+    multiset do, so the vectors are its size-k sub-multisets.  Each is
+    given by its nonzero ``(label, count)`` pairs in the order of ``caps``,
+    ready to build a ``Multiset``; ``enumerate`` gives index labels.
+    Colexicographic order compares the counts at the last label first, so
+    the first vector fills the first labels up to their caps.  One step
+    moves one unit up to the first label that has room above a nonzero
+    count, then refills the labels before it, from the first, with what is
+    left.  A step only looks at the counts it moves and copies the refilled
+    ones as one slice; labels with a zero cap never enter the walk, so the
+    cost follows the vectors returned.
+    """
+    full = []  # each label with room, filled up
+    reach = [0]  # ``reach[p]``: what the first ``p`` of them hold
+    for filled in caps:
+        if filled[1]:
+            full.append(filled)
+            reach.append(reach[-1] + filled[1])
+    if not 0 <= k <= reach[-1]:
+        return []
+    if k == reach[-1]:  # taking everything is the one way
+        return [tuple(full)]
+    size = len(full)
+    out = []
+    # ``counts`` holds the nonzero counts in the order of ``full``.  Each
+    # round puts ``n`` units in place of the first ``r`` counts (the first
+    # ``p`` labels full, then at most one partial), records the vector and
+    # takes a step.  ``low`` is the place in ``full`` of the first count
+    # when nothing was refilled.  A full count is always the very pair from
+    # ``full``, so it is told by identity, and labels are compared by
+    # identity only: no label's ``__eq__`` runs.
+    counts: list[tuple] = []
+    r, n, low = 0, k, 0
+    while True:
+        p = bisect_right(reach, n) - 1
+        refill = full[:p]
+        if n > reach[p]:
+            refill.append((full[p][0], n - reach[p]))
+        counts[:r] = refill
+        out.append(tuple(counts))
+        if not counts:
+            break
+        # The first count and the full ones right above it move: one unit
+        # to the next label with room, the rest back to the bottom.
+        if p:
+            r, n = p, reach[p] - 1
+        else:
+            r, n, p = 1, counts[0][1] - 1, low + 1
+        while p < size and r < len(counts) and counts[r] is full[p]:
+            n += full[p][1]
+            r += 1
+            p += 1
+        if p == size:
+            break
+        x, cap = filled = full[p]
+        if r < len(counts) and counts[r][0] is x:
+            t = counts[r][1] + 1
+            counts[r] = filled if t == cap else (x, t)
+        else:
+            counts.insert(r, filled if cap == 1 else (x, 1))
+        low = 0 if n else p
+    return out
+
+
+def _sub_multiset_count(caps: Iterable[tuple[Elem, int]], k: int) -> int:
+    """Number of size-k sub-multisets of the labelled ``caps``.
+
+    The coefficient of ``t^k`` in the product over the caps of
+    ``1 + t + ... + t^cap``, one polynomial multiplication per cap.
+    """
+    coeffs = [1] + [0] * k
+    for _, avail in caps:
+        window = 0
+        out = []
+        for j, c in enumerate(coeffs):
+            window += c
+            if j > avail:
+                window -= coeffs[j - avail - 1]
+            out.append(window)
+        coeffs = out
+    return coeffs[k]
+
+
 def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]:
     """All multisets of size ``k`` over ``space``, in canonical order.
 
@@ -189,36 +282,9 @@ def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]
         raise DomainError(f"multiset size must be nonnegative: {k}")
     if not space.elements and k > 0:
         raise DomainError("no multisets of positive size over the empty space")
-    check_cells(multichoose(len(space.elements), k),
-                f"multisets of size {k} over {len(space.elements)} elements")
-
     elems = space.elements
-    # An odometer over the counts of all elements but the first, which
-    # takes what is left.  ``counts`` holds the nonzero ones as
-    # ``[index, count]``, highest index first; the count at the lowest
-    # index turns fastest, and a full first element carries into the next
-    # index up.
-    out = []
-    counts: list[list[int]] = []
-    first = k
-    while True:
-        entries = [(elems[0], first)] if first else []
-        entries.extend((elems[i], n) for i, n in reversed(counts))
-        out.append(Multiset(entries))
-        if first:
-            i, first = 1, first - 1
-        elif counts:
-            i, n = counts.pop()
-            i, first = i + 1, n - 1
-        else:
-            break
-        if i == len(elems):
-            break
-        if counts and counts[-1][0] == i:
-            counts[-1][1] += 1
-        else:
-            counts.append([i, 1])
-    return out
+    check_cells(multichoose(len(elems), k), f"multisets of size {k} over {len(elems)} elements")
+    return list(map(Multiset, _bounded_counts([(x, k) for x in elems], k)))
 
 
 def enumerate_arrangements(m: Multiset) -> list[tuple]:

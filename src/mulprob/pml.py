@@ -3,10 +3,9 @@
 This is the library's central construction.  It admits several equivalent
 formulations; the two computed here are
 
-* ``pml_def2``: draw from each member with the multinomial of its
+* ``pml``: draw from each member with the multinomial of its
   multiplicity, independently in parallel, and sum the draws with
-  ``monoid_sum``.  This is the cheapest route and what ``pml`` delegates
-  to.
+  ``monoid_sum``.  This parallel-draws route is the cheapest one.
 * ``pml_def3_check``: the characterization that is universal rather than
   computational, exposed as a decidable check: collapsing a tuple of
   distributions to a multiset and applying ``pml`` must agree with
@@ -27,7 +26,7 @@ from .dist import Channel, Dist, big_tensor, bind, unit
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate
 
-__all__ = ["monoid_sum", "pml", "pml_def2", "pml_def3_check", "lifted_map"]
+__all__ = ["monoid_sum", "pml", "pml_def3_check", "lifted_map"]
 
 
 def _check_members(psi: Multiset) -> None:
@@ -53,18 +52,13 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     return Dist(acc, denominator=a._den * b._den)
 
 
-def pml_def2(psi: Multiset) -> Dist:
+def pml(psi: Multiset) -> Dist:
     """Parallel-draws formulation: one multinomial per member, then sum."""
     _check_members(psi)
     out = unit(Multiset())
     for member, n in psi.entries:
         out = monoid_sum(out, multinomial(member, n))
     return out
-
-
-def pml(psi: Multiset) -> Dist:
-    """Canonical entry point; delegates to the parallel-draws route."""
-    return pml_def2(psi)
 
 
 def pml_def3_check(omegas: Sequence[Dist]) -> bool:

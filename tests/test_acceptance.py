@@ -38,7 +38,7 @@ from mulprob.multiset import (
     enumerate_multisets,
 )
 from mulprob.oracles import pml_def1, pml_def4
-from mulprob.pml import lifted_map, pml, pml_def2, pml_def3_check
+from mulprob.pml import lifted_map, pml, pml_def3_check
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -86,7 +86,7 @@ def test_criterion_3_four_definitions_agree():
     ]
 
     def check(psi):
-        base = pml_def2(psi)
+        base = pml(psi)
         assert pml_def1(psi) == base
         assert pml_def4(psi) == base
         expanded = [w for w, n in psi.entries for _ in range(n)]

@@ -8,6 +8,8 @@ from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import (
     Multiset,
+    _bounded_counts,
+    _sub_multiset_count,
     accumulate,
     enumerate_arrangements,
     enumerate_multisets,
@@ -211,6 +213,23 @@ def test_functoriality(phi):
     assert composed == staged
     assert phi.map_elements(lambda x: x) == phi
     assert phi.map_elements(f.__getitem__).size == phi.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=5), st.data())
+def test_bounded_counts_is_the_filtered_product(caps, data):
+    # Every count vector under the caps with sum k, highest index compared
+    # first, given by its nonzero counts; zero caps and infeasible k included.
+    k = data.draw(st.integers(min_value=-1, max_value=sum(caps) + 1))
+    vectors = [v for v in itertools.product(*(range(c + 1) for c in caps)) if sum(v) == k]
+    vectors.sort(key=lambda v: v[::-1])
+    got = _bounded_counts(list(enumerate(caps)), k)
+    assert got == [tuple((i, n) for i, n in enumerate(v) if n) for v in vectors]
+    assert all(n > 0 for counts in got for _, n in counts)
+    if k >= 0:
+        if caps and all(c >= k for c in caps):
+            assert len(got) == multichoose(len(caps), k)
+        assert len(got) == _sub_multiset_count(enumerate(caps), k)
 
 
 def test_coefficients_partition_sequence_space():

@@ -21,7 +21,7 @@ from mulprob.elements import Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate
 from mulprob.oracles import pml_def1, pml_def4
-from mulprob.pml import lifted_map, monoid_sum, pml, pml_def2, pml_def3_check
+from mulprob.pml import lifted_map, monoid_sum, pml, pml_def3_check
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -47,9 +47,6 @@ def rand_dist(rng, space=AB):
 
 
 class TestWorkedExample:
-    def test_def2(self):
-        assert pml_def2(PSI) == EXPECTED
-
     def test_def3_at_the_example_tuple(self):
         assert pml_def3_check([OMEGA, OMEGA, RHO])
 
@@ -89,7 +86,7 @@ class TestDefinitionAgreement:
             size = rng.randint(0, 4)
             psi = accumulate([rng.choice(pool) for _ in range(size)])
             a = pml_def1(psi)
-            assert pml_def2(psi) == a
+            assert pml(psi) == a
             assert pml_def4(psi) == a
 
     def test_triangle_on_random_tuples(self):
