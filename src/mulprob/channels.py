@@ -18,7 +18,7 @@ as independent cross-checks.
 from typing import Iterable, Sequence
 
 from .combinatorics import binomial, factorial, multichoose
-from .dist import Dist
+from .dist import Dist, unit
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
 from .multiset import (
@@ -44,11 +44,11 @@ def multinomial(omega: Dist, k: int) -> Dist:
     """
     if k < 0:
         raise DomainError(f"draw size must be nonnegative: {k}")
-    nums = omega._nums
+    nums = omega._map
     weights = {}
-    for phi in enumerate_multisets(omega.support, k):
+    for phi in enumerate_multisets(nums, k):
         w = phi.coefficient()
-        for x, n in phi.entries:
+        for x, n in phi._map.items():
             w *= nums[x] ** n
         weights[phi] = w
     return Dist(weights, denominator=omega._den ** k)
@@ -64,8 +64,8 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     n = urn.size
     if not 0 <= k <= n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
-    caps = dict(urn.entries)
-    check_cells(_sub_multiset_count(urn.entries, k), f"size-{k} sub-multisets of a size-{n} urn")
+    caps = urn._map
+    check_cells(_sub_multiset_count(caps.items(), k), f"size-{k} sub-multisets of a size-{n} urn")
     weights = {}
     for draw in _bounded_counts(urn.entries, k):
         w = 1
@@ -81,7 +81,7 @@ def draw_delete(urn: Multiset) -> Dist:
     size = urn.size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
-    return Dist({urn.remove_one(x): n for x, n in urn.entries}, denominator=size)
+    return Dist({urn.remove_one(x): n for x, n in urn._map.items()}, denominator=size)
 
 
 def ppr(xs: tuple) -> Dist:
@@ -134,7 +134,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
     rows, cols = phi.entries, psi.entries
     if not rows:
-        return Dist.point(Multiset())
+        return unit(Multiset())
     bound = 1
     for _, r in rows[:-1]:
         bound *= multichoose(len(cols), r)

@@ -3,7 +3,7 @@
 Every command reads ket-notation literals, evaluates one operation
 exactly, and prints the canonical ket rendering of the result.  Exit
 codes: 0 on success, 1 on a domain or resource error, 2 on a parse
-error.
+error or a bad command line; every error is one line on stderr.
 """
 
 import argparse
@@ -26,6 +26,13 @@ from .ket import (
 from .laws import catalogue, render_reports, run_laws
 from .multiset import accumulate
 from .pml import lifted_map, pml
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ParseError``, in one line."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _natural(text: str) -> int:
@@ -124,7 +131,7 @@ def _cmd_laws(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mulprob",
         description="Exact calculator for multiset and distribution channels.",
     )
@@ -203,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ denominator share no factor.  That representation is canonical, so
 equality compares integers, and the operations that build distributions
 (``bind``, the tensors, the draw channels, the monoid sum behind ``pml``)
 add and multiply integers rather than ``Fraction``s.  The modules of the
-package read it through ``_nums`` (element to numerator, in canonical
-order) and ``_den``, and build from it with ``Dist(nums, denominator=d)``.
-The public views, ``entries`` and indexing, give the weights as
-``Fraction``s, built on first use.
+package read it through ``_map`` (element to numerator, in no particular
+order, as in every ``elements._FiniteMap``) and ``_den``, and build from
+it with ``Dist(nums, denominator=d)``.  The public views, ``entries`` (in
+canonical order) and indexing, give the weights as ``Fraction``s.
 
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
@@ -26,11 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .elements import Elem, Pair, Space, elem_key
+from .elements import _DIST, Elem, Pair, Space, _FiniteMap, _pairs, elem_key
 from .errors import DomainError, check_cells
-from .multiset import Multiset, _pairs
-
-_DIST_RANK = 4
+from .multiset import Multiset
 
 Weight = int | Fraction
 
@@ -58,19 +56,15 @@ def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], 
     return {e: w.numerator * (den // w.denominator) for e, w in weights.items()}, den
 
 
-class Dist:
+class Dist(_FiniteMap):
     """An immutable distribution: elements mapped to weights in (0, 1]."""
 
-    __slots__ = ("_nums", "_den", "_entries", "_key", "_hash")
+    __slots__ = ("_den",)
 
-    def __init__(
-        self,
-        data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]],
-        *,
-        denominator: int | None = None,
-    ):
-        # With ``denominator``, ``data`` is a dict of positive integer
-        # numerators over it, as the library's own operations produce.
+    def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]], *,
+                 denominator: int | None = None):
+        # With ``denominator``, ``data`` is a fresh dict of positive integer
+        # numerators over it, built by the library's own operations; it is kept.
         if denominator is None:
             data, denominator = _numerators(_pairs(data))
         total = sum(data.values())
@@ -80,19 +74,10 @@ class Dist:
         if g != 1:
             denominator //= g
             data = {e: n // g for e, n in data.items()}
-        nums = {e: data[e] for e in sorted(data, key=elem_key)}
-        object.__setattr__(self, "_nums", nums)
+        # Equality and hashing look at the numerators alone, which is sound
+        # because the reduced denominator is their sum.
+        self._store(data)
         object.__setattr__(self, "_den", denominator)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dist is immutable")
-
-    @classmethod
-    def point(cls, elem: Elem) -> "Dist":
-        return cls({elem: 1}, denominator=1)
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
@@ -105,50 +90,21 @@ class Dist:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def entries(self) -> tuple[tuple[Elem, Fraction], ...]:
-        if self._entries is None:
-            den = self._den
-            entries = tuple([(e, Fraction(n, den)) for e, n in self._nums.items()])
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
-
-    @property
-    def support(self) -> tuple[Elem, ...]:
-        return tuple(self._nums)
+    def _public(self, n: int) -> Fraction:
+        return Fraction(n, self._den)
 
     def __getitem__(self, elem: Elem) -> Fraction:
-        return Fraction(self._nums.get(elem, 0), self._den)
-
-    def __contains__(self, elem: Elem) -> bool:
-        return elem in self._nums
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Dist) and self._den == other._den
-                and self._nums == other._nums)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("Dist", self._den, tuple(self._nums.items()))))
-        return self._hash
+        return Fraction(self._map.get(elem, 0), self._den)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w} {e!r}" for e, w in self.entries)
         return f"Dist<{inner}>"
 
-    def __str__(self) -> str:
-        from .ket import format_value
-
-        return format_value(self)
-
     def _element_sort_key(self) -> tuple:
         # Distributions order by support first, then by the weight vector.
         if self._key is None:
-            key = (
-                _DIST_RANK,
-                tuple(elem_key(e) for e in self._nums),
-                tuple(w for _, w in self.entries),
-            )
+            key = (_DIST, tuple([elem_key(e) for e, _ in self.entries]),
+                   tuple([w for _, w in self.entries]))
             object.__setattr__(self, "_key", key)
         return self._key
 
@@ -157,7 +113,7 @@ class Dist:
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
         acc: dict[Elem, int] = {}
-        for e, n in self._nums.items():
+        for e, n in self._map.items():
             y = f(e)
             acc[y] = acc.get(y, 0) + n
         return Dist(acc, denominator=self._den)
@@ -165,22 +121,24 @@ class Dist:
 
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
-    return Dist.point(elem)
+    return Dist({elem: 1}, denominator=1)
 
 
 def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     """Kleisli extension of a raw kernel function over a distribution.
 
-    The kernel runs on the support in canonical order.  The budget counts
-    the outcomes of all kernel calls together, before they are combined.
+    The kernel runs on the support in the order of ``omega``'s stored dict,
+    which follows how ``omega`` was built and not the hash seed.  The
+    budget counts the outcomes of all kernel calls together, before they
+    are combined.
     """
-    outs = [(n, f(x)) for x, n in omega._nums.items()]
-    check_cells(sum(len(d._nums) for _, d in outs), "bind kernel outcomes")
+    outs = [(n, f(x)) for x, n in omega._map.items()]
+    check_cells(sum(len(d._map) for _, d in outs), "bind kernel outcomes")
     den = lcm(*[d._den for _, d in outs])
     acc: dict[Elem, int] = {}
     for n, d in outs:
         scale = n * (den // d._den)
-        for y, m in d._nums.items():
+        for y, m in d._map.items():
             acc[y] = acc.get(y, 0) + scale * m
     return Dist(acc, denominator=omega._den * den)
 
@@ -219,11 +177,11 @@ class Channel:
     @classmethod
     def deterministic(cls, domain, f: Callable[[Elem], Elem]) -> "Channel":
         """Promote a plain function to a channel of point masses."""
-        return cls(domain, lambda x: Dist.point(f(x)))
+        return cls(domain, lambda x: unit(f(x)))
 
     @classmethod
     def identity(cls, domain) -> "Channel":
-        return cls(domain, Dist.point)
+        return cls(domain, unit)
 
     @classmethod
     def constant(cls, domain, omega: Dist) -> "Channel":
@@ -254,9 +212,9 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
-    check_cells(len(omega._nums) * len(rho._nums), "tensor product support")
-    rho_nums = rho._nums.items()
-    return Dist({Pair(x, y): n * m for x, n in omega._nums.items() for y, m in rho_nums},
+    check_cells(len(omega._map) * len(rho._map), "tensor product support")
+    rho_nums = rho._map.items()
+    return Dist({Pair(x, y): n * m for x, n in omega._map.items() for y, m in rho_nums},
                 denominator=omega._den * rho._den)
 
 
@@ -270,12 +228,12 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
     """Product of a whole sequence of distributions, over tuple elements."""
     cells = 1
     for w in omegas:
-        cells *= len(w._nums)
+        cells *= len(w._map)
     check_cells(cells, "big tensor support")
     acc: dict[tuple, int] = {(): 1}
     den = 1
     for omega in omegas:
-        nums = omega._nums.items()
+        nums = omega._map.items()
         acc = {xs + (x,): w * v for xs, w in acc.items() for x, v in nums}
         den *= omega._den
     return Dist(acc, denominator=den)
@@ -292,13 +250,13 @@ def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
     if m.size == 0:
         raise DomainError("cannot normalize the empty multiset")
-    return Dist(dict(m.entries), denominator=m.size)
+    return Dist(dict(m._map), denominator=m.size)
 
 
-class Predicate:
+class Predicate(_FiniteMap):
     """A fuzzy predicate: each element of its space mapped into [0, 1]."""
 
-    __slots__ = ("_entries", "_index")
+    __slots__ = ()
 
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         values: dict[Elem, Fraction] = {}
@@ -309,37 +267,17 @@ class Predicate:
             if elem in values:
                 raise DomainError(f"duplicate predicate entry for {elem!r}")
             values[elem] = v
-        entries = tuple([(e, values[e]) for e in sorted(values, key=elem_key)])
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_index", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Predicate is immutable")
-
-    @property
-    def entries(self) -> tuple[tuple[Elem, Fraction], ...]:
-        return self._entries
+        self._store(values)
 
     def __call__(self, elem: Elem) -> Fraction:
         try:
-            return self._index[elem]
+            return self._map[elem]
         except KeyError:
             raise DomainError(f"predicate not defined at {elem!r}") from None
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Predicate) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(("Predicate", self._entries))
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{e!r}: {v}" for e, v in self._entries)
+        inner = ", ".join(f"{e!r}: {v}" for e, v in self.entries)
         return f"Predicate({inner})"
-
-    def __str__(self) -> str:
-        from .ket import format_predicate
-
-        return format_predicate(self)
 
 
 PredicateLike = Predicate | Callable[[Elem], Fraction]
@@ -347,7 +285,7 @@ PredicateLike = Predicate | Callable[[Elem], Fraction]
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    return sum((n * p(x) for x, n in omega._nums.items()), Fraction(0)) / omega._den
+    return sum((n * p(x) for x, n in omega._map.items()), Fraction(0)) / omega._den
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:

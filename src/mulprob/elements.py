@@ -4,13 +4,15 @@ Every value that can appear inside a multiset or a distribution is an
 "element": an atom (identifier or numeral, stored as ``str``), a ``Pair``
 of elements, a sequence of elements (plain ``tuple``), or a whole
 ``Multiset``/``Dist`` treated as a value.  All of them are immutable and
-hashable, and ``elem_key`` gives one strict total order across the lot,
-so canonical sorted storage makes structural equality coincide with
-semantic equality.
+hashable, and ``elem_key`` gives one strict total order across the lot.
+Multisets, distributions and predicates share one storage scheme,
+``_FiniteMap``: one dict from elements to values, in no particular order,
+sorted by ``elem_key`` only when read in order.
 """
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from types import GeneratorType
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DomainError, check_cells
 
@@ -89,6 +91,75 @@ def elem_key(e: Elem) -> tuple:
     if key is not None:
         return key()
     raise TypeError(f"not an element value: {e!r}")
+
+
+# Containers the constructors meet most, known not to be mappings; the
+# ``Mapping`` check is an ABC lookup, too slow for every construction.
+_PAIR_ITERABLES = frozenset({tuple, list, GeneratorType, zip, map})
+
+
+def _pairs(data) -> Iterable[tuple]:
+    """The ``(element, value)`` pairs of a mapping or an iterable of pairs."""
+    t = type(data)
+    if t is dict:
+        return data.items()
+    if t in _PAIR_ITERABLES:
+        return data
+    return data.items() if isinstance(data, Mapping) else data
+
+
+class _FiniteMap:
+    """An immutable finitely supported function, stored as one dict.
+
+    ``_map`` sends each element of the support to its stored value (a
+    count, an integer numerator or a ``Fraction``); two values of one class
+    are equal exactly when their dicts are, whatever order they were built
+    in.  ``entries`` lists the support in the canonical order with the
+    public values, sorted on first use and kept.
+    """
+
+    # ``_key`` caches the sort key of the kinds that are elements themselves.
+    __slots__ = ("_map", "_entries", "_hash", "_key")
+
+    def _public(self, stored):
+        return stored
+
+    def _store(self, data: dict) -> None:
+        object.__setattr__(self, "_map", data)
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[Elem, Any], ...]:
+        if self._entries is None:
+            data, public = self._map, self._public
+            entries = tuple([(e, public(data[e])) for e in sorted(data, key=elem_key)])
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
+
+    @property
+    def support(self) -> tuple[Elem, ...]:
+        return tuple([e for e, _ in self.entries])
+
+    def __contains__(self, elem: Elem) -> bool:
+        return elem in self._map
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._map == other._map
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._map.items())))
+        return self._hash
+
+    def __str__(self) -> str:
+        from .ket import format_value
+
+        return format_value(self)
 
 
 class Space:

@@ -1,7 +1,7 @@
 """Finite multisets with natural-number multiplicities.
 
-A multiset is stored canonically: entries sorted by the global element
-order, zero multiplicities dropped.  Two multisets are equal exactly when
+A multiset is one dict from elements to positive counts, in no particular
+order (``elements._FiniteMap``).  Two multisets are equal exactly when
 they are equal as functions from elements to counts, so ``==`` is the
 semantic equality the law checks rely on.
 
@@ -17,34 +17,17 @@ multiset.
 """
 
 from bisect import bisect_right
-from types import GeneratorType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import factorial, multichoose
-from .elements import Elem, Pair, Space, elem_key
+from .elements import _MULTISET, Elem, Pair, Space, _FiniteMap, _pairs, elem_key
 from .errors import DomainError, check_cells
 
-_MULTISET_RANK = 3
 
-# Containers the constructors meet most, known not to be mappings; the
-# ``Mapping`` check is an ABC lookup, too slow for every construction.
-_PAIR_ITERABLES = frozenset({tuple, list, GeneratorType, zip, map})
-
-
-def _pairs(data) -> Iterable[tuple]:
-    """The ``(element, value)`` pairs of a mapping or an iterable of pairs."""
-    t = type(data)
-    if t is dict:
-        return data.items()
-    if t in _PAIR_ITERABLES:
-        return data
-    return data.items() if isinstance(data, Mapping) else data
-
-
-class Multiset:
+class Multiset(_FiniteMap):
     """An immutable map from elements to positive multiplicities."""
 
-    __slots__ = ("_entries", "_size", "_index", "_key", "_hash")
+    __slots__ = ("_size",)
 
     def __init__(self, data: Mapping[Elem, int] | Iterable[tuple[Elem, int]] = ()):
         counts: dict[Elem, int] = {}
@@ -55,63 +38,32 @@ class Multiset:
                 raise DomainError(f"negative multiplicity {n} for {elem!r}")
             if n:
                 counts[elem] = counts.get(elem, 0) + n
-        entries = tuple([(e, counts[e]) for e in sorted(counts, key=elem_key)])
-        object.__setattr__(self, "_entries", entries)
+        self._store(counts)
         object.__setattr__(self, "_size", sum(counts.values()))
-        object.__setattr__(self, "_index", counts)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multiset is immutable")
 
     # -- basic views ------------------------------------------------------
-
-    @property
-    def entries(self) -> tuple[tuple[Elem, int], ...]:
-        return self._entries
 
     @property
     def size(self) -> int:
         """Total number of element occurrences."""
         return self._size
 
-    @property
-    def support(self) -> tuple[Elem, ...]:
-        return tuple(e for e, _ in self._entries)
-
     def __getitem__(self, elem: Elem) -> int:
-        return self._index.get(elem, 0)
-
-    def __contains__(self, elem: Elem) -> bool:
-        return elem in self._index
+        return self._map.get(elem, 0)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multiset) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("Multiset", self._entries)))
-        return self._hash
+        return bool(self._map)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n} {e!r}" for e, n in self._entries)
+        inner = ", ".join(f"{n} {e!r}" for e, n in self.entries)
         return f"Multiset[{inner}]"
-
-    def __str__(self) -> str:
-        from .ket import format_value
-
-        return format_value(self)
 
     def _element_sort_key(self) -> tuple:
         # Colexicographic order on multiplicity vectors: compare counts at
         # the largest elements first, missing entries counting as zero.
         # Realized as lexicographic comparison of the reversed entry list.
         if self._key is None:
-            key = (_MULTISET_RANK, tuple([(elem_key(e), n) for e, n in reversed(self._entries)]))
+            key = (_MULTISET, tuple([(elem_key(e), n) for e, n in reversed(self.entries)]))
             object.__setattr__(self, "_key", key)
         return self._key
 
@@ -121,17 +73,17 @@ class Multiset:
         """Pointwise sum of multiplicities."""
         if not isinstance(other, Multiset):
             return NotImplemented
-        counts = dict(self._index)
-        for e, n in other._entries:
+        counts = dict(self._map)
+        for e, n in other._map.items():
             counts[e] = counts.get(e, 0) + n
         return Multiset(counts)
 
     def remove_one(self, elem: Elem) -> "Multiset":
         """Decrement the multiplicity of ``elem`` by one."""
-        n = self._index.get(elem, 0)
+        n = self._map.get(elem, 0)
         if n == 0:
             raise DomainError(f"cannot remove {elem!r}: not in the multiset")
-        counts = dict(self._index)
+        counts = dict(self._map)
         if n == 1:
             del counts[elem]
         else:
@@ -142,28 +94,28 @@ class Multiset:
         """Pointwise ordering: every multiplicity bounded by the other's."""
         if not isinstance(other, Multiset):
             return NotImplemented
-        return all(n <= other[e] for e, n in self._entries)
+        return all(n <= other[e] for e, n in self._map.items())
 
     def scale(self, n: int) -> "Multiset":
         """All multiplicities multiplied by a nonnegative integer."""
         if n < 0:
             raise DomainError(f"negative scale factor: {n}")
-        return Multiset({e: n * m for e, m in self._entries})
+        return Multiset({e: n * m for e, m in self._map.items()})
 
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
         return Multiset(
-            ((Pair(x, y), n * m) for x, n in self._entries for y, m in other._entries)
+            ((Pair(x, y), n * m) for x, n in self._map.items() for y, m in other._map.items())
         )
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
-        return Multiset((f(e), n) for e, n in self._entries)
+        return Multiset((f(e), n) for e, n in self._map.items())
 
     def coefficient(self) -> int:
         """Number of distinct sequences that accumulate to this multiset."""
         out = factorial(self._size)
-        for _, n in self._entries:
+        for n in self._map.values():
             out //= factorial(n)
         return out
 

@@ -42,10 +42,10 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     distributions over multisets a commutative monoid, with unit the point
     mass at the empty multiset.  The budget counts pairs of outcomes.
     """
-    check_cells(len(a._nums) * len(b._nums), "monoid sum outcome pairs")
+    check_cells(len(a._map) * len(b._map), "monoid sum outcome pairs")
     acc: dict[Multiset, int] = {}
-    b_nums = b._nums.items()
-    for phi, w in a._nums.items():
+    b_nums = b._map.items()
+    for phi, w in a._map.items():
         for chi, v in b_nums:
             key = phi + chi
             acc[key] = acc.get(key, 0) + w * v

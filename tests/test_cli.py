@@ -125,6 +125,28 @@ class TestErrors:
         assert err.startswith("parse error: nesting deeper than 100 levels")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["laws", "--n-random", "1"],
+        ["bogus"],
+        [],
+        ["mn", "<1 a>"],
+        ["mn", "--k", "-1", "<1 a>"],
+        ["hg", "[1 a]", "--k", "x"],
+    ])
+    def test_bad_command_line_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["mn", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_cell_budget_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("MULPROB_MAX_CELLS", "4")
         code, _, err = run(capsys, "arr", "[4 a, 4 b]")

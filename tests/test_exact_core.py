@@ -14,9 +14,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from mulprob.channels import hypergeometric, multinomial
-from mulprob.dist import Dist, big_tensor, bind, dtensor
+from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor
 from mulprob.elements import Pair, elem_key
-from mulprob.ket import parse_value
+from mulprob.ket import format_value, parse_value
 from mulprob.multiset import Multiset
 from mulprob.pml import monoid_sum
 
@@ -136,6 +136,44 @@ def test_constructor_order_does_not_matter(weighted, rng):
     assert Multiset(counts).entries == Multiset(list(reversed(counts))).entries
 
 
+def assert_same_value(a, b) -> None:
+    """Two constructions of one value agree in every view, and ``entries``
+    lists the support in the canonical order."""
+    assert a == b and hash(a) == hash(b)
+    assert a.entries == b.entries
+    assert format_value(a) == format_value(b)
+    keys = [elem_key(e) for e, _ in a.entries]
+    assert keys == sorted(keys)
+
+
+KEYS = ["a", "b", "0", "00", "7", Pair("a", "0"), Pair("a", "b")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS), st.fractions(0, 1, max_denominator=12),
+                       min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+def test_predicate_order_does_not_matter(values, rng):
+    items = list(values.items())
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    assert_same_value(Predicate(items), Predicate(shuffled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=len(KEYS)), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_internal_dist_order_does_not_matter(nums, scale, rng):
+    # Numerators over their sum, with a common factor the constructor removes.
+    items = [(x, n * scale) for x, n in zip(KEYS, nums)]
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    den = sum(nums) * scale
+    a, b = Dist(dict(items), denominator=den), Dist(dict(shuffled), denominator=den)
+    assert_same_value(a, b)
+    assert a == Dist({x: F(n, den) for x, n in items})
+
+
 ATOMS = ["a", "b", "0", "00", "7", "007"]
 element_texts = st.recursive(
     st.sampled_from(ATOMS), lambda inner: st.builds("({},{})".format, inner, inner),
@@ -167,3 +205,39 @@ def test_elem_key_is_injective_on_parsed_values(texts):
     values = [parse_value(t) for t in texts]
     for u, v in itertools.combinations(values, 2):
         assert (elem_key(u) == elem_key(v)) == (u == v)
+
+
+def permuted_text(v, rng) -> str:
+    """Ket text for a parsed value, with the entries at every level shuffled."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, Pair):
+        return f"({permuted_text(v.fst, rng)},{permuted_text(v.snd, rng)})"
+    entries = list(v.entries)
+    rng.shuffle(entries)
+    inner = ", ".join(f"{w} {permuted_text(e, rng)}" for e, w in entries)
+    return f"[{inner}]" if isinstance(v, Multiset) else f"<{inner}>"
+
+
+def assert_canonical_throughout(v) -> None:
+    if isinstance(v, Pair):
+        assert_canonical_throughout(v.fst)
+        assert_canonical_throughout(v.snd)
+    elif not isinstance(v, str):
+        keys = [elem_key(e) for e, _ in v.entries]
+        assert keys == sorted(keys)
+        for e, _ in v.entries:
+            assert_canonical_throughout(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_texts, st.randoms(use_true_random=False))
+def test_nested_construction_order_does_not_matter(text, rng):
+    a = parse_value(text)
+    b = parse_value(permuted_text(a, rng))
+    assert a == b and hash(a) == hash(b)
+    assert format_value(a) == format_value(b)
+    if isinstance(a, (Multiset, Dist)):
+        assert_same_value(a, b)
+    assert_canonical_throughout(a)
+    assert_canonical_throughout(b)
