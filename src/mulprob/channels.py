@@ -9,8 +9,10 @@ its cost follows the size of its output: the draw distributions enumerate
 the multisets they weigh, and ``mzip`` enumerates contingency tables
 rather than pairs of arrangements.  All three enumerate through the one
 walk over bounded count vectors in ``mulprob.multiset``: ``multinomial``
-through ``enumerate_multisets``, ``hypergeometric`` with the urn's counts
-as caps, and each ``mzip`` row with the capacity its columns have left.
+with every cap the draw size (its draws, ``_draws``, are also the factors
+``pml`` multiplies), ``hypergeometric`` with the urn's counts as caps,
+and each ``mzip`` row with the capacity its columns have left.  Outcome
+multisets are built by the trusted ``Multiset._of``, once each.
 The literal definitions survive in ``mulprob.oracles`` and the test suite
 as independent cross-checks.
 """
@@ -36,6 +38,28 @@ def arrange(m: Multiset) -> Dist:
     return Dist(dict.fromkeys(seqs, 1), denominator=len(seqs))
 
 
+def _draws(omega: Dist, k: int) -> list[tuple[tuple, int]]:
+    """Each size-k draw with replacement from ``omega``, with its numerator.
+
+    A draw is given by its nonzero ``(element, count)`` pairs, as
+    ``_bounded_counts`` lists them; its numerator over ``omega._den ** k``
+    is the multiset coefficient times the product of the element
+    numerators, each raised to its count.  The budget counts the draws.
+    """
+    nums = omega._map
+    check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
+    top = factorial(k)
+    out = []
+    for draw in _bounded_counts([(x, k) for x in nums], k):
+        coeff, w = top, 1
+        for x, n in draw:
+            if n > 1:
+                coeff //= factorial(n)
+            w *= nums[x] ** n
+        out.append((draw, coeff * w))
+    return out
+
+
 def multinomial(omega: Dist, k: int) -> Dist:
     """Distribution of size-k draws with replacement from ``omega``.
 
@@ -44,14 +68,8 @@ def multinomial(omega: Dist, k: int) -> Dist:
     """
     if k < 0:
         raise DomainError(f"draw size must be nonnegative: {k}")
-    nums = omega._map
-    weights = {}
-    for phi in enumerate_multisets(nums, k):
-        w = phi.coefficient()
-        for x, n in phi._map.items():
-            w *= nums[x] ** n
-        weights[phi] = w
-    return Dist(weights, denominator=omega._den ** k)
+    return Dist({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
+                denominator=omega._den ** k)
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:
@@ -72,7 +90,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
         for x, t in draw:
             if t < caps[x]:  # taking every copy weighs 1
                 w *= binomial(caps[x], t)
-        weights[Multiset(draw)] = w
+        weights[Multiset._of(dict(draw), k)] = w
     return Dist(weights, denominator=binomial(n, k))
 
 
@@ -156,7 +174,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
                 grown.append((taken + split, d, left))
         tables = grown
     total = factorial(phi.size)
-    weights = {Multiset(taken): total // denom for taken, denom, _ in tables}
+    weights = {Multiset._of(dict(taken), phi.size): total // denom for taken, denom, _ in tables}
     arrangement_pairs = total * total // _factorial_product(n for _, n in rows + cols)
     return Dist(weights, denominator=arrangement_pairs)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .elements import _DIST, Elem, Pair, Space, _FiniteMap, _pairs, elem_key
+from .elements import _DIST, Elem, Pair, Space, _FiniteMap, _pairs, _show, elem_key
 from .errors import DomainError, check_cells
 from .multiset import Multiset
 
@@ -168,7 +168,7 @@ class Channel:
 
     def __call__(self, x: Elem) -> Dist:
         if x not in self.domain:
-            raise DomainError(f"{x!r} is outside the channel domain")
+            raise DomainError(f"{_show(x)} is outside the channel domain")
         out = self._kernel(x)
         if not isinstance(out, Dist):
             raise DomainError(f"channel kernel returned {out!r}, not a Dist")
@@ -201,7 +201,7 @@ def push(f: Channel, omega: Dist) -> Dist:
     """
     for x in omega.support:
         if x not in f.domain:
-            raise DomainError(f"support element {x!r} outside channel domain")
+            raise DomainError(f"support element {_show(x)} outside channel domain")
     return bind(omega, f)
 
 

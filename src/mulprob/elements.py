@@ -125,10 +125,10 @@ class _FiniteMap:
         return stored
 
     def _store(self, data: dict) -> None:
-        object.__setattr__(self, "_map", data)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)
+        _set_map(self, data)
+        _set_entries(self, None)
+        _set_hash(self, None)
+        _set_key(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -160,6 +160,22 @@ class _FiniteMap:
         from .ket import format_value
 
         return format_value(self)
+
+
+# The slots' own setters, which skip the ``__setattr__`` that makes the
+# values immutable; they cost half as much as ``object.__setattr__``.
+_set_map, _set_entries, _set_hash, _set_key = (
+    getattr(_FiniteMap, name).__set__ for name in _FiniteMap.__slots__)
+
+
+def _show(e: Elem) -> str:
+    """An element in ket notation, for error messages; ``repr`` of anything else."""
+    from .ket import format_element
+
+    try:
+        return format_element(e)
+    except TypeError:
+        return repr(e)
 
 
 class Space:

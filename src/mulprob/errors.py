@@ -29,7 +29,19 @@ class ParseError(MulprobError, ValueError):
 
 
 class ResourceLimitError(MulprobError):
-    """An enumeration would exceed the configured cell budget."""
+    """An enumeration would exceed the configured cell budget.
+
+    Raised by ``check_cells``, it names the enumeration (``op``), the
+    cells it needs (``needed``) and the budget (``limit``); all three are
+    ``None`` when the budget itself is invalid.
+    """
+
+    def __init__(self, message: str, op: str | None = None, needed: int | None = None,
+                 limit: int | None = None):
+        super().__init__(message)
+        self.op = op
+        self.needed = needed
+        self.limit = limit
 
 
 def max_cells() -> int:
@@ -49,5 +61,6 @@ def check_cells(count: int, what: str) -> None:
     if count > cap:
         raise ResourceLimitError(
             f"{what} needs {count} cells, exceeding the limit of {cap} "
-            f"(set {_MAX_CELLS_ENV} to raise it)"
+            f"(set {_MAX_CELLS_ENV} to raise it)",
+            op=what, needed=count, limit=cap,
         )

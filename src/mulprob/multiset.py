@@ -39,7 +39,19 @@ class Multiset(_FiniteMap):
             if n:
                 counts[elem] = counts.get(elem, 0) + n
         self._store(counts)
-        object.__setattr__(self, "_size", sum(counts.values()))
+        _set_size(self, sum(counts.values()))
+
+    @classmethod
+    def _of(cls, counts: dict[Elem, int], size: int) -> "Multiset":
+        """Trusted constructor: no checks, and ``counts`` is kept.
+
+        Only for library code that already holds a fresh dict of positive
+        ``int`` counts over element values, and their sum ``size``.
+        """
+        m = object.__new__(cls)
+        m._store(counts)
+        _set_size(m, size)
+        return m
 
     # -- basic views ------------------------------------------------------
 
@@ -76,7 +88,7 @@ class Multiset(_FiniteMap):
         counts = dict(self._map)
         for e, n in other._map.items():
             counts[e] = counts.get(e, 0) + n
-        return Multiset(counts)
+        return Multiset._of(counts, self._size + other._size)
 
     def remove_one(self, elem: Elem) -> "Multiset":
         """Decrement the multiplicity of ``elem`` by one."""
@@ -88,7 +100,7 @@ class Multiset(_FiniteMap):
             del counts[elem]
         else:
             counts[elem] = n - 1
-        return Multiset(counts)
+        return Multiset._of(counts, self._size - 1)
 
     def __le__(self, other: "Multiset") -> bool:
         """Pointwise ordering: every multiplicity bounded by the other's."""
@@ -118,6 +130,9 @@ class Multiset(_FiniteMap):
         for n in self._map.values():
             out //= factorial(n)
         return out
+
+
+_set_size = Multiset._size.__set__
 
 
 def accumulate(xs: Sequence[Elem]) -> Multiset:
@@ -236,7 +251,7 @@ def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]
         raise DomainError("no multisets of positive size over the empty space")
     elems = space.elements
     check_cells(multichoose(len(elems), k), f"multisets of size {k} over {len(elems)} elements")
-    return list(map(Multiset, _bounded_counts([(x, k) for x in elems], k)))
+    return [Multiset._of(dict(v), k) for v in _bounded_counts([(x, k) for x in elems], k)]
 
 
 def enumerate_arrangements(m: Multiset) -> list[tuple]:

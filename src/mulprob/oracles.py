@@ -18,8 +18,10 @@ that the fast route and the definition agree.
   It adds ``Fraction``s, independently of the integer arithmetic of the
   production route.
 * ``pml_def4`` and ``monoid_algebra``: the law by the monoid structure,
-  folding ``monoid_sum`` over the point-mass images of the members one
-  occurrence at a time.
+  folding the monoid sum over the point-mass images of the members one
+  occurrence at a time.  Its monoid sum adds outcome multisets pairwise
+  with ``Multiset.__add__``, independently of the packed-count kernel
+  that ``pml.monoid_sum`` and ``pml.pml`` share.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .channels import zip_tuples
 from .dist import Dist, unit
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
-from .pml import _check_members, monoid_sum
+from .pml import _check_members
 
 
 def _arrangement_pairs(phi: Multiset, psi: Multiset, what: str):
@@ -102,8 +104,20 @@ def pml_def1(psi: Multiset) -> Dist:
     return Dist(acc)
 
 
+def _pairwise_sum(a: Dist, b: Dist) -> Dist:
+    """The monoid sum, adding every pair of outcome multisets."""
+    check_cells(len(a._map) * len(b._map), "monoid sum outcome pairs")
+    acc: dict[Multiset, int] = {}
+    b_nums = b._map.items()
+    for phi, w in a._map.items():
+        for chi, v in b_nums:
+            key = phi + chi
+            acc[key] = acc.get(key, 0) + w * v
+    return Dist(acc, denominator=a._den * b._den)
+
+
 def monoid_algebra(psi: Multiset) -> Dist:
-    """Fold a multiset of multiset-valued distributions with ``monoid_sum``.
+    """Fold a multiset of multiset-valued distributions with the monoid sum.
 
     This is the structure map induced by the monoid: formal sums of
     distributions become iterated convolutions.  The empty multiset maps
@@ -114,7 +128,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
         if not isinstance(member, Dist):
             raise DomainError(f"expected distribution elements, found {member!r}")
         for _ in range(n):
-            out = monoid_sum(out, member)
+            out = _pairwise_sum(out, member)
     return out
 
 

@@ -147,6 +147,20 @@ class TestErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample-check", "<1 a>", "--chan", "{b: <1 u>}", "--k", "1"],
+         "error: support element [1 a] outside channel domain\n"),
+        (["sample-check", "<1 (a,00)>", "--chan", "{b: <1 u>}", "--k", "1"],
+         "error: support element [1 (a,00)] outside channel domain\n"),
+        (["pml", "[2 <1/2 a, 1/2 b>, 1 [1 a]]"],
+         "error: expected a multiset of distributions, found [1 a]\n"),
+        (["pml", "[1 (0,00)]"],
+         "error: expected a multiset of distributions, found (0,00)\n"),
+    ], ids=["push-multiset", "push-pair", "pml-multiset", "pml-pair"])
+    def test_values_in_messages_are_in_ket_notation(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message)
+
     def test_cell_budget_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("MULPROB_MAX_CELLS", "4")
         code, _, err = run(capsys, "arr", "[4 a, 4 b]")

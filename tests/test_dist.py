@@ -90,6 +90,15 @@ class TestPushAndCompose:
         with pytest.raises(DomainError):
             push(self.f, unit("c"))
 
+    def test_rejections_print_values_in_ket_notation(self):
+        with pytest.raises(DomainError, match=r"^support element \(c,00\) outside channel domain$"):
+            push(self.f, unit(Pair("c", "00")))
+        with pytest.raises(DomainError, match=r"^\[2 a\] is outside the channel domain$"):
+            self.f(Multiset({"a": 2}))
+        # Not an element value at all: shown as its repr.
+        with pytest.raises(DomainError, match=r"^\[1\] is outside the channel domain$"):
+            self.f([1])
+
     def test_unit_laws(self):
         assert compose(Channel.identity(Space(["0", "1"])), self.f)("a") == self.f("a")
         assert compose(self.f, Channel.identity(AB))("b") == self.f("b")

@@ -11,14 +11,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mulprob.channels import hypergeometric, multinomial
 from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor
 from mulprob.elements import Pair, elem_key
 from mulprob.ket import format_value, parse_value
 from mulprob.multiset import Multiset
-from mulprob.pml import monoid_sum
+from mulprob.oracles import pml_def1
+from mulprob.pml import monoid_sum, pml
 
 F = Fraction
 
@@ -241,3 +242,33 @@ def test_nested_construction_order_does_not_matter(text, rng):
         assert_same_value(a, b)
     assert_canonical_throughout(a)
     assert_canonical_throughout(b)
+
+
+# Supports that share elements, nest in one another or miss each other,
+# over identifiers, the equal-valued numerals 0 and 00, and pairs.
+SUPPORTS = (("a", "b"), ("a",), ("a", "b", "0"), ("0", "00"),
+            (Pair("a", "0"), "00"), (Pair("a", "0"), Pair("0", "a"), "b"))
+members = st.sampled_from(SUPPORTS).flatmap(
+    lambda support: st.one_of(dists(support), dists(support, DENS_57)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(members, st.integers(1, 2)), max_size=3).map(Multiset))
+@example(Multiset())
+@example(Multiset([(Dist.uniform("ab"), 2), (Dist({"a": F(1, 3), "b": F(2, 3)}), 1)]))
+@example(Multiset([(Dist.uniform("ab"), 1), (Dist.uniform(["0", "00"]), 2)]))
+@example(Multiset([(Dist({"a": 1}), 2), (Dist.uniform(["a", "b", "0"]), 1)]))
+@example(Multiset([(Dist.uniform([Pair("a", "0"), "00"]), 2), (Dist.uniform(["0", "00"]), 1)]))
+def test_pml_matches_joint_outcomes(psi):
+    assert_same_value(pml(psi), pml_def1(psi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(value_texts.map(parse_value), st.integers(1, 3), max_size=4),
+       st.randoms(use_true_random=False))
+def test_trusted_multiset_matches_the_checked_one(counts, rng):
+    items = list(counts.items())
+    rng.shuffle(items)
+    trusted = Multiset._of(dict(items), sum(counts.values()))
+    assert_same_value(trusted, Multiset(counts))
+    assert trusted.size == Multiset(counts).size

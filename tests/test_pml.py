@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mulprob.channels import multinomial
+from mulprob.combinatorics import multichoose
 from mulprob.dist import (
     Channel,
     Dist,
@@ -19,7 +20,7 @@ from mulprob.dist import (
 )
 from mulprob.elements import Space
 from mulprob.errors import DomainError, ResourceLimitError
-from mulprob.multiset import Multiset, accumulate
+from mulprob.multiset import Multiset, accumulate, enumerate_multisets
 from mulprob.oracles import pml_def1, pml_def4
 from mulprob.pml import lifted_map, monoid_sum, pml, pml_def3_check
 
@@ -111,11 +112,125 @@ class TestMonoidStructure:
         assert monoid_sum(a, b) == monoid_sum(b, a)
         assert monoid_sum(monoid_sum(a, b), c) == monoid_sum(a, monoid_sum(b, c))
 
+    def test_outcomes_must_be_multisets(self):
+        # Atoms are strings, which ``+`` would concatenate.
+        with pytest.raises(DomainError, match=r"^monoid sum needs distributions over multisets, found a$"):
+            monoid_sum(unit(Multiset()), unit("a"))
+
     def test_sum_is_under_the_cell_budget(self, monkeypatch):
         d = multinomial(OMEGA, 10)  # 11 outcomes: 121 pairs
         monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
-        with pytest.raises(ResourceLimitError, match="monoid sum outcome pairs"):
+        with pytest.raises(ResourceLimitError, match="monoid sum outcome pairs") as exc:
             monoid_sum(d, d)
+        assert (exc.value.op, exc.value.needed, exc.value.limit) == (
+            "monoid sum outcome pairs", 121, 100)
+        assert str(exc.value) == budget_message("monoid sum outcome pairs", 121, 100)
+
+
+def summed_draw_checks(psi):
+    """The budget checks of ``pml`` as (label, cells), in the order they run.
+
+    Worked out from the definition: the members in canonical order, each
+    one's draws counted as multisets, then the pairs of the outcomes so
+    far with those draws counted as a monoid sum.
+    """
+    checks = []
+    outcomes = {Multiset()}
+    for member, n in psi.entries:
+        m = len(member.support)
+        draws = enumerate_multisets(member.support, n)
+        checks.append((f"multisets of size {n} over {m} elements", multichoose(m, n)))
+        checks.append(("monoid sum outcome pairs", len(outcomes) * len(draws)))
+        outcomes = {phi + chi for phi in outcomes for chi in draws}
+    return checks
+
+
+def budget_message(op, needed, limit):
+    return (f"{op} needs {needed} cells, exceeding the limit of {limit} "
+            "(set MULPROB_MAX_CELLS to raise it)")
+
+
+ABC = Dist.uniform("abc")
+AD = Dist({"a": F(1, 2), "d": F(1, 2)})
+
+
+class TestKernelBudget:
+    """``pml`` and lifted channels run every budget check of summed draws:
+    one per member for its draws, one per step for the pairs of outcomes."""
+
+    # Each input with the limit at which ``pml`` first passes, as measured
+    # on the chain of ``monoid_sum`` calls over ``multinomial`` outputs
+    # that computed ``pml`` before the packed-count kernel.
+    @pytest.mark.parametrize("psi, limit", [
+        (Multiset({ABC: 2, AD: 1, unit("e"): 1}), 12),
+        (Multiset({ABC: 3}), 10),
+        (PSI, 6),
+        (Multiset({Dist.uniform("ab"): 2, ABC: 1, Dist({"a": F(1, 3), "c": F(2, 3)}): 1}), 14),
+        (Multiset({Dist.uniform("ab"): 3, Dist.uniform(["0", "00"]): 2}), 12),
+    ], ids=["mixed", "one-member", "worked-example", "overlapping", "disjoint"])
+    def test_pml_raises_on_the_first_check_over_the_limit(self, monkeypatch, psi, limit):
+        checks = summed_draw_checks(psi)
+        assert max(n for _, n in checks) == limit
+        for lower in range(1, limit):
+            op, needed = next((op, n) for op, n in checks if n > lower)
+            monkeypatch.setenv("MULPROB_MAX_CELLS", str(lower))
+            with pytest.raises(ResourceLimitError) as exc:
+                pml(psi)
+            assert (exc.value.op, exc.value.needed, exc.value.limit) == (op, needed, lower)
+            assert str(exc.value) == budget_message(op, needed, lower)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", str(limit))
+        got = pml(psi)
+        monkeypatch.delenv("MULPROB_MAX_CELLS")
+        assert got == pml_def1(psi)
+
+    # Four outcomes for ``a`` and two for ``b``; the domain of the size-3
+    # lifted channel has 4 multisets.
+    WIDE = Channel.from_mapping({"a": Dist.uniform(["u", "v", "w", "x"]),
+                                 "b": Dist.uniform(["u", "v"])})
+
+    @pytest.mark.parametrize("phi, op", [
+        (Multiset({"a": 3}), "multisets of size 3 over 4 elements"),
+        (Multiset({"a": 2, "b": 1}), "monoid sum outcome pairs"),
+    ], ids=["member-draws", "outcome-pairs"])
+    def test_lifted_channel_raises_under_a_small_limit(self, monkeypatch, phi, op):
+        chan = lifted_map(self.WIDE, 3)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "19")
+        with pytest.raises(ResourceLimitError) as exc:
+            chan(phi)
+        assert (exc.value.op, exc.value.needed, exc.value.limit) == (op, 20, 19)
+        assert str(exc.value) == budget_message(op, 20, 19)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "20")
+        assert chan(phi) == pml(phi.map_elements(self.WIDE))
+
+
+class TestWideKeys:
+    """Outcomes over more elements than fit one machine word of counts,
+    where the packed keys carry a fingerprint for hashing."""
+
+    U = Dist.uniform([f"u{i}" for i in range(40)])
+    V = Dist.uniform([f"v{i}" for i in range(40)])
+    W = Dist({**{f"u{i}": F(1, 60) for i in range(30)}, **{f"w{i}": F(1, 60) for i in range(30)}})
+
+    def test_disjoint_members(self):
+        got = pml(Multiset({self.U: 1, self.V: 1}))
+        want = {Multiset({x: 1, y: 1}): F(1, 1600) for x in self.U.support for y in self.V.support}
+        assert dict(got.entries) == want
+
+    def test_repeated_member_is_a_plain_draw(self):
+        for k in (2, 3):
+            assert pml(Multiset({self.U: k})) == multinomial(self.U, k)
+
+    def test_overlapping_members(self):
+        psi = Multiset({self.U: 1, self.W: 1})
+        assert pml(psi) == pml_def1(psi)
+
+    def test_monoid_sum(self):
+        a, b = multinomial(self.U, 1), multinomial(self.W, 1)
+        want: dict = {}
+        for phi, w in a.entries:
+            for chi, v in b.entries:
+                want[phi + chi] = want.get(phi + chi, 0) + w * v
+        assert dict(monoid_sum(a, b).entries) == want
 
 
 class TestLiftedMap:
