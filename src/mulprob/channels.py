@@ -17,6 +17,7 @@ The literal definitions survive in ``mulprob.oracles`` and the test suite
 as independent cross-checks.
 """
 
+from math import comb
 from typing import Iterable, Sequence
 
 from .combinatorics import binomial, factorial, multichoose
@@ -44,17 +45,19 @@ def _draws(omega: Dist, k: int) -> list[tuple[tuple, int]]:
     A draw is given by its nonzero ``(element, count)`` pairs, as
     ``_bounded_counts`` lists them; its numerator over ``omega._den ** k``
     is the multiset coefficient times the product of the element
-    numerators, each raised to its count.  The budget counts the draws.
+    numerators, each raised to its count.  The coefficient
+    ``k! / prod n!`` is a product of binomials over the running count, so
+    no factorial of ``k`` is taken: a draw from a point mass costs nothing
+    for any ``k``.  The budget counts the draws.
     """
     nums = omega._map
     check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
-    top = factorial(k)
     out = []
     for draw in _bounded_counts([(x, k) for x in nums], k):
-        coeff, w = top, 1
+        coeff, w, drawn = 1, 1, 0
         for x, n in draw:
-            if n > 1:
-                coeff //= factorial(n)
+            drawn += n
+            coeff *= drawn if n == 1 else comb(drawn, n)
             w *= nums[x] ** n
         out.append((draw, coeff * w))
     return out

@@ -39,16 +39,19 @@ def _as_fraction(w: Weight) -> Fraction:
     return Fraction(w)
 
 
+def _exact(w: Weight) -> Weight:
+    t = type(w)
+    return w if t is Fraction or t is int else _as_fraction(w)
+
+
 def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], int]:
     """Exact positive weights as integer numerators over their least common
     denominator; zero weights are dropped, repeated elements add up."""
     weights: dict[Elem, Fraction | int] = {}
     for elem, w in items:
-        t = type(w)
-        if t is not Fraction and t is not int:
-            w = _as_fraction(w)
+        w = _exact(w)
         if w < 0:
-            raise DomainError(f"negative weight {w} for {elem!r}")
+            raise DomainError(f"negative weight {w} for {_show(elem)}")
         if w:
             prev = weights.get(elem)
             weights[elem] = w if prev is None else prev + w
@@ -147,7 +150,7 @@ def flatten(omega: Dist) -> Dist:
     """Multiplication of the monad: average the inner distributions."""
     def inner(d: Elem) -> Dist:
         if not isinstance(d, Dist):
-            raise DomainError(f"flatten needs distribution elements, got {d!r}")
+            raise DomainError(f"flatten needs distribution elements, got {_show(d)}")
         return d
     return bind(omega, inner)
 
@@ -263,9 +266,9 @@ class Predicate(_FiniteMap):
         for elem, v in _pairs(data):
             v = _as_fraction(v)
             if not 0 <= v <= 1:
-                raise DomainError(f"predicate value {v} for {elem!r} outside [0, 1]")
+                raise DomainError(f"predicate value {v} for {_show(elem)} outside [0, 1]")
             if elem in values:
-                raise DomainError(f"duplicate predicate entry for {elem!r}")
+                raise DomainError(f"duplicate predicate entry for {_show(elem)}")
             values[elem] = v
         self._store(values)
 
@@ -273,7 +276,7 @@ class Predicate(_FiniteMap):
         try:
             return self._map[elem]
         except KeyError:
-            raise DomainError(f"predicate not defined at {elem!r}") from None
+            raise DomainError(f"predicate not defined at {_show(elem)}") from None
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{e!r}: {v}" for e, v in self.entries)
@@ -289,20 +292,28 @@ def validity(omega: Dist, p: PredicateLike) -> Fraction:
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:
-    """Condition the state on the evidence ``p`` and renormalize."""
-    v = validity(omega, p)
-    if v == 0:
+    """Condition the state on the evidence ``p`` and renormalize.
+
+    ``p`` is called once per element; the posterior numerators are the
+    prior's times the values over their least common denominator.
+    """
+    values, _ = _numerators((x, p(x)) for x in omega._map)
+    nums = {x: omega._map[x] * v for x, v in values.items()}
+    total = sum(nums.values())
+    if total == 0:
         raise DomainError("cannot update on evidence with zero validity")
-    return Dist((x, w * p(x) / v) for x, w in omega.entries)
+    return Dist(nums, denominator=total)
 
 
 def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
     """Free extension of a predicate to multisets, by pointwise product."""
     def extended(m: Multiset) -> Fraction:
-        out = Fraction(1)
-        for e, n in m.entries:
-            out *= p(e) ** n
-        return out
+        num = den = 1
+        for e, n in m._map.items():
+            v = _exact(p(e))
+            num *= v.numerator ** n
+            den *= v.denominator ** n
+        return Fraction(num, den)
     return extended
 
 

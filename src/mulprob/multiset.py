@@ -20,7 +20,7 @@ from bisect import bisect_right
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import factorial, multichoose
-from .elements import _MULTISET, Elem, Pair, Space, _FiniteMap, _pairs, elem_key
+from .elements import _MULTISET, Elem, Pair, Space, _FiniteMap, _pairs, _show, elem_key
 from .errors import DomainError, check_cells
 
 
@@ -35,7 +35,7 @@ class Multiset(_FiniteMap):
             if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
                 raise DomainError(f"multiplicity must be an integer: {n!r}")
             if n < 0:
-                raise DomainError(f"negative multiplicity {n} for {elem!r}")
+                raise DomainError(f"negative multiplicity {n} for {_show(elem)}")
             if n:
                 counts[elem] = counts.get(elem, 0) + n
         self._store(counts)
@@ -94,7 +94,7 @@ class Multiset(_FiniteMap):
         """Decrement the multiplicity of ``elem`` by one."""
         n = self._map.get(elem, 0)
         if n == 0:
-            raise DomainError(f"cannot remove {elem!r}: not in the multiset")
+            raise DomainError(f"cannot remove {_show(elem)}: not in the multiset")
         counts = dict(self._map)
         if n == 1:
             del counts[elem]
@@ -145,7 +145,7 @@ def flatten_multiset(outer: Multiset) -> Multiset:
     total = Multiset()
     for inner, n in outer.entries:
         if not isinstance(inner, Multiset):
-            raise DomainError(f"flatten_multiset needs multiset elements, got {inner!r}")
+            raise DomainError(f"flatten_multiset needs multiset elements, got {_show(inner)}")
         total = total + inner.scale(n)
     return total
 

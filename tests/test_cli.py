@@ -1,12 +1,23 @@
 import inspect
+import io
+import os
+import re
+import shlex
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mulprob import cli
 from mulprob.cli import main
 from mulprob.dist import Dist, bind, flrn
 from mulprob.ket import parse_dist
+from mulprob.laws import catalogue
 
 F = Fraction
 
@@ -156,7 +167,12 @@ class TestErrors:
          "error: expected a multiset of distributions, found [1 a]\n"),
         (["pml", "[1 (0,00)]"],
          "error: expected a multiset of distributions, found (0,00)\n"),
-    ], ids=["push-multiset", "push-pair", "pml-multiset", "pml-pair"])
+        (["validity", "<1/2 (a,b), 1/2 b>", "--pred", "(b:1)"],
+         "error: predicate not defined at (a,b)\n"),
+        (["update", "<1/2 [1 a], 1/2 b>", "--pred", "(b:1)"],
+         "error: predicate not defined at [1 a]\n"),
+    ], ids=["push-multiset", "push-pair", "pml-multiset", "pml-pair", "predicate-pair",
+            "predicate-multiset"])
     def test_values_in_messages_are_in_ket_notation(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message)
@@ -230,3 +246,181 @@ class TestLawsCommand:
         code2, out2, _ = run(capsys, *args)
         assert (code1, out1) == (code2, out2)
         assert code1 == 0
+
+
+class TestLargeDrawSizes:
+    """A draw's multiset coefficient is a product of binomials over its own
+    counts, so a size-k draw from a point mass does not compute k!."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["mn", "--k", "1000000", "<1 a>"], "<1 [1000000 a]>\n"),
+        (["sample-check", "<1 a>", "--chan", "{a: <1 u>}", "--k", "1000000"],
+         "sampled:  <1 u>\ndirect:   <1 u>\nsample-check: OK\n"),
+    ], ids=["mn", "sample-check"])
+    def test_point_mass_draws_are_cheap(self, capsys, argv, expected):
+        start = time.process_time()
+        assert run(capsys, *argv) == (0, expected, "")
+        # k! for k = 10**6 alone takes several seconds.
+        assert time.process_time() - start < 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+HELP = Path(__file__).resolve().parent / "data" / "cli_help.txt"
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """Each ``$ mulprob ...`` line of the README's CLI section with its output."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for chunk in block.strip().split("\n\n"):
+            command, *output = chunk.splitlines()
+            argv = shlex.split(command.removeprefix("$ mulprob "), comments=True)
+            examples.append((argv, "".join(line + "\n" for line in output)))
+    return examples
+
+
+def call(argv) -> tuple:
+    """``main(argv)`` in this process: (exit code, stdout, stderr); the exit
+    code of ``--help`` and ``--version`` is ``("exit", code)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneProcess:
+    """``main`` builds its parser once and can be called any number of times."""
+
+    def test_readme_examples_in_one_process(self):
+        examples = readme_examples()
+        assert len(examples) == 11
+        between = [["mn", "<1 a>"], ["laws", "--list"], ["--help"], ["--version"], ["mn", "--help"]]
+        seen = {}
+        for i, (argv, expected) in enumerate(examples + examples[::-1]):
+            assert expected, argv
+            assert call(argv) == (0, expected, ""), argv
+            other = between[i % len(between)]
+            seen.setdefault(tuple(other), set()).add(call(other))
+        assert {k: len(v) for k, v in seen.items()} == {tuple(a): 1 for a in between}
+        (code, _, err), = seen[("mn", "<1 a>")]
+        assert (code, err) == (2, "parse error: mulprob mn: the following arguments are required: --k\n")
+        (code, out, _), = seen[("laws", "--list")]
+        assert code == 0 and out.startswith("acc-arr-id ")
+        for flag in ("--help", "--version"):
+            (code, out, _), = seen[(flag,)]
+            assert code == ("exit", 0) and out.startswith("usage: mulprob" if flag == "--help" else "mulprob ")
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for i in range(20):
+            call(["acc", "a", "b"] if i % 2 else ["bogus"])
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the pinned help text is argparse's formatting under Python 3.11")
+    def test_help_matches_the_pinned_text(self):
+        commands = [[], *([name] for name in cli._COMMANDS)]
+        with patch.dict(os.environ, {"COLUMNS": "80"}):
+            text = "".join(call([*c, "--help"])[1] for c in commands)
+        assert text == HELP.read_text()
+
+
+# -- generated command lines ----------------------------------------------------
+
+_ATOMS = st.sampled_from(["a", "b", "u", "z0", "0", "00"])
+_ELEMENTS = st.recursive(_ATOMS, lambda inner: st.tuples(inner, inner).map("({0[0]},{0[1]})".format),
+                         max_leaves=3)
+
+
+def _dist_text(weighted) -> str:
+    total = sum(n for n, _ in weighted)
+    return "<" + ", ".join(f"{n}/{total} {e}" for n, e in weighted) + ">"
+
+
+_DISTS = st.lists(st.tuples(st.integers(1, 3), _ELEMENTS), min_size=1, max_size=3).map(_dist_text)
+
+
+def _multisets(elements):
+    return st.lists(st.tuples(st.integers(0, 3), elements), max_size=3).map(
+        lambda es: "[" + ", ".join(f"{n} {e}" for n, e in es) + "]")
+
+
+_VALUES = st.sampled_from(["0", "1", "1/2", "2/3", "3/2", "-1/2", "1/0", "01"])
+_PREDICATES = st.lists(st.tuples(_ELEMENTS, _VALUES), max_size=3).map(
+    lambda es: "(" + ", ".join(f"{e}:{v}" for e, v in es) + ")")
+_CHANNELS = st.lists(st.tuples(_ELEMENTS, _DISTS), max_size=2).map(
+    lambda es: "{" + ", ".join(f"{e}: {d}" for e, d in es) + "}")
+# Ket characters in any order; no 'h' or 'v', so never a prefix of --help or --version.
+_MALFORMED = st.text(alphabet="[]<>(){},:/ -0123456789abuz", max_size=10)
+_LITERALS = st.one_of(_ELEMENTS, _multisets(_ELEMENTS), _DISTS, _PREDICATES, _CHANNELS,
+                      _multisets(_DISTS), _MALFORMED)
+_NUMBERS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "", "007", "1000000"])
+_FLAGS = st.sampled_from(["--k", "--pred", "--chan", "--list", "--law", "--x-size", "--seed",
+                          "--random", "--n-random", "--bogus", "-k", "--"])
+_LAWS = st.sampled_from([name for name, _ in catalogue()] + ["nope"])
+_TOKENS = st.one_of(_LITERALS, _NUMBERS, _FLAGS, _LAWS)
+
+# A well-formed command line per subcommand; each literal slot is filled
+# with a literal of its kind or, sometimes, with any literal at all.
+_SLOTS = {kind: st.one_of(literals, _LITERALS) for kind, literals in [
+    ("elem", _ELEMENTS), ("multiset", _multisets(_ELEMENTS)), ("dist", _DISTS),
+    ("pred", _PREDICATES), ("chan", _CHANNELS), ("nested", _multisets(_DISTS))]}
+_SLOTS.update(num=_NUMBERS, law=_LAWS)
+_SHAPES = {
+    "mn": ("dist", "--k", "num"), "hg": ("multiset", "--k", "num"), "dd": ("multiset",),
+    "arr": ("multiset",), "acc": ("elem", "elem"), "flrn": ("multiset",),
+    "mzip": ("multiset", "multiset"), "pml": ("nested",), "update": ("dist", "--pred", "pred"),
+    "validity": ("dist", "--pred", "pred"),
+    "sample-check": ("dist", "--chan", "chan", "--k", "num"), "laws": ("--law", "law"),
+}
+# Given last, these keep any sweep that parses to a fraction of a second.
+_SMALL_SWEEP = ["--x-size", "1", "--y-size", "1", "--k", "1", "--l", "1", "--n", "1",
+                "--random", "1"]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from([*_SHAPES, "bogus"]))
+    argv = [command]
+    for slot in _SHAPES.get(command, ()):
+        argv.append(draw(_SLOTS[slot]) if slot in _SLOTS else slot)
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    if "laws" in argv:
+        argv += _SMALL_SWEEP
+    return argv
+
+
+class TestGeneratedCommandLines:
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs(), st.sampled_from(["0", "1", "4", "16", "64", "x"]))
+    def test_every_command_line_ends_in_a_code_and_one_line(self, argv, budget):
+        with patch.dict(os.environ, {"MULPROB_MAX_CELLS": budget}):
+            code, out, err = call(argv)
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1 and err.endswith("\n") == bool(err)
+        if code == 0:
+            assert err == "" and out.endswith("\n")
+        elif code == 2:
+            assert out == "" and err.startswith("parse error: ")
+        elif err:
+            assert out == "" and err.startswith("error: ")
+        else:  # a check that does not hold prints its report
+            assert re.search(r"(sample-check: MISMATCH|summary: .*, [1-9]\d* fail)\n\Z", out)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from mulprob.dist import (
 )
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
-from mulprob.multiset import Multiset, enumerate_multisets
+from mulprob.multiset import Multiset, enumerate_multisets, flatten_multiset
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -293,6 +294,37 @@ class TestPredicates:
         assert pred_extend(Predicate({"a": F(1, 2)}))(Multiset({"a": 2})) == F(1, 4)
         assert ext(Multiset({"a": 1, "b": 1})) == F(1, 4)
 
+    def test_update_calls_the_predicate_once_per_element(self):
+        seen = []
+
+        def p(x):
+            seen.append(x)
+            return F(1, 2) if x == "a" else F(1, 3)
+
+        assert update(OMEGA, p) == d(a=F(3, 7), b=F(4, 7))
+        assert sorted(seen) == ["a", "b"]
+
+    def test_update_on_integer_values(self):
+        assert update(OMEGA, lambda x: int(x == "b")) == unit("b")
+
+    @pytest.mark.parametrize("value, message", [
+        (0.5, "float weight 0.5 rejected"),
+        (F(-1, 2), "negative weight -1/2 for (a,b)"),
+        (0, "cannot update on evidence with zero validity"),
+    ])
+    def test_update_rejects(self, value, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            update(unit(Pair("a", "b")), lambda _: value)
+
+    def test_pred_extend_rejects_floats(self):
+        with pytest.raises(DomainError, match="float weight"):
+            pred_extend(lambda _: 0.5)(Multiset({"a": 2}))
+
+    def test_pred_extend_on_callables(self):
+        ext = pred_extend(lambda x: F(2, 3) if x == "a" else 1)
+        assert ext(Multiset({"a": 2, "b": 5})) == F(4, 9)
+        assert type(ext(Multiset({"b": 1}))) is Fraction
+
     def test_update_composition(self):
         # Updating twice is one update with the pointwise product.
         p = Predicate({"a": F(1, 2), "b": 1})
@@ -371,3 +403,24 @@ def test_flrn_convexity_of_monoid_sums():
                 for x, v in averaged(small, F(l, k + l)).items():
                     mix[x] = mix.get(x, F(0)) + v
                 assert lhs == Dist(mix)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Predicate({"a": 1})(Pair("a", "b")), "predicate not defined at (a,b)"),
+    (lambda: Predicate([(Pair("a", "0"), 1), (Pair("a", "0"), 0)]),
+     "duplicate predicate entry for (a,0)"),
+    (lambda: Predicate({Multiset({"a": 1}): 2}), "predicate value 2 for [1 a] outside [0, 1]"),
+    (lambda: Multiset({Pair("a", "b"): -1}), "negative multiplicity -1 for (a,b)"),
+    (lambda: Multiset({"a": 1}).remove_one(Pair("a", "b")),
+     "cannot remove (a,b): not in the multiset"),
+    (lambda: flatten_multiset(Multiset({unit("a"): 1})),
+     "flatten_multiset needs multiset elements, got <1 a>"),
+    (lambda: Dist({Pair("a", "b"): F(3, 2), "c": F(-1, 2)}), "negative weight -1/2 for c"),
+    (lambda: Dist({Pair("a", "b"): F(-1, 2), "c": F(3, 2)}), "negative weight -1/2 for (a,b)"),
+    (lambda: flatten(unit(Pair("a", "b"))), "flatten needs distribution elements, got (a,b)"),
+], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
+        "remove-one", "flatten-multiset", "weight-atom", "weight-pair", "flatten"])
+def test_values_in_messages_are_in_ket_notation(make, message):
+    with pytest.raises(DomainError) as exc:
+        make()
+    assert str(exc.value) == message
