@@ -20,7 +20,7 @@ as independent cross-checks.
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinatorics import binomial, factorial, multichoose
+from .combinatorics import binomial, multichoose
 from .dist import Dist, unit
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
@@ -123,14 +123,6 @@ def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:
     return tuple(Pair(x, y) for x, y in zip(xs, ys))
 
 
-def _factorial_product(counts: Iterable[int]) -> int:
-    out = 1
-    for n in counts:
-        if n > 1:
-            out *= factorial(n)
-    return out
-
-
 def mzip(phi: Multiset, psi: Multiset) -> Dist:
     """Probabilistic zip of two equal-size multisets.
 
@@ -140,10 +132,11 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     that zip to a multiset ``tau`` on pairs gives the closed form used
     here: the support is the set of contingency tables whose row margins
     are ``phi`` and whose column margins are ``psi``, and ``tau`` weighs
-    ``prod phi(x)! * prod psi(y)! / (K! * prod tau(x,y)!)``.  That is the
-    count ``K! / prod tau(x,y)!`` of sequences of pairs accumulating to
-    ``tau`` over the ``coefficient(phi) * coefficient(psi)`` pairs of
-    arrangements.
+    its own coefficient, the count ``K! / prod tau(x,y)!`` of sequences of
+    pairs accumulating to it, over the ``coefficient(phi) *
+    coefficient(psi)`` pairs of arrangements.  Every coefficient is a
+    product of binomials over the running count, as in ``_draws``, so no
+    factorial of ``K`` is taken.
 
     Tables are built row by row over the support of ``phi``; each row walks
     the splits within the capacity the columns have left, and the last row
@@ -162,24 +155,24 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     check_cells(bound, "mzip contingency tables")
 
     cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
-    # A partial table: its nonzero cells, the product of their factorials,
-    # and the capacity each column has left.
+    # A partial table: its nonzero cells, its coefficient so far, and the
+    # capacity each column has left.
     tables = [((), 1, dict(cols))]
+    placed = 0
     for row, (_, r) in zip(cells, rows):
         grown = []
-        for taken, denom, caps in tables:
+        for taken, coeff, caps in tables:
             for split in _bounded_counts(zip(row, caps.values()), r):
-                left, d = dict(caps), denom
+                left, c, n = dict(caps), coeff, placed
                 for cell, t in split:
                     left[cell.snd] -= t
-                    if t > 1:
-                        d *= factorial(t)
-                grown.append((taken + split, d, left))
+                    n += t
+                    c *= n if t == 1 else comb(n, t)
+                grown.append((taken + split, c, left))
         tables = grown
-    total = factorial(phi.size)
-    weights = {Multiset._of(dict(taken), phi.size): total // denom for taken, denom, _ in tables}
-    arrangement_pairs = total * total // _factorial_product(n for _, n in rows + cols)
-    return Dist(weights, denominator=arrangement_pairs)
+        placed += r
+    weights = {Multiset._of(dict(taken), phi.size): c for taken, c, _ in tables}
+    return Dist(weights, denominator=phi.coefficient() * psi.coefficient())
 
 
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:

@@ -44,15 +44,34 @@ class ResourceLimitError(MulprobError):
         self.limit = limit
 
 
+# ``os.environ`` and ``os.environb`` keep the variables in one dict of
+# encoded names and values, which every write through either of them
+# updates.  The budget is read there on each check, without the encoding
+# and decoding of an ``os.environ`` lookup, and parsed only when it changed.
+_ENVIRON = os.environ._data
+_ENV_KEY = os.environ.encodekey(_MAX_CELLS_ENV)
+
+# The raw value parsed last (``None`` when unset) and the limit it gave.
+_limit = (None, DEFAULT_MAX_CELLS)
+
+
 def max_cells() -> int:
     """Current enumeration budget, from MULPROB_MAX_CELLS when set."""
-    raw = os.environ.get(_MAX_CELLS_ENV)
+    global _limit
+    raw = _ENVIRON.get(_ENV_KEY)
+    if raw != _limit[0]:
+        _limit = (raw, _parse_limit(raw))
+    return _limit[1]
+
+
+def _parse_limit(raw) -> int:
     if raw is None:
         return DEFAULT_MAX_CELLS
+    text = os.environ.decodevalue(raw)
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {raw!r}") from None
+        raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {text!r}") from None
 
 
 def check_cells(count: int, what: str) -> None:

@@ -216,11 +216,15 @@ class _Parser:
             raise ParseError(str(exc), start) from None
 
     def predicate(self) -> Predicate:
-        _, _, start = self.expect("(")
+        start = self.enter("(")
         return self.predicate_rest(self.element(), start)
 
     def predicate_rest(self, key: Elem, start: int) -> Predicate:
-        """The rest of a predicate whose opening bracket and first key are read."""
+        """The rest of a predicate whose opening bracket and first key are read.
+
+        Every key is read one nesting level inside the bracket, so a key
+        that parses in one position parses in any, the canonical one too.
+        """
         entries = []
         while True:
             self.expect(":")
@@ -229,7 +233,7 @@ class _Parser:
                 break
             self.next()
             key = self.element()
-        self.expect(")")
+        self.leave(")")
         try:
             return Predicate(entries)
         except DomainError as exc:
@@ -265,7 +269,6 @@ class _Parser:
             self.enter("(")
             first = self.element()
             if self.peek()[1] == ":":
-                self.depth -= 1
                 return self.predicate_rest(first, pos)
             return self.pair_rest(first)
         return self.element()

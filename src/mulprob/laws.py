@@ -21,6 +21,7 @@ import functools
 import inspect
 import itertools
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -280,10 +281,43 @@ def _tensor_pairs(omega: Dist) -> Dist:
     return omega.map(lambda p: p.fst.tensor(p.snd))
 
 
+# The results of the zip kernels below, kept by ``run_law`` for the one law
+# check it runs; ``None`` outside a check, where the kernels compute afresh.
+# A context variable, so that checks run in other threads keep their own.
+_kernel_results: ContextVar[dict | None] = ContextVar("_kernel_results", default=None)
+
+
+def _shared_kernel(compute: Callable) -> Callable:
+    """A kernel on pairs that computes each argument once per law check.
+
+    A law binds or maps its kernel over draws, and equal draws recur across
+    the inputs of a check.  The kernel looks its argument up among the
+    results of the running check and computes only on a miss, calling the
+    channel through its module, so a wrapped or patched channel sees every
+    computed call.  The key names the kernel, so two never share a result,
+    and holds the components rather than the pair, which hash and compare
+    without a call into ``Pair``.
+    """
+    @functools.wraps(compute)
+    def kernel(p: Pair):
+        results = _kernel_results.get()
+        if results is None:
+            return compute(p)
+        key = (compute, p.fst, p.snd)
+        out = results.get(key)
+        if out is None:
+            out = results[key] = compute(p)
+        return out
+
+    return kernel
+
+
+@_shared_kernel
 def _zip_pair(q: Pair) -> tuple:
     return ch.zip_tuples(q.fst, q.snd)
 
 
+@_shared_kernel
 def _mzip_pair(p: Pair) -> Dist:
     return ch.mzip(p.fst, p.snd)
 
@@ -839,11 +873,17 @@ def catalogue() -> list[tuple[str, str]]:
 
 
 def run_law(law: Law, ctx: LawContext) -> LawReport:
-    """Check one law; a library error raised by its legs fails the law alone."""
+    """Check one law; a library error raised by its legs fails the law alone.
+
+    The zip kernels share their results for the length of the check only.
+    """
+    token = _kernel_results.set({})
     try:
         held, witness = law.check(ctx)
     except MulprobError as exc:
         return LawReport(law.name, ctx.params(), "fail", f"raised {type(exc).__name__}: {exc}")
+    finally:
+        _kernel_results.reset(token)
     if law.expect_fail:
         if held:
             return LawReport(law.name, ctx.params(), "fail",

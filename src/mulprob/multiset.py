@@ -17,9 +17,10 @@ multiset.
 """
 
 from bisect import bisect_right
+from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .combinatorics import factorial, multichoose
+from .combinatorics import multichoose
 from .elements import _MULTISET, Elem, Pair, Space, _FiniteMap, _pairs, _show, elem_key
 from .errors import DomainError, check_cells
 
@@ -125,10 +126,15 @@ class Multiset(_FiniteMap):
         return Multiset((f(e), n) for e, n in self._map.items())
 
     def coefficient(self) -> int:
-        """Number of distinct sequences that accumulate to this multiset."""
-        out = factorial(self._size)
+        """Number of distinct sequences that accumulate to this multiset.
+
+        It is ``size! / prod n!``, taken as a product of binomials over the
+        running count, so no factorial of the size is computed.
+        """
+        out, placed = 1, 0
         for n in self._map.values():
-            out //= factorial(n)
+            placed += n
+            out *= comb(placed, n)
         return out
 
 

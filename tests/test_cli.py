@@ -250,7 +250,8 @@ class TestLawsCommand:
 
 class TestLargeDrawSizes:
     """A draw's multiset coefficient is a product of binomials over its own
-    counts, so a size-k draw from a point mass does not compute k!."""
+    counts, so a size-k draw from a point mass does not compute k!, and
+    neither does the zip of two size-k multisets with one table."""
 
     @pytest.mark.parametrize("argv, expected", [
         (["mn", "--k", "1000000", "<1 a>"], "<1 [1000000 a]>\n"),
@@ -261,6 +262,13 @@ class TestLargeDrawSizes:
         start = time.process_time()
         assert run(capsys, *argv) == (0, expected, "")
         # k! for k = 10**6 alone takes several seconds.
+        assert time.process_time() - start < 2
+
+    def test_single_table_zip_is_cheap(self, capsys):
+        start = time.process_time()
+        assert run(capsys, "mzip", "[300000 a]", "[300000 b]") == (0, "<1 [300000 (a,b)]>\n", "")
+        # Squaring 300000! and dividing by the margins' factorials took
+        # about ten seconds.
         assert time.process_time() - start < 2
 
 

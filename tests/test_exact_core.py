@@ -9,6 +9,7 @@ construction are both exercised.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -272,3 +273,35 @@ def test_trusted_multiset_matches_the_checked_one(counts, rng):
     trusted = Multiset._of(dict(items), sum(counts.values()))
     assert_same_value(trusted, Multiset(counts))
     assert trusted.size == Multiset(counts).size
+
+
+def leading_zeros(text: str, rng) -> str:
+    """The text with up to two zeros put before each numeral token, counts,
+    weights and numeral atoms alike; ``07`` is another atom than ``7``."""
+    return re.sub(r"\d+", lambda m: "0" * rng.randint(0, 2) + m.group(), text)
+
+
+padded_value_texts = st.tuples(value_texts, st.randoms(use_true_random=False)).map(
+    lambda t: leading_zeros(*t))
+
+# A predicate value in [0, 1] as a fraction, not always reduced, with up to
+# two leading zeros in each numeral.
+predicate_values = st.integers(1, 6).flatmap(
+    lambda den: st.tuples(st.integers(0, den), st.just(den), st.integers(0, 2), st.integers(0, 2))
+).map(lambda v: f"{'0' * v[2]}{v[0]}/{'0' * v[3]}{v[1]}")
+
+# Predicates over atoms and pairs; the keys are distinct.
+predicate_texts = st.lists(st.tuples(element_texts, predicate_values), min_size=1, max_size=4,
+                           unique_by=lambda entry: entry[0]).map(
+    lambda entries: "(" + ", ".join(f"{key}:{v}" for key, v in entries) + ")")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(padded_value_texts, predicate_texts))
+@example("((a,0):1/2, (0,a):02/04, 7:0)")
+@example("[02 <01/02 007, 1/2 07>, 00 a]")
+def test_text_round_trip(text):
+    value = parse_value(text)
+    printed = format_value(value)
+    assert parse_value(printed) == value
+    assert format_value(parse_value(printed)) == printed

@@ -195,6 +195,21 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_dist("<1 " * 101 + "a" + ">" * 101)
 
+    def test_every_predicate_key_nests_alike(self):
+        # The bracket of a predicate is one nesting level for each of its
+        # keys.  Once it counted for the first key only, so a 100-level
+        # pair parsed as a later key, printed first in canonical order,
+        # and the printed predicate no longer parsed.
+        nested = "(0," * 99 + "0" + ")" * 99
+        too_deep = "(0," * 100 + "0" + ")" * 100
+        p = parse_value(f"((a,a):1, {nested}:1/2)")
+        assert format_value(p).startswith(f"({nested}:1/2, ")
+        assert parse_value(format_value(p)) == p
+        for text in (f"({too_deep}:1)", f"(a:1, {too_deep}:1)", f"((a,a):1, {too_deep}:1/2)"):
+            for parse in (parse_value, parse_predicate):
+                with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+                    parse(text)
+
     def test_positions_reported(self):
         with pytest.raises(ParseError) as err:
             parse_dist("<1/3 a, 2/3 $>")
