@@ -50,11 +50,7 @@ from .channels import (
 )
 from .pml import lifted_map, monoid_sum, pml, pml_def3_check
 from .ket import (
-    format_dist,
     format_element,
-    format_multiset,
-    format_predicate,
-    format_rational,
     format_value,
     parse_channel,
     parse_dist,

@@ -140,9 +140,11 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
 
     Tables are built row by row over the support of ``phi``; each row walks
     the splits within the capacity the columns have left, and the last row
-    takes all of it, so the cost is one step per table and row.  The
-    budget counts tables, bounded by the product of
-    ``multichoose(|supp psi|, phi(x))`` over all rows but the last.
+    takes all of it, so the cost is one step per table and nonzero cell.
+    The budget counts cells: the tables, bounded by the product of
+    ``multichoose(|supp psi|, phi(x))`` over all rows but the last, times
+    the nonzero cells one table can have, at most its rows times its
+    columns and at most ``K``.
     """
     if phi.size != psi.size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
@@ -152,7 +154,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     bound = 1
     for _, r in rows[:-1]:
         bound *= multichoose(len(cols), r)
-    check_cells(bound, "mzip contingency tables")
+    check_cells(bound * min(len(rows) * len(cols), phi.size), "cells of mzip contingency tables")
 
     cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
     # A partial table: its nonzero cells, its coefficient so far, and the

@@ -21,8 +21,6 @@ from .channels import arrange, draw_delete, hypergeometric, mzip, multinomial
 from .dist import bind, flrn, push, update, validity
 from .errors import DomainError, ParseError, ResourceLimitError
 from .ket import (
-    format_dist,
-    format_rational,
     format_value,
     parse_channel,
     parse_dist,
@@ -85,7 +83,7 @@ def _sample_check(a) -> tuple:
 def _show_check(legs: tuple) -> tuple[str, bool]:
     sampled, direct = legs
     held = sampled == direct
-    return (f"sampled:  {format_dist(sampled)}\ndirect:   {format_dist(direct)}\n"
+    return (f"sampled:  {format_value(sampled)}\ndirect:   {format_value(direct)}\n"
             f"sample-check: {'OK' if held else 'MISMATCH'}"), held
 
 
@@ -144,7 +142,7 @@ _COMMANDS = {
         "expected value of a predicate in a state",
         (_STATE, _arg("--pred", "predicate literal", required=True)),
         lambda a: validity(parse_dist(a.state), parse_predicate(a.pred)),
-        lambda q: format_rational(q)),
+        str),
     "sample-check": _Command(
         "sample a state, push samples through a channel, learn, compare",
         (_STATE,

@@ -169,11 +169,11 @@ _set_map, _set_entries, _set_hash, _set_key = (
 
 
 def _show(e: Elem) -> str:
-    """An element in ket notation, for error messages; ``repr`` of anything else."""
-    from .ket import format_element
+    """A value in ket notation, for error messages; ``repr`` of anything else."""
+    from .ket import format_value
 
     try:
-        return format_element(e)
+        return format_value(e)
     except TypeError:
         return repr(e)
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .dist import Channel, Dist, Predicate
-from .elements import Elem, Pair
+from .elements import Elem, Pair, _show
 from .errors import DomainError, ParseError
 from .multiset import Multiset
 
@@ -28,10 +28,6 @@ from .multiset import Multiset
 _MAX_DEPTH = 100
 
 # -- formatting ---------------------------------------------------------------
-
-
-def format_rational(q: Fraction | int) -> str:
-    return str(q)
 
 
 def format_element(e: Elem) -> str:
@@ -46,28 +42,14 @@ def format_element(e: Elem) -> str:
     raise TypeError(f"cannot format {e!r} as an element")
 
 
-def format_multiset(m: Multiset) -> str:
-    inner = ", ".join(f"{n} {format_element(e)}" for e, n in m.entries)
-    return f"[{inner}]"
-
-
-def format_dist(d: Dist) -> str:
-    inner = ", ".join(f"{format_rational(w)} {format_element(e)}" for e, w in d.entries)
-    return f"<{inner}>"
-
-
-def format_predicate(p: Predicate) -> str:
-    inner = ", ".join(f"{format_element(e)}:{format_rational(v)}" for e, v in p.entries)
-    return f"({inner})"
-
-
 def format_value(v) -> str:
+    """The canonical text of an element, multiset, distribution or predicate."""
     if isinstance(v, Multiset):
-        return format_multiset(v)
+        return "[" + ", ".join(f"{n} {format_element(e)}" for e, n in v.entries) + "]"
     if isinstance(v, Dist):
-        return format_dist(v)
+        return "<" + ", ".join(f"{w} {format_element(e)}" for e, w in v.entries) + ">"
     if isinstance(v, Predicate):
-        return format_predicate(v)
+        return "(" + ", ".join(f"{format_element(e)}:{w}" for e, w in v.entries) + ")"
     return format_element(v)
 
 
@@ -246,7 +228,7 @@ class _Parser:
             key = self.element()
             self.expect(":")
             if key in table:
-                raise ParseError(f"duplicate channel entry for {key!r}", self.peek()[2])
+                raise ParseError(f"duplicate channel entry for {_show(key)}", self.peek()[2])
             table[key] = self.dist()
             if self.peek()[1] != ",":
                 break

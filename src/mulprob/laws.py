@@ -21,7 +21,6 @@ import functools
 import inspect
 import itertools
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -262,6 +261,24 @@ class LawContext:
             out.append(Predicate({x: rng.choice(values) for x in elems}))
         return out
 
+    # The zips as finite tables, filled once per sweep through the ``ch``
+    # module, so a patched or traced channel sees every computed call.  A
+    # table is keyed by the pair's components, which hash and compare
+    # without a call into ``Pair``; ``_by_pair`` looks a ``Pair`` up in it.
+
+    @_pooled
+    def zip_table(self, k: int, left: Space, right: Space) -> dict:
+        """``zip_tuples`` at every pair of length-k sequences over the two spaces."""
+        ys = right.power(k)
+        return {(xs, y): ch.zip_tuples(xs, y) for xs in left.power(k) for y in ys}
+
+    @_pooled
+    def mzip_table(self, k: int, left: Space, right: Space) -> dict:
+        """``mzip`` at every pair of size-k multisets over the two spaces."""
+        psis = list(enumerate_multisets(right, k))
+        return {(phi, psi): ch.mzip(phi, psi)
+                for phi in enumerate_multisets(left, k) for psi in psis}
+
 
 # -- helpers shared by several checks -----------------------------------------
 
@@ -281,45 +298,9 @@ def _tensor_pairs(omega: Dist) -> Dist:
     return omega.map(lambda p: p.fst.tensor(p.snd))
 
 
-# The results of the zip kernels below, kept by ``run_law`` for the one law
-# check it runs; ``None`` outside a check, where the kernels compute afresh.
-# A context variable, so that checks run in other threads keep their own.
-_kernel_results: ContextVar[dict | None] = ContextVar("_kernel_results", default=None)
-
-
-def _shared_kernel(compute: Callable) -> Callable:
-    """A kernel on pairs that computes each argument once per law check.
-
-    A law binds or maps its kernel over draws, and equal draws recur across
-    the inputs of a check.  The kernel looks its argument up among the
-    results of the running check and computes only on a miss, calling the
-    channel through its module, so a wrapped or patched channel sees every
-    computed call.  The key names the kernel, so two never share a result,
-    and holds the components rather than the pair, which hash and compare
-    without a call into ``Pair``.
-    """
-    @functools.wraps(compute)
-    def kernel(p: Pair):
-        results = _kernel_results.get()
-        if results is None:
-            return compute(p)
-        key = (compute, p.fst, p.snd)
-        out = results.get(key)
-        if out is None:
-            out = results[key] = compute(p)
-        return out
-
-    return kernel
-
-
-@_shared_kernel
-def _zip_pair(q: Pair) -> tuple:
-    return ch.zip_tuples(q.fst, q.snd)
-
-
-@_shared_kernel
-def _mzip_pair(p: Pair) -> Dist:
-    return ch.mzip(p.fst, p.snd)
+def _by_pair(table: dict) -> Callable[[Pair], object]:
+    """A zip table as a kernel on pairs, looked up by the pair's components."""
+    return lambda p: table[p.fst, p.snd]
 
 
 def _iter_dd(psi_dist: Dist, times: int) -> Dist:
@@ -484,8 +465,9 @@ def _law_hg_mn(ctx: LawContext):
 @law("zip-iid", "zipping independent copies matches copies of the product")
 def _law_zip_iid(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
         yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
-               lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(_zip_pair),
+               lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(zipped),
                lambda p: iid(dtensor(p.fst, p.snd), k))
 
 
@@ -494,8 +476,9 @@ def _law_zip_bigtensor(ctx: LawContext):
     cx = ctx.corner_dists(ctx.X)
     cy = ctx.corner_dists(ctx.Y)
     for k in range(ctx.k_max + 1):
+        zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
         yield (_pairs(itertools.product(cx, repeat=k), itertools.product(cy, repeat=k)),
-               lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(_zip_pair),
+               lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(zipped),
                lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
 
 
@@ -504,18 +487,20 @@ def _law_mzip_natural(ctx: LawContext):
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for g in ctx.function_pool(ctx.Y, ctx.X):
             for k in range(ctx.k_max + 1):
+                yx, xy = ctx.mzip_table(k, ctx.Y, ctx.X), ctx.mzip_table(k, ctx.X, ctx.Y)
                 yield (_multiset_pairs(k, ctx.X, ctx.Y),
-                       lambda p: ch.mzip(p.fst.map_elements(f.__getitem__),
-                                         p.snd.map_elements(g.__getitem__)),
-                       lambda p: ch.mzip(p.fst, p.snd).map(lambda theta: theta.map_elements(
+                       lambda p: yx[p.fst.map_elements(f.__getitem__),
+                                    p.snd.map_elements(g.__getitem__)],
+                       lambda p: xy[p.fst, p.snd].map(lambda theta: theta.map_elements(
                            lambda q: Pair(f[q.fst], g[q.snd]))))
 
 
 @law("mzip-unit", "zipping against a constant multiset is deterministic")
 def _law_mzip_unit(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
         yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
-               lambda p: ch.mzip(p.fst, Multiset({p.snd: k})),
+               lambda p: xy[p.fst, Multiset({p.snd: k})],
                lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
 
 
@@ -525,20 +510,24 @@ def _law_mzip_assoc(ctx: LawContext):
         return theta.map_elements(lambda p: Pair(p.fst.fst, Pair(p.fst.snd, p.snd)))
 
     for k in range(min(ctx.k_max, 3) + 1):
+        xy, yz = ctx.mzip_table(k, ctx.X, ctx.Y), ctx.mzip_table(k, ctx.Y, ctx.Z)
+        xy_z = ctx.mzip_table(k, ctx.X.product(ctx.Y), ctx.Z)
+        x_yz = ctx.mzip_table(k, ctx.X, ctx.Y.product(ctx.Z))
         yield (itertools.product(*(enumerate_multisets(s, k) for s in (ctx.X, ctx.Y, ctx.Z))),
-               lambda t: bind(ch.mzip(t[0], t[1]), lambda th: ch.mzip(th, t[2])).map(reassoc),
-               lambda t: bind(ch.mzip(t[1], t[2]), lambda th: ch.mzip(t[0], th)))
+               lambda t: bind(xy[t[0], t[1]], lambda th: xy_z[th, t[2]]).map(reassoc),
+               lambda t: bind(yz[t[1], t[2]], lambda th: x_yz[t[0], th]))
 
 
 @law("mzip-proj", "projecting a zipped multiset returns either input")
 def _law_mzip_proj(ctx: LawContext):
     for k in range(ctx.k_max + 1):
         pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
+        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
         yield (pairs,
-               lambda p: ch.mzip(p.fst, p.snd).map(lambda th: th.map_elements(lambda q: q.fst)),
+               lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.fst)),
                lambda p: unit(p.fst))
         yield (pairs,
-               lambda p: ch.mzip(p.fst, p.snd).map(lambda th: th.map_elements(lambda q: q.snd)),
+               lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.snd)),
                lambda p: unit(p.snd))
 
 
@@ -546,8 +535,9 @@ def _law_mzip_proj(ctx: LawContext):
 def _law_mzip_diag_counterexample(ctx: LawContext):
     # The zipping operation must not commute with duplication; search for
     # one multiset witnessing the failure.
+    xx = ctx.mzip_table(2, ctx.X, ctx.X)
     for phi in enumerate_multisets(ctx.X, 2):
-        lhs = ch.mzip(phi, phi)
+        lhs = xx[phi, phi]
         rhs = unit(phi.map_elements(lambda x: Pair(x, x)))
         if lhs != rhs:
             return True, None
@@ -557,43 +547,50 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
 @law("mzip-arr", "arranging a zipped multiset zips the arrangements")
 def _law_mzip_arr(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        xy, zipped = ctx.mzip_table(k, ctx.X, ctx.Y), _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
         yield (_multiset_pairs(k, ctx.X, ctx.Y),
-               lambda p: bind(ch.mzip(p.fst, p.snd), ch.arrange),
-               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(_zip_pair))
+               lambda p: bind(xy[p.fst, p.snd], ch.arrange),
+               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(zipped))
 
 
 @law("mzip-dd", "deleting one element on both sides commutes with zipping")
 def _law_mzip_dd(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+        big = ctx.mzip_table(k + 1, ctx.X, ctx.Y)
         yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
-               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), _mzip_pair),
-               lambda p: bind(ch.mzip(p.fst, p.snd), ch.draw_delete))
+               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), small),
+               lambda p: bind(big[p.fst, p.snd], ch.draw_delete))
 
 
 @law("mzip-flrn", "learning from a zipped multiset learns the tensor")
 def _law_mzip_flrn(ctx: LawContext):
     for k in range(1, ctx.k_max + 1):
-        yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(ch.mzip(p.fst, p.snd), flrn),
+        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
+        yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(xy[p.fst, p.snd], flrn),
                lambda p: flrn(p.fst.tensor(p.snd)))
 
 
 @law("mzip-mn", "zipped replacement draws are draws from the product")
 def _law_mzip_mn(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
         yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
                lambda p: bind(dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)),
-                              _mzip_pair),
+                              zipped),
                lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
 
 
 @law("mzip-hg", "zipping commutes with draws without replacement")
 def _law_mzip_hg(ctx: LawContext):
     for n in range(ctx.n_max + 1):
+        big = ctx.mzip_table(n, ctx.X, ctx.Y)
         for k in range(n + 1):
+            small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
             yield (_multiset_pairs(n, ctx.X, ctx.Y),
-                   lambda p: bind(ch.mzip(p.fst, p.snd), lambda th: ch.hypergeometric(th, k)),
+                   lambda p: bind(big[p.fst, p.snd], lambda th: ch.hypergeometric(th, k)),
                    lambda p: bind(dtensor(ch.hypergeometric(p.fst, k),
-                                          ch.hypergeometric(p.snd, k)), _mzip_pair))
+                                          ch.hypergeometric(p.snd, k)), small))
 
 
 @law("mn-tensor-mismatch", "tensoring draws of different sizes is NOT a product draw",
@@ -705,8 +702,9 @@ def _law_lift_compose(ctx: LawContext):
 @law("mzip-pml", "the lifted tensor intertwines the law and zipping")
 def _law_mzip_pml(ctx: LawContext):
     for k in range(ctx.k_max + 1):
+        zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
         yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
-               lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), _mzip_pair),
+               lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), zipped),
                lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
                    theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
 
@@ -719,9 +717,11 @@ def _law_lift_mzip(ctx: LawContext):
                 lf = lifted_map(f, k)
                 lg = lifted_map(g, k)
                 lfg = lifted_map(ctensor(f, g), k)
+                yx = _by_pair(ctx.mzip_table(k, ctx.Y, ctx.X))
+                xz = ctx.mzip_table(k, ctx.X, ctx.Z)
                 yield (_multiset_pairs(k, ctx.X, ctx.Z),
-                       lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), _mzip_pair),
-                       lambda p: bind(ch.mzip(p.fst, p.snd), lfg))
+                       lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
+                       lambda p: bind(xz[p.fst, p.snd], lfg))
 
 
 @law("lift-sum", "lifted channels commute with multiset sums")
@@ -873,17 +873,11 @@ def catalogue() -> list[tuple[str, str]]:
 
 
 def run_law(law: Law, ctx: LawContext) -> LawReport:
-    """Check one law; a library error raised by its legs fails the law alone.
-
-    The zip kernels share their results for the length of the check only.
-    """
-    token = _kernel_results.set({})
+    """Check one law; a library error raised by its legs fails the law alone."""
     try:
         held, witness = law.check(ctx)
     except MulprobError as exc:
         return LawReport(law.name, ctx.params(), "fail", f"raised {type(exc).__name__}: {exc}")
-    finally:
-        _kernel_results.reset(token)
     if law.expect_fail:
         if held:
             return LawReport(law.name, ctx.params(), "fail",

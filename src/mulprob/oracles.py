@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .channels import zip_tuples
 from .dist import Dist, unit
+from .elements import _show
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
 from .pml import _check_members
@@ -126,7 +127,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
     out = unit(Multiset())
     for member, n in psi.entries:
         if not isinstance(member, Dist):
-            raise DomainError(f"expected distribution elements, found {member!r}")
+            raise DomainError(f"expected distribution elements, found {_show(member)}")
         for _ in range(n):
             out = _pairwise_sum(out, member)
     return out

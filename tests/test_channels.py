@@ -234,10 +234,24 @@ class TestMzipCost:
             assert got[tau] == want
 
     def test_budget_counts_tables(self, monkeypatch):
-        # 63,504 arrangement pairs, at most 6 tables.
-        monkeypatch.setenv("MULPROB_MAX_CELLS", "10")
+        # 63,504 arrangement pairs, at most 6 tables of at most 4 cells.
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "24")
         got = mzip(ms(a=5, b=5), ms(u=5, v=5))
         assert len(got.entries) == 6
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "23")
+        with pytest.raises(ResourceLimitError) as err:
+            mzip(ms(a=5, b=5), ms(u=5, v=5))
+        assert (err.value.op, err.value.needed) == ("cells of mzip contingency tables", 24)
+
+    def test_budget_counts_cells_of_wide_tables(self, monkeypatch):
+        # 100 tables, each with a cell in all 100 columns: 10,000 cells.
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "5000")
+        psi = Multiset({f"x{i}": 1 for i in range(100)})
+        with pytest.raises(ResourceLimitError) as err:
+            mzip(ms(a=1, b=99), psi)
+        assert (err.value.needed, err.value.limit) == (10_000, 5000)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "10000")
+        assert len(mzip(ms(a=1, b=99), psi).entries) == 100
 
     def test_many_rows_over_budget(self, monkeypatch):
         monkeypatch.setenv("MULPROB_MAX_CELLS", "1000")

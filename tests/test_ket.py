@@ -7,10 +7,7 @@ from mulprob.dist import Dist, Predicate
 from mulprob.elements import Pair
 from mulprob.errors import ParseError
 from mulprob.ket import (
-    format_dist,
     format_element,
-    format_multiset,
-    format_predicate,
     format_value,
     parse_channel,
     parse_dist,
@@ -56,14 +53,14 @@ class TestParseBasics:
         text = "<1/12 [3 a], 13/36 [2 a, 1 b], 4/9 [1 a, 2 b], 1/9 [3 b]>"
         got = parse_dist(text)
         assert got[Multiset({"a": 2, "b": 1})] == F(13, 36)
-        assert format_dist(got) == text
+        assert format_value(got) == text
 
     def test_multiset_of_dists(self):
         text = "[2 <1/3 a, 2/3 b>, 1 <3/4 a, 1/4 b>]"
         got = parse_multiset(text)
         assert got.size == 3
         assert got[Dist({"a": F(1, 3), "b": F(2, 3)})] == 2
-        assert format_multiset(got) == text
+        assert format_value(got) == text
 
     def test_parse_value_dispatch(self):
         assert isinstance(parse_value("[1 a]"), Multiset)
@@ -80,16 +77,16 @@ class TestParseBasics:
 
 class TestCanonicalization:
     def test_multiset_entries_sorted_and_merged(self):
-        assert format_multiset(parse_multiset("[2 b, 1 a, 1 b]")) == "[1 a, 3 b]"
+        assert format_value(parse_multiset("[2 b, 1 a, 1 b]")) == "[1 a, 3 b]"
 
     def test_zero_multiplicities_dropped(self):
-        assert format_multiset(parse_multiset("[0 a, 1 b]")) == "[1 b]"
+        assert format_value(parse_multiset("[0 a, 1 b]")) == "[1 b]"
 
     def test_dist_entries_sorted(self):
-        assert format_dist(parse_dist("<2/3 b, 1/3 a>")) == "<1/3 a, 2/3 b>"
+        assert format_value(parse_dist("<2/3 b, 1/3 a>")) == "<1/3 a, 2/3 b>"
 
     def test_integer_weight_prints_bare(self):
-        assert format_dist(parse_dist("<1 a>")) == "<1 a>"
+        assert format_value(parse_dist("<1 a>")) == "<1 a>"
 
     def test_round_trip_corpus(self):
         corpus = [
@@ -108,15 +105,15 @@ class TestCanonicalization:
             assert format_value(parse_value(text)) == text
 
     def test_weights_on_same_value_merge(self):
-        assert format_dist(parse_dist("<1/2 a, 1/2 a>")) == "<1 a>"
+        assert format_value(parse_dist("<1/2 a, 1/2 a>")) == "<1 a>"
 
     def test_numerals_of_equal_value_order_by_text(self):
         # "0" and "00" are distinct atoms with the same numeric value; the
         # canonical order must still be total, so entry order cannot matter.
         assert parse_multiset("[1 0, 1 00]") == parse_multiset("[1 00, 1 0]")
-        assert format_multiset(parse_multiset("[1 00, 1 0]")) == "[1 0, 1 00]"
-        assert format_dist(parse_dist("<1/2 007, 1/2 7>")) == "<1/2 007, 1/2 7>"
-        assert format_multiset(parse_multiset("[1 10, 1 9, 1 09]")) == "[1 09, 1 9, 1 10]"
+        assert format_value(parse_multiset("[1 00, 1 0]")) == "[1 0, 1 00]"
+        assert format_value(parse_dist("<1/2 007, 1/2 7>")) == "<1/2 007, 1/2 7>"
+        assert format_value(parse_multiset("[1 10, 1 9, 1 09]")) == "[1 09, 1 9, 1 10]"
 
 
 atoms = st.sampled_from(["a", "b", "z0", "0", "00", "7"])
@@ -142,7 +139,7 @@ class TestFormatting:
         assert format_element(Pair("a", "z1")) == "(a,z1)"
 
     def test_predicate_format(self):
-        assert format_predicate(Predicate({"b": F(1, 2), "a": 1})) == "(a:1, b:1/2)"
+        assert format_value(Predicate({"b": F(1, 2), "a": 1})) == "(a:1, b:1/2)"
 
 
 class TestErrors:
@@ -186,7 +183,7 @@ class TestErrors:
 
     def test_nesting_depth_is_bounded(self):
         deepest = "[1 " * 100 + "a" + "]" * 100
-        assert format_multiset(parse_multiset(deepest)) == deepest
+        assert format_value(parse_multiset(deepest)) == deepest
         with pytest.raises(ParseError) as err:
             parse_multiset("[1 " * 101 + "a" + "]" * 101)
         assert err.value.position == 300
@@ -209,6 +206,12 @@ class TestErrors:
             for parse in (parse_value, parse_predicate):
                 with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
                     parse(text)
+
+    def test_duplicate_channel_entry_in_ket_notation(self):
+        for text, key in [("{(a,b): <1 u>, (a,b): <1 v>}", "(a,b)"), ("{a: <1 u>, a: <1 v>}", "a")]:
+            with pytest.raises(ParseError) as err:
+                parse_channel(text)
+            assert str(err.value).startswith(f"duplicate channel entry for {key} (at position ")
 
     def test_positions_reported(self):
         with pytest.raises(ParseError) as err:

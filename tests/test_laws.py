@@ -4,18 +4,14 @@ from fractions import Fraction
 import pytest
 
 import mulprob.channels
-from mulprob import laws
 from mulprob.dist import Dist
-from mulprob.elements import Pair
 from mulprob.errors import DomainError
-from mulprob.laws import LAWS, Law, LawContext, catalogue, render_reports, run_law, run_laws
+from mulprob.laws import LAWS, LawContext, catalogue, render_reports, run_law, run_laws
 from mulprob.multiset import Multiset, enumerate_multisets
 
 F = Fraction
 
 FAST = dict(x_size=2, y_size=2, k_max=2, l_max=2, n_max=3, seed=0, n_random=6)
-
-LAW = {law.name: law for law in LAWS}
 
 
 def test_catalogue_names_are_unique():
@@ -116,14 +112,14 @@ def test_raising_law_fails_alone(monkeypatch):
     assert sum(r.verdict == "expected-fail" for r in reports) == 2
 
 
-def counted_mzip(monkeypatch, fail_after=None):
-    """Wrap ``mzip`` so each computed call is counted by its inputs; past
-    ``fail_after`` calls it raises a library error instead."""
+def counted_mzip(monkeypatch, raises=False):
+    """Wrap ``mzip`` so each computed call is counted by its inputs, or so
+    that it raises a library error instead."""
     real = mulprob.channels.mzip
     calls = Counter()
 
     def counting(phi, psi):
-        if fail_after is not None and sum(calls.values()) == fail_after:
+        if raises:
             raise DomainError("tampered mzip")
         calls[phi, psi] += 1
         return real(phi, psi)
@@ -132,60 +128,45 @@ def counted_mzip(monkeypatch, fail_after=None):
     return calls
 
 
-def test_shared_kernel_computes_each_input_once(monkeypatch):
+ZIPPING_LAWS = {"mzip-natural", "mzip-unit", "mzip-assoc", "mzip-proj", "mzip-diag-counterexample",
+                "mzip-arr", "mzip-dd", "mzip-flrn", "mzip-mn", "mzip-hg", "mzip-pml", "lift-mzip"}
+
+
+def test_sweep_zips_each_input_once(monkeypatch):
+    # The laws bind and map zips over draws, where equal inputs recur; a
+    # sweep computes each of them once.  The empty pair is in every size-0
+    # table, and ``mzip-pml`` zips its own multisets of distributions.
     calls = counted_mzip(monkeypatch)
-    ctx = LawContext(**FAST)
-    # Checked outside ``run_law``, the law zips equal draws many times over.
-    assert LAW["mzip-mn"].check(ctx) == (True, None)
-    unshared = Counter(calls)
-    calls.clear()
-    assert run_law(LAW["mzip-mn"], ctx).verdict == "pass"
-    assert calls.keys() == unshared.keys()
-    assert set(calls.values()) == {1}
-    assert sum(unshared.values()) > 3 * len(unshared)
-    # Nothing is kept from one check to the next: the same check computes
-    # every input again.
-    first = dict(calls)
-    calls.clear()
-    assert run_law(LAW["mzip-mn"], ctx).verdict == "pass"
-    assert calls == first
-    assert laws._kernel_results.get() is None
+    reports = run_laws(**FAST)
+    assert all(r.ok for r in reports), render_reports(reports)
+    empty = (Multiset(), Multiset())
+    assert empty in calls
+    assert {n for pair, n in calls.items() if pair != empty} == {1}
 
 
-def test_raising_law_keeps_no_shared_results(monkeypatch):
-    calls = counted_mzip(monkeypatch, fail_after=5)
-    held = []
-
-    def check(ctx):
-        try:
-            return LAW["mzip-mn"].check(ctx)
-        finally:
-            held.append(dict(laws._kernel_results.get()))
-
-    report = run_law(Law("mzip-mn", "", check), LawContext(**FAST))
-    assert (report.verdict, report.witness) == ("fail", "raised DomainError: tampered mzip")
-    assert len(held[0]) == sum(calls.values()) == 5
-    assert laws._kernel_results.get() is None
-
-
-def test_kernel_outside_a_check_computes_afresh(monkeypatch):
+def test_default_sweep_zip_counts(monkeypatch):
     calls = counted_mzip(monkeypatch)
-    phi, psi = Multiset({"a": 2, "b": 1}), Multiset({"u": 1, "v": 2})
-    first = laws._mzip_pair(Pair(phi, psi))
-    assert laws._mzip_pair(Pair(phi, psi)) == first
-    assert calls == {(phi, psi): 2}
-    assert laws._kernel_results.get() is None
+    real = mulprob.channels.zip_tuples
+    zipped = Counter()
+
+    def counting(xs, ys):
+        zipped[xs, ys] += 1
+        return real(xs, ys)
+
+    monkeypatch.setattr(mulprob.channels, "zip_tuples", counting)
+    assert all(r.ok for r in run_laws())
+    # Each input once, except the empty pair: once for each of the six
+    # size-0 tables and once more by ``mzip-pml``'s own zip.
+    assert (sum(calls.values()), len(calls), calls[Multiset(), Multiset()]) == (835, 829, 7)
+    assert (sum(zipped.values()), len(zipped)) == (85, 85)
 
 
-def test_kernels_never_share_a_result(monkeypatch):
-    monkeypatch.setattr(mulprob.channels, "zip_tuples", lambda xs, ys: ("zip", xs, ys))
-    monkeypatch.setattr(mulprob.channels, "mzip", lambda phi, psi: ("mzip", phi, psi))
-    results = []
-
-    def check(_):
-        p = Pair("a", "b")
-        results.extend([laws._zip_pair(p), laws._mzip_pair(p), laws._zip_pair(p)])
-        return True, None
-
-    run_law(Law("both-kernels", "", check), LawContext(**FAST))
-    assert results == [("zip", "a", "b"), ("mzip", "a", "b"), ("zip", "a", "b")]
+def test_raising_mzip_fails_the_zipping_laws_alone(monkeypatch):
+    counted_mzip(monkeypatch, raises=True)
+    reports = run_laws(**FAST)
+    assert len(reports) == len(LAWS)
+    failed = {r.name: r.witness for r in reports if r.verdict == "fail"}
+    assert set(failed) == ZIPPING_LAWS
+    assert set(failed.values()) == {"raised DomainError: tampered mzip"}
+    assert sum(r.verdict == "expected-fail" for r in reports) == 2
+    assert sum(r.verdict == "pass" for r in reports) == len(LAWS) - 2 - len(ZIPPING_LAWS)

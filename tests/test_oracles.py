@@ -4,7 +4,7 @@ import pytest
 
 from mulprob.channels import multinomial
 from mulprob.dist import Dist, unit
-from mulprob.elements import Space
+from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError
 from mulprob.multiset import Multiset, enumerate_multisets
 from mulprob.oracles import monoid_algebra, msum_channel, mzip_arrangements, pml_def1, pml_def4
@@ -70,3 +70,9 @@ class TestMonoidAlgebra:
     def test_algebra_counts_multiplicities(self):
         d = multinomial(Dist({"a": F(1, 3), "b": F(2, 3)}), 1)
         assert monoid_algebra(Multiset({d: 2})) == monoid_sum(d, d)
+
+    def test_non_distribution_member_in_ket_notation(self):
+        for member, text in [("a", "a"), (Pair("a", "b"), "(a,b)"), (Multiset({"a": 2}), "[2 a]")]:
+            with pytest.raises(DomainError) as err:
+                monoid_algebra(Multiset({member: 1}))
+            assert str(err.value) == f"expected distribution elements, found {text}"
