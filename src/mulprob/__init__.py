@@ -48,7 +48,7 @@ from .channels import (
     ppr,
     zip_tuples,
 )
-from .pml import lifted_map, monoid_sum, pml, pml_def3_check
+from .pml import lifted_map, monoid_sum, pml
 from .ket import (
     format_element,
     format_value,

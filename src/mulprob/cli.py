@@ -189,7 +189,13 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(argv)
         command = _COMMANDS[args.command]
-        out = (command.show or format_value)(command.op(args))
+        result = command.op(args)
+        try:
+            out = (command.show or format_value)(result)
+        except ValueError:  # an int longer than sys.get_int_max_str_digits()
+            raise ResourceLimitError(
+                f"the result has a number of more than {sys.get_int_max_str_digits()} "
+                "digits, the interpreter's limit for printing one") from None
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

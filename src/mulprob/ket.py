@@ -17,6 +17,7 @@ equal values always print identically.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .dist import Channel, Dist, Predicate
@@ -122,7 +123,11 @@ class _Parser:
         tok = self.next()
         if tok[0] != "nat":
             raise ParseError(f"expected a natural number, found {tok[1] or 'end of input'!r}", tok[2])
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than the interpreter's int/str digit limit
+            raise ParseError(f"number of {len(tok[1])} digits, more than the limit of "
+                             f"{sys.get_int_max_str_digits()}", tok[2]) from None
 
     def rational(self) -> Fraction:
         negative = False

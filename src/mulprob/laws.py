@@ -45,11 +45,10 @@ from .dist import (
     update,
     validity,
 )
-from .elements import Pair, Space
+from .elements import Pair, Space, _show
 from .errors import DomainError, MulprobError
-from .ket import format_value
 from .multiset import Multiset, accumulate, enumerate_multisets
-from .pml import lifted_map, monoid_sum, pml, pml_def3_check
+from .pml import lifted_map, monoid_sum, pml
 
 Verdict = str  # "pass" | "fail" | "expected-fail"
 
@@ -66,26 +65,21 @@ class LawReport:
         return self.verdict != "fail"
 
 
+_Case = tuple[Iterable, Callable, Callable]
+
+
 @dataclass(frozen=True)
 class Law:
     name: str
     summary: str
     check: Callable[["LawContext"], tuple[bool, str | None]]
     expect_fail: bool = False
-
-
-def _fmt(value) -> str:
-    try:
-        return format_value(value)
-    except TypeError:
-        return repr(value)
+    # A pointwise law's ``(domain, lhs, rhs)`` cases at every size in turn.
+    cases: Callable[["LawContext"], Iterator[_Case]] | None = None
 
 
 def _witness(x, lhs, rhs) -> str:
-    return f"input={_fmt(x)}; lhs={_fmt(lhs)}; rhs={_fmt(rhs)}"
-
-
-_Case = tuple[Iterable, Callable, Callable]
+    return f"input={_show(x)}; lhs={_show(lhs)}; rhs={_show(rhs)}"
 
 
 def _pointwise(cases: Callable[["LawContext"], Iterator[_Case]]) -> Callable:
@@ -323,212 +317,205 @@ def _multiset_pairs(k: int, left: Space, right: Space) -> Iterator[Pair]:
 # -- the catalogue -------------------------------------------------------------
 #
 # ``@law`` adds each check to the catalogue in the order it is defined.  A
-# check that is a generator yields ``(domain, lhs, rhs)`` cases for
-# ``_pointwise``; each case is checked before the generator resumes, so the
-# legs may close over the loop variables.  The other checks return
-# ``(held, witness)`` themselves.
+# law stated for every size names its sweep in ``sizes``, a key of
+# ``_SIZES``.  A check that is a generator ``(ctx, *sizes)`` yields its
+# ``(domain, lhs, rhs)`` cases at one tuple of sizes; the law calls it at
+# every tuple of the sweep in turn.  ``_pointwise`` checks each case before
+# the generator resumes, so the legs may close over its loop variables,
+# such as a channel from a pool.  Sizes the table does not name, and caps
+# below a bound, stay in the check.  The other checks take the context
+# alone and return ``(held, witness)`` themselves.
+
+# The named sweeps, each listing its size tuples in the order the checks
+# visit them.  ``k`` and ``l`` are draw sizes, ``n`` is an urn size.
+_SIZES: dict[str, Callable[[LawContext], Iterable[tuple[int, ...]]]] = {
+    "": lambda ctx: [()],
+    "k": lambda ctx: [(k,) for k in range(ctx.k_max + 1)],
+    "k>0": lambda ctx: [(k,) for k in range(1, ctx.k_max + 1)],
+    "k,l": lambda ctx: itertools.product(range(ctx.k_max + 1), range(ctx.l_max + 1)),
+    "n": lambda ctx: [(n,) for n in range(ctx.n_max + 1)],
+    "n,k<=n": lambda ctx: [(n, k) for n in range(ctx.n_max + 1) for k in range(n + 1)],
+}
 
 _registered: list[Law] = []
 
 
-def law(name: str, summary: str, expect_fail: bool = False) -> Callable:
-    """Register the decorated check as the law ``name``."""
+def law(name: str, summary: str, sizes: str = "", expect_fail: bool = False) -> Callable:
+    """Register the decorated check as the law ``name``, swept over ``sizes``."""
+    sweep = _SIZES[sizes]
+
     def register(check: Callable) -> Callable:
-        run = _pointwise(check) if inspect.isgeneratorfunction(check) else check
-        _registered.append(Law(name, summary, run, expect_fail))
+        if not inspect.isgeneratorfunction(check):
+            _registered.append(Law(name, summary, check, expect_fail))
+            return check
+
+        def cases(ctx: LawContext) -> Iterator[_Case]:
+            for size in sweep(ctx):
+                yield from check(ctx, *size)
+
+        _registered.append(Law(name, summary, _pointwise(cases), expect_fail, cases))
         return check
 
     return register
 
 
-@law("acc-arr-id", "collapsing the arrangements of a multiset returns it")
-def _law_acc_arr_id(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield enumerate_multisets(ctx.X, k), lambda phi: _acc_dist(ch.arrange(phi)), unit
+@law("acc-arr-id", "collapsing the arrangements of a multiset returns it", sizes="k")
+def _law_acc_arr_id(ctx: LawContext, k: int):
+    yield enumerate_multisets(ctx.X, k), lambda phi: _acc_dist(ch.arrange(phi)), unit
 
 
-@law("arr-acc-perm", "arranging a collapsed sequence is the uniform permutation mix")
-def _law_arr_acc_perm(ctx: LawContext):
-    def oracle(xs: tuple) -> Dist:
-        perms = list(itertools.permutations(xs))
-        w = Fraction(1, len(perms))
-        acc: dict[tuple, Fraction] = {}
-        for p in perms:
-            acc[p] = acc.get(p, Fraction(0)) + w
-        return Dist(acc)
-
-    for k in range(ctx.k_max + 1):
-        yield ctx.X.power(k), lambda xs: ch.arrange(accumulate(xs)), oracle
+@law("arr-acc-perm", "arranging a collapsed sequence is the uniform permutation mix", sizes="k")
+def _law_arr_acc_perm(ctx: LawContext, k: int):
+    yield ctx.X.power(k), lambda xs: ch.arrange(accumulate(xs)), oracles.permutation_mix
 
 
-@law("arr-acc-tensor", "the permutation mix commutes with the big tensor")
-def _law_arr_acc_tensor(ctx: LawContext):
-    corners = ctx.corner_dists(ctx.X)
-    for k in range(ctx.k_max + 1):
-        yield (itertools.product(corners, repeat=k),
-               lambda ws: bind(ch.arrange(accumulate(ws)), lambda vs: big_tensor(list(vs))),
-               lambda ws: bind(big_tensor(list(ws)), lambda xs: ch.arrange(accumulate(xs))))
+@law("arr-acc-tensor", "the permutation mix commutes with the big tensor", sizes="k")
+def _law_arr_acc_tensor(ctx: LawContext, k: int):
+    yield (itertools.product(ctx.corner_dists(ctx.X), repeat=k),
+           lambda ws: bind(ch.arrange(accumulate(ws)), lambda vs: big_tensor(list(vs))),
+           lambda ws: bind(big_tensor(list(ws)), lambda xs: ch.arrange(accumulate(xs))))
 
 
-@law("arr-mn-iid", "arranging multinomial draws gives independent copies")
-def _law_arr_mn_iid(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), ch.arrange),
-               lambda omega: iid(omega, k))
+@law("arr-mn-iid", "arranging multinomial draws gives independent copies", sizes="k")
+def _law_arr_mn_iid(ctx: LawContext, k: int):
+    yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), ch.arrange),
+           lambda omega: iid(omega, k))
 
 
-@law("acc-iid-mn", "collapsing independent copies gives multinomial draws")
-def _law_acc_iid_mn(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (ctx.dist_pool(ctx.X), lambda omega: _acc_dist(iid(omega, k)),
-               lambda omega: ch.multinomial(omega, k))
+@law("acc-iid-mn", "collapsing independent copies gives multinomial draws", sizes="k")
+def _law_acc_iid_mn(ctx: LawContext, k: int):
+    yield (ctx.dist_pool(ctx.X), lambda omega: _acc_dist(iid(omega, k)),
+           lambda omega: ch.multinomial(omega, k))
 
 
-@law("mn-combine", "draws of combined sizes are sums of independent draws")
-def _law_mn_combine(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        for l in range(ctx.l_max + 1):
-            yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(omega, k + l),
-                   lambda omega: monoid_sum(ch.multinomial(omega, k), ch.multinomial(omega, l)))
+@law("mn-combine", "draws of combined sizes are sums of independent draws", sizes="k,l")
+def _law_mn_combine(ctx: LawContext, k: int, l: int):
+    yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(omega, k + l),
+           lambda omega: monoid_sum(ch.multinomial(omega, k), ch.multinomial(omega, l)))
 
 
-@law("flrn-mn", "learning from draws with replacement recovers the urn")
-def _law_flrn_mn(ctx: LawContext):
-    for k in range(1, ctx.k_max + 1):
-        yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), flrn),
-               lambda omega: omega)
+@law("flrn-mn", "learning from draws with replacement recovers the urn", sizes="k>0")
+def _law_flrn_mn(ctx: LawContext, k: int):
+    yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k), flrn),
+           lambda omega: omega)
 
 
-@law("dd-mn", "deleting one element from a draw shrinks the draw size")
-def _law_dd_mn(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (ctx.dist_pool(ctx.X),
-               lambda omega: bind(ch.multinomial(omega, k + 1), ch.draw_delete),
-               lambda omega: ch.multinomial(omega, k))
+@law("dd-mn", "deleting one element from a draw shrinks the draw size", sizes="k")
+def _law_dd_mn(ctx: LawContext, k: int):
+    yield (ctx.dist_pool(ctx.X),
+           lambda omega: bind(ch.multinomial(omega, k + 1), ch.draw_delete),
+           lambda omega: ch.multinomial(omega, k))
 
 
-@law("flrn-dd", "learning is unchanged by deleting one random element")
-def _law_flrn_dd(ctx: LawContext):
-    for k in range(1, ctx.k_max + 1):
-        yield (enumerate_multisets(ctx.X, k + 1), lambda psi: bind(ch.draw_delete(psi), flrn),
-               flrn)
+@law("flrn-dd", "learning is unchanged by deleting one random element", sizes="k>0")
+def _law_flrn_dd(ctx: LawContext, k: int):
+    yield (enumerate_multisets(ctx.X, k + 1), lambda psi: bind(ch.draw_delete(psi), flrn),
+           flrn)
 
 
-@law("hg-dd-iter", "draws without replacement are iterated single deletions")
-def _law_hg_dd_iter(ctx: LawContext):
-    for n in range(ctx.n_max + 1):
-        for k in range(n + 1):
-            yield (enumerate_multisets(ctx.X, n), lambda psi: ch.hypergeometric(psi, k),
-                   lambda psi: _iter_dd(unit(psi), n - k))
+@law("hg-dd-iter", "draws without replacement are iterated single deletions", sizes="n,k<=n")
+def _law_hg_dd_iter(ctx: LawContext, n: int, k: int):
+    yield (enumerate_multisets(ctx.X, n), lambda psi: ch.hypergeometric(psi, k),
+           lambda psi: _iter_dd(unit(psi), n - k))
 
 
-@law("hg-natural", "relabeling the urn commutes with draws without replacement")
-def _law_hg_natural(ctx: LawContext):
+@law("hg-natural", "relabeling the urn commutes with draws without replacement", sizes="n,k<=n")
+def _law_hg_natural(ctx: LawContext, n: int, k: int):
     for f in ctx.function_pool(ctx.X, ctx.Y):
-        for n in range(ctx.n_max + 1):
-            for k in range(n + 1):
-                yield (enumerate_multisets(ctx.X, n),
-                       lambda psi: ch.hypergeometric(psi.map_elements(f.__getitem__), k),
-                       lambda psi: ch.hypergeometric(psi, k).map(
-                           lambda phi: phi.map_elements(f.__getitem__)))
+        yield (enumerate_multisets(ctx.X, n),
+               lambda psi: ch.hypergeometric(psi.map_elements(f.__getitem__), k),
+               lambda psi: ch.hypergeometric(psi, k).map(
+                   lambda phi: phi.map_elements(f.__getitem__)))
 
 
-@law("flrn-hg", "learning from draws without replacement recovers the urn")
-def _law_flrn_hg(ctx: LawContext):
-    for n in range(1, ctx.n_max + 1):
-        for k in range(1, n + 1):
+@law("flrn-hg", "learning from draws without replacement recovers the urn", sizes="n,k<=n")
+def _law_flrn_hg(ctx: LawContext, n: int, k: int):
+    if k > 0:
+        yield (enumerate_multisets(ctx.X, n),
+               lambda psi: bind(ch.hypergeometric(psi, k), flrn), flrn)
+
+
+@law("hg-hg", "two-stage subsampling equals one-stage subsampling", sizes="n")
+def _law_hg_hg(ctx: LawContext, n: int):
+    for m in range(n + 1):
+        for k in range(m + 1):
             yield (enumerate_multisets(ctx.X, n),
-                   lambda psi: bind(ch.hypergeometric(psi, k), flrn), flrn)
+                   lambda psi: bind(ch.hypergeometric(psi, m),
+                                    lambda phi: ch.hypergeometric(phi, k)),
+                   lambda psi: ch.hypergeometric(psi, k))
 
 
-@law("hg-hg", "two-stage subsampling equals one-stage subsampling")
-def _law_hg_hg(ctx: LawContext):
-    for n in range(ctx.n_max + 1):
-        for m in range(n + 1):
-            for k in range(m + 1):
-                yield (enumerate_multisets(ctx.X, n),
-                       lambda psi: bind(ch.hypergeometric(psi, m),
-                                        lambda phi: ch.hypergeometric(phi, k)),
-                       lambda psi: ch.hypergeometric(psi, k))
+@law("hg-mn", "subsampling a replacement draw is a smaller replacement draw", sizes="k,l")
+def _law_hg_mn(ctx: LawContext, k: int, l: int):
+    yield (ctx.dist_pool(ctx.X),
+           lambda omega: bind(ch.multinomial(omega, k + l),
+                              lambda psi: ch.hypergeometric(psi, k)),
+           lambda omega: ch.multinomial(omega, k))
 
 
-@law("hg-mn", "subsampling a replacement draw is a smaller replacement draw")
-def _law_hg_mn(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        for l in range(ctx.l_max + 1):
-            yield (ctx.dist_pool(ctx.X),
-                   lambda omega: bind(ch.multinomial(omega, k + l),
-                                      lambda psi: ch.hypergeometric(psi, k)),
-                   lambda omega: ch.multinomial(omega, k))
+@law("zip-iid", "zipping independent copies matches copies of the product", sizes="k")
+def _law_zip_iid(ctx: LawContext, k: int):
+    zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
+    yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
+           lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(zipped),
+           lambda p: iid(dtensor(p.fst, p.snd), k))
 
 
-@law("zip-iid", "zipping independent copies matches copies of the product")
-def _law_zip_iid(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-        yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
-               lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(zipped),
-               lambda p: iid(dtensor(p.fst, p.snd), k))
-
-
-@law("zip-bigtensor", "zipping commutes with big tensors of distributions")
-def _law_zip_bigtensor(ctx: LawContext):
+@law("zip-bigtensor", "zipping commutes with big tensors of distributions", sizes="k")
+def _law_zip_bigtensor(ctx: LawContext, k: int):
     cx = ctx.corner_dists(ctx.X)
     cy = ctx.corner_dists(ctx.Y)
-    for k in range(ctx.k_max + 1):
-        zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-        yield (_pairs(itertools.product(cx, repeat=k), itertools.product(cy, repeat=k)),
-               lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(zipped),
-               lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
+    zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
+    yield (_pairs(itertools.product(cx, repeat=k), itertools.product(cy, repeat=k)),
+           lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(zipped),
+           lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
 
 
-@law("mzip-natural", "relabeling both sides commutes with multiset zipping")
-def _law_mzip_natural(ctx: LawContext):
+@law("mzip-natural", "relabeling both sides commutes with multiset zipping", sizes="k")
+def _law_mzip_natural(ctx: LawContext, k: int):
+    yx, xy = ctx.mzip_table(k, ctx.Y, ctx.X), ctx.mzip_table(k, ctx.X, ctx.Y)
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for g in ctx.function_pool(ctx.Y, ctx.X):
-            for k in range(ctx.k_max + 1):
-                yx, xy = ctx.mzip_table(k, ctx.Y, ctx.X), ctx.mzip_table(k, ctx.X, ctx.Y)
-                yield (_multiset_pairs(k, ctx.X, ctx.Y),
-                       lambda p: yx[p.fst.map_elements(f.__getitem__),
-                                    p.snd.map_elements(g.__getitem__)],
-                       lambda p: xy[p.fst, p.snd].map(lambda theta: theta.map_elements(
-                           lambda q: Pair(f[q.fst], g[q.snd]))))
+            yield (_multiset_pairs(k, ctx.X, ctx.Y),
+                   lambda p: yx[p.fst.map_elements(f.__getitem__),
+                                p.snd.map_elements(g.__getitem__)],
+                   lambda p: xy[p.fst, p.snd].map(lambda theta: theta.map_elements(
+                       lambda q: Pair(f[q.fst], g[q.snd]))))
 
 
-@law("mzip-unit", "zipping against a constant multiset is deterministic")
-def _law_mzip_unit(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
-        yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
-               lambda p: xy[p.fst, Multiset({p.snd: k})],
-               lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
+@law("mzip-unit", "zipping against a constant multiset is deterministic", sizes="k")
+def _law_mzip_unit(ctx: LawContext, k: int):
+    xy = ctx.mzip_table(k, ctx.X, ctx.Y)
+    yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
+           lambda p: xy[p.fst, Multiset({p.snd: k})],
+           lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
 
 
-@law("mzip-assoc", "multiset zipping is associative up to rebracketing")
-def _law_mzip_assoc(ctx: LawContext):
+@law("mzip-assoc", "multiset zipping is associative up to rebracketing", sizes="k")
+def _law_mzip_assoc(ctx: LawContext, k: int):
     def reassoc(theta: Multiset) -> Multiset:
         return theta.map_elements(lambda p: Pair(p.fst.fst, Pair(p.fst.snd, p.snd)))
 
-    for k in range(min(ctx.k_max, 3) + 1):
-        xy, yz = ctx.mzip_table(k, ctx.X, ctx.Y), ctx.mzip_table(k, ctx.Y, ctx.Z)
-        xy_z = ctx.mzip_table(k, ctx.X.product(ctx.Y), ctx.Z)
-        x_yz = ctx.mzip_table(k, ctx.X, ctx.Y.product(ctx.Z))
-        yield (itertools.product(*(enumerate_multisets(s, k) for s in (ctx.X, ctx.Y, ctx.Z))),
-               lambda t: bind(xy[t[0], t[1]], lambda th: xy_z[th, t[2]]).map(reassoc),
-               lambda t: bind(yz[t[1], t[2]], lambda th: x_yz[t[0], th]))
+    if k > 3:
+        return
+    xy, yz = ctx.mzip_table(k, ctx.X, ctx.Y), ctx.mzip_table(k, ctx.Y, ctx.Z)
+    xy_z = ctx.mzip_table(k, ctx.X.product(ctx.Y), ctx.Z)
+    x_yz = ctx.mzip_table(k, ctx.X, ctx.Y.product(ctx.Z))
+    yield (itertools.product(*(enumerate_multisets(s, k) for s in (ctx.X, ctx.Y, ctx.Z))),
+           lambda t: bind(xy[t[0], t[1]], lambda th: xy_z[th, t[2]]).map(reassoc),
+           lambda t: bind(yz[t[1], t[2]], lambda th: x_yz[t[0], th]))
 
 
-@law("mzip-proj", "projecting a zipped multiset returns either input")
-def _law_mzip_proj(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
-        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
-        yield (pairs,
-               lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.fst)),
-               lambda p: unit(p.fst))
-        yield (pairs,
-               lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.snd)),
-               lambda p: unit(p.snd))
+@law("mzip-proj", "projecting a zipped multiset returns either input", sizes="k")
+def _law_mzip_proj(ctx: LawContext, k: int):
+    pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
+    xy = ctx.mzip_table(k, ctx.X, ctx.Y)
+    yield (pairs,
+           lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.fst)),
+           lambda p: unit(p.fst))
+    yield (pairs,
+           lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.snd)),
+           lambda p: unit(p.snd))
 
 
 @law("mzip-diag-counterexample", "zipping a multiset with itself is not duplication")
@@ -544,53 +531,47 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
     return False, "no counterexample found: duplication commuted on every size-2 multiset"
 
 
-@law("mzip-arr", "arranging a zipped multiset zips the arrangements")
-def _law_mzip_arr(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        xy, zipped = ctx.mzip_table(k, ctx.X, ctx.Y), _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-        yield (_multiset_pairs(k, ctx.X, ctx.Y),
-               lambda p: bind(xy[p.fst, p.snd], ch.arrange),
-               lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(zipped))
+@law("mzip-arr", "arranging a zipped multiset zips the arrangements", sizes="k")
+def _law_mzip_arr(ctx: LawContext, k: int):
+    xy, zipped = ctx.mzip_table(k, ctx.X, ctx.Y), _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
+    yield (_multiset_pairs(k, ctx.X, ctx.Y),
+           lambda p: bind(xy[p.fst, p.snd], ch.arrange),
+           lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(zipped))
 
 
-@law("mzip-dd", "deleting one element on both sides commutes with zipping")
-def _law_mzip_dd(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-        big = ctx.mzip_table(k + 1, ctx.X, ctx.Y)
-        yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
-               lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), small),
-               lambda p: bind(big[p.fst, p.snd], ch.draw_delete))
+@law("mzip-dd", "deleting one element on both sides commutes with zipping", sizes="k")
+def _law_mzip_dd(ctx: LawContext, k: int):
+    small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    big = ctx.mzip_table(k + 1, ctx.X, ctx.Y)
+    yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
+           lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), small),
+           lambda p: bind(big[p.fst, p.snd], ch.draw_delete))
 
 
-@law("mzip-flrn", "learning from a zipped multiset learns the tensor")
-def _law_mzip_flrn(ctx: LawContext):
-    for k in range(1, ctx.k_max + 1):
-        xy = ctx.mzip_table(k, ctx.X, ctx.Y)
-        yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(xy[p.fst, p.snd], flrn),
-               lambda p: flrn(p.fst.tensor(p.snd)))
+@law("mzip-flrn", "learning from a zipped multiset learns the tensor", sizes="k>0")
+def _law_mzip_flrn(ctx: LawContext, k: int):
+    xy = ctx.mzip_table(k, ctx.X, ctx.Y)
+    yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(xy[p.fst, p.snd], flrn),
+           lambda p: flrn(p.fst.tensor(p.snd)))
 
 
-@law("mzip-mn", "zipped replacement draws are draws from the product")
-def _law_mzip_mn(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-        yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
-               lambda p: bind(dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)),
-                              zipped),
-               lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
+@law("mzip-mn", "zipped replacement draws are draws from the product", sizes="k")
+def _law_mzip_mn(ctx: LawContext, k: int):
+    zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
+           lambda p: bind(dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)),
+                          zipped),
+           lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
 
 
-@law("mzip-hg", "zipping commutes with draws without replacement")
-def _law_mzip_hg(ctx: LawContext):
-    for n in range(ctx.n_max + 1):
-        big = ctx.mzip_table(n, ctx.X, ctx.Y)
-        for k in range(n + 1):
-            small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-            yield (_multiset_pairs(n, ctx.X, ctx.Y),
-                   lambda p: bind(big[p.fst, p.snd], lambda th: ch.hypergeometric(th, k)),
-                   lambda p: bind(dtensor(ch.hypergeometric(p.fst, k),
-                                          ch.hypergeometric(p.snd, k)), small))
+@law("mzip-hg", "zipping commutes with draws without replacement", sizes="n,k<=n")
+def _law_mzip_hg(ctx: LawContext, n: int, k: int):
+    big = ctx.mzip_table(n, ctx.X, ctx.Y)
+    small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    yield (_multiset_pairs(n, ctx.X, ctx.Y),
+           lambda p: bind(big[p.fst, p.snd], lambda th: ch.hypergeometric(th, k)),
+           lambda p: bind(dtensor(ch.hypergeometric(p.fst, k),
+                                  ch.hypergeometric(p.snd, k)), small))
 
 
 @law("mn-tensor-mismatch", "tensoring draws of different sizes is NOT a product draw",
@@ -615,177 +596,156 @@ def _law_pml_defs_agree(ctx: LawContext):
             baseline = results["parallel-draws"]
             for tag, got in results.items():
                 if got != baseline:
-                    return False, f"input={_fmt(psi)}; {tag} disagreed: {_fmt(got)} vs {_fmt(baseline)}"
+                    return False, f"input={_show(psi)}; {tag} disagreed: {_show(got)} vs {_show(baseline)}"
             expanded = [w for w, n in psi.entries for _ in range(n)]
-            if not pml_def3_check(expanded):
-                return False, f"input={_fmt(psi)}; triangle characterization failed"
+            if not oracles.pml_def3_check(expanded):
+                return False, f"input={_show(psi)}; triangle characterization failed"
     return True, None
 
 
-@law("pml-squeeze-left", "the law collapses tuples of distributions as tensors do")
-def _law_pml_squeeze_left(ctx: LawContext):
-    corners = ctx.corner_dists(ctx.X)
-    for k in range(ctx.k_max + 1):
-        yield (itertools.product(corners, repeat=k), lambda ws: pml(accumulate(ws)),
-               lambda ws: _acc_dist(big_tensor(list(ws))))
+@law("pml-squeeze-left", "the law collapses tuples of distributions as tensors do", sizes="k")
+def _law_pml_squeeze_left(ctx: LawContext, k: int):
+    yield (itertools.product(ctx.corner_dists(ctx.X), repeat=k),
+           lambda ws: pml(accumulate(ws)), lambda ws: _acc_dist(big_tensor(list(ws))))
 
 
-@law("pml-squeeze-right", "arranging the law's output tensors the arrangements")
-def _law_pml_squeeze_right(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), ch.arrange),
-               lambda psi: bind(ch.arrange(psi), lambda ws: big_tensor(list(ws))))
+@law("pml-squeeze-right", "arranging the law's output tensors the arrangements", sizes="k")
+def _law_pml_squeeze_right(ctx: LawContext, k: int):
+    yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), ch.arrange),
+           lambda psi: bind(ch.arrange(psi), lambda ws: big_tensor(list(ws))))
 
 
-@law("pml-flrn", "learning from the law averages the member distributions")
-def _law_pml_flrn(ctx: LawContext):
-    for k in range(1, ctx.k_max + 1):
-        yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), flrn),
-               lambda psi: flatten(flrn(psi)))
+@law("pml-flrn", "learning from the law averages the member distributions", sizes="k>0")
+def _law_pml_flrn(ctx: LawContext, k: int):
+    yield (ctx.psi_pool(ctx.X, k), lambda psi: bind(pml(psi), flrn),
+           lambda psi: flatten(flrn(psi)))
 
 
-@law("pml-dd", "single deletion commutes with the parallel draw law")
-def _law_pml_dd(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield (ctx.psi_pool(ctx.X, k + 1), lambda psi: bind(pml(psi), ch.draw_delete),
-               lambda psi: bind(ch.draw_delete(psi), pml))
+@law("pml-dd", "single deletion commutes with the parallel draw law", sizes="k")
+def _law_pml_dd(ctx: LawContext, k: int):
+    yield (ctx.psi_pool(ctx.X, k + 1), lambda psi: bind(pml(psi), ch.draw_delete),
+           lambda psi: bind(ch.draw_delete(psi), pml))
 
 
-@law("pml-hg", "draws without replacement commute with the law")
-def _law_pml_hg(ctx: LawContext):
-    for n in range(ctx.n_max + 1):
-        for k in range(n + 1):
-            yield (ctx.psi_pool(ctx.X, n),
-                   lambda psi: bind(pml(psi), lambda phi: ch.hypergeometric(phi, k)),
-                   lambda psi: bind(ch.hypergeometric(psi, k), pml))
+@law("pml-hg", "draws without replacement commute with the law", sizes="n,k<=n")
+def _law_pml_hg(ctx: LawContext, n: int, k: int):
+    yield (ctx.psi_pool(ctx.X, n),
+           lambda psi: bind(pml(psi), lambda phi: ch.hypergeometric(phi, k)),
+           lambda psi: bind(ch.hypergeometric(psi, k), pml))
 
 
-@law("pml-sum", "the law turns multiset sums into independent sums")
-def _law_pml_sum(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        for l in range(ctx.l_max + 1):
-            yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)),
-                   lambda p: pml(p.fst + p.snd),
-                   lambda p: monoid_sum(pml(p.fst), pml(p.snd)))
+@law("pml-sum", "the law turns multiset sums into independent sums", sizes="k,l")
+def _law_pml_sum(ctx: LawContext, k: int, l: int):
+    yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)),
+           lambda p: pml(p.fst + p.snd),
+           lambda p: monoid_sum(pml(p.fst), pml(p.snd)))
 
 
-@law("pml-unit", "a multiset of point masses maps to a point mass")
-def _law_pml_unit(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield enumerate_multisets(ctx.X, k), lambda phi: pml(phi.map_elements(unit)), unit
+@law("pml-unit", "a multiset of point masses maps to a point mass", sizes="k")
+def _law_pml_unit(ctx: LawContext, k: int):
+    yield enumerate_multisets(ctx.X, k), lambda phi: pml(phi.map_elements(unit)), unit
 
 
-@law("pml-mult", "flattening inner distributions commutes with the law")
-def _law_pml_mult(ctx: LawContext):
-    for size in range(min(ctx.k_max, 3) + 1):
-        yield (ctx.nested_pool(ctx.X, size), lambda xi: pml(xi.map_elements(flatten)),
-               lambda xi: flatten(pml(xi).map(pml)))
+@law("pml-mult", "flattening inner distributions commutes with the law", sizes="k")
+def _law_pml_mult(ctx: LawContext, k: int):
+    if k > 3:
+        return
+    yield (ctx.nested_pool(ctx.X, k), lambda xi: pml(xi.map_elements(flatten)),
+           lambda xi: flatten(pml(xi).map(pml)))
 
 
-@law("lift-id", "lifting the identity channel is the identity")
-def _law_lift_id(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        yield enumerate_multisets(ctx.X, k), lifted_map(Channel.identity(ctx.X), k), unit
+@law("lift-id", "lifting the identity channel is the identity", sizes="k")
+def _law_lift_id(ctx: LawContext, k: int):
+    yield enumerate_multisets(ctx.X, k), lifted_map(Channel.identity(ctx.X), k), unit
 
 
-@law("lift-compose", "lifting preserves channel composition")
-def _law_lift_compose(ctx: LawContext):
+@law("lift-compose", "lifting preserves channel composition", sizes="k")
+def _law_lift_compose(ctx: LawContext, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "lift-f"):
         for g in ctx.channel_pool(ctx.Y, ctx.Z, "lift-g"):
-            for k in range(ctx.k_max + 1):
-                lf = lifted_map(f, k)
-                lg = lifted_map(g, k)
-                yield (enumerate_multisets(ctx.X, k), lifted_map(compose(g, f), k),
-                       lambda phi: push(lg, lf(phi)))
+            lf = lifted_map(f, k)
+            lg = lifted_map(g, k)
+            yield (enumerate_multisets(ctx.X, k), lifted_map(compose(g, f), k),
+                   lambda phi: push(lg, lf(phi)))
 
 
-@law("mzip-pml", "the lifted tensor intertwines the law and zipping")
-def _law_mzip_pml(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-        yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
-               lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), zipped),
-               lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
-                   theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
+@law("mzip-pml", "the lifted tensor intertwines the law and zipping", sizes="k")
+def _law_mzip_pml(ctx: LawContext, k: int):
+    zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
+           lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), zipped),
+           lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
+               theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
 
 
-@law("lift-mzip", "lifted channels form a monoidal pair with zipping")
-def _law_lift_mzip(ctx: LawContext):
+@law("lift-mzip", "lifted channels form a monoidal pair with zipping", sizes="k")
+def _law_lift_mzip(ctx: LawContext, k: int):
+    yx = _by_pair(ctx.mzip_table(k, ctx.Y, ctx.X))
+    xz = ctx.mzip_table(k, ctx.X, ctx.Z)
     for f in ctx.channel_pool(ctx.X, ctx.Y, "monoidal-f")[:3]:
         for g in ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]:
-            for k in range(ctx.k_max + 1):
-                lf = lifted_map(f, k)
-                lg = lifted_map(g, k)
-                lfg = lifted_map(ctensor(f, g), k)
-                yx = _by_pair(ctx.mzip_table(k, ctx.Y, ctx.X))
-                xz = ctx.mzip_table(k, ctx.X, ctx.Z)
-                yield (_multiset_pairs(k, ctx.X, ctx.Z),
-                       lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
-                       lambda p: bind(xz[p.fst, p.snd], lfg))
+            lf = lifted_map(f, k)
+            lg = lifted_map(g, k)
+            lfg = lifted_map(ctensor(f, g), k)
+            yield (_multiset_pairs(k, ctx.X, ctx.Z),
+                   lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
+                   lambda p: bind(xz[p.fst, p.snd], lfg))
 
 
-@law("lift-sum", "lifted channels commute with multiset sums")
-def _law_lift_sum(ctx: LawContext):
+@law("lift-sum", "lifted channels commute with multiset sums", sizes="k,l")
+def _law_lift_sum(ctx: LawContext, k: int, l: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "sum-f")[:3]:
-        for k in range(ctx.k_max + 1):
-            for l in range(ctx.l_max + 1):
-                lk = lifted_map(f, k)
-                ll = lifted_map(f, l)
-                lkl = lifted_map(f, k + l)
-                yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
-                       lambda p: lkl(p.fst + p.snd),
-                       lambda p: monoid_sum(lk(p.fst), ll(p.snd)))
+        lk = lifted_map(f, k)
+        ll = lifted_map(f, l)
+        lkl = lifted_map(f, k + l)
+        yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
+               lambda p: lkl(p.fst + p.snd),
+               lambda p: monoid_sum(lk(p.fst), ll(p.snd)))
 
 
-@law("arr-chan-natural", "arrangement is natural for lifted channels")
-def _law_arr_chan_natural(ctx: LawContext):
+@law("arr-chan-natural", "arrangement is natural for lifted channels", sizes="k")
+def _law_arr_chan_natural(ctx: LawContext, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
-        for k in range(ctx.k_max + 1):
-            lf = lifted_map(f, k)
-            yield (enumerate_multisets(ctx.X, k),
-                   lambda phi: bind(ch.arrange(phi), _power_channel(f)),
-                   lambda phi: bind(lf(phi), ch.arrange))
+        lf = lifted_map(f, k)
+        yield (enumerate_multisets(ctx.X, k),
+               lambda phi: bind(ch.arrange(phi), _power_channel(f)),
+               lambda phi: bind(lf(phi), ch.arrange))
 
 
-@law("acc-chan-natural", "accumulation is natural for lifted channels")
-def _law_acc_chan_natural(ctx: LawContext):
+@law("acc-chan-natural", "accumulation is natural for lifted channels", sizes="k")
+def _law_acc_chan_natural(ctx: LawContext, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
-        for k in range(ctx.k_max + 1):
-            lf = lifted_map(f, k)
-            yield (ctx.X.power(k), lambda xs: lf(accumulate(xs)),
-                   lambda xs: _acc_dist(_power_channel(f)(xs)))
+        lf = lifted_map(f, k)
+        yield (ctx.X.power(k), lambda xs: lf(accumulate(xs)),
+               lambda xs: _acc_dist(_power_channel(f)(xs)))
 
 
-@law("dd-chan-natural", "single deletion is natural for lifted channels")
-def _law_dd_chan_natural(ctx: LawContext):
+@law("dd-chan-natural", "single deletion is natural for lifted channels", sizes="k")
+def _law_dd_chan_natural(ctx: LawContext, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
-        for k in range(ctx.k_max + 1):
-            lifted_big = lifted_map(f, k + 1)
-            lifted_small = lifted_map(f, k)
-            yield (enumerate_multisets(ctx.X, k + 1),
-                   lambda phi: bind(lifted_big(phi), ch.draw_delete),
-                   lambda phi: bind(ch.draw_delete(phi), lifted_small))
+        lifted_big = lifted_map(f, k + 1)
+        lifted_small = lifted_map(f, k)
+        yield (enumerate_multisets(ctx.X, k + 1),
+               lambda phi: bind(lifted_big(phi), ch.draw_delete),
+               lambda phi: bind(ch.draw_delete(phi), lifted_small))
 
 
-@law("mn-chan-natural", "replacement draws are natural for lifted channels")
-def _law_mn_chan_natural(ctx: LawContext):
+@law("mn-chan-natural", "replacement draws are natural for lifted channels", sizes="k")
+def _law_mn_chan_natural(ctx: LawContext, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
-        for k in range(ctx.k_max + 1):
-            lf = lifted_map(f, k)
-            yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(push(f, omega), k),
-                   lambda omega: bind(ch.multinomial(omega, k), lf))
+        lf = lifted_map(f, k)
+        yield (ctx.dist_pool(ctx.X), lambda omega: ch.multinomial(push(f, omega), k),
+               lambda omega: bind(ch.multinomial(omega, k), lf))
 
 
-@law("hg-chan-natural", "no-replacement draws are natural for lifted channels")
-def _law_hg_chan_natural(ctx: LawContext):
+@law("hg-chan-natural", "no-replacement draws are natural for lifted channels", sizes="n,k<=n")
+def _law_hg_chan_natural(ctx: LawContext, n: int, k: int):
     for f in ctx.channel_pool(ctx.X, ctx.Y, "natural")[:3]:
-        for l in range(ctx.n_max + 1):
-            lifted_big = lifted_map(f, l)
-            for k in range(l + 1):
-                lifted_small = lifted_map(f, k)
-                yield (enumerate_multisets(ctx.X, l),
-                       lambda phi: bind(lifted_big(phi), lambda psi: ch.hypergeometric(psi, k)),
-                       lambda phi: bind(ch.hypergeometric(phi, k), lifted_small))
+        lifted_big = lifted_map(f, n)
+        lifted_small = lifted_map(f, k)
+        yield (enumerate_multisets(ctx.X, n),
+               lambda phi: bind(lifted_big(phi), lambda psi: ch.hypergeometric(psi, k)),
+               lambda phi: bind(ch.hypergeometric(phi, k), lifted_small))
 
 
 @law("pml-tensor-mismatch", "the law does NOT commute with mixed-size tensors", expect_fail=True)
@@ -799,37 +759,34 @@ def _law_pml_tensor_mismatch(ctx: LawContext):
            lambda p: pml(p.fst.tensor(p.snd).map_elements(lambda q: dtensor(q.fst, q.snd))))
 
 
-@law("sampling-correctness", "sample, transform, resample, learn: the composite state")
-def _law_sampling(ctx: LawContext):
+@law("sampling-correctness", "sample, transform, resample, learn: the composite state", sizes="k>0")
+def _law_sampling(ctx: LawContext, k: int):
     for c in ctx.channel_pool(ctx.X, ctx.Y, "sampling"):
-        for k in range(1, ctx.k_max + 1):
-            lc = lifted_map(c, k)
-            yield (ctx.dist_pool(ctx.X),
-                   lambda omega: bind(bind(ch.multinomial(omega, k), lc), flrn),
-                   lambda omega: push(c, omega))
+        lc = lifted_map(c, k)
+        yield (ctx.dist_pool(ctx.X),
+               lambda omega: bind(bind(ch.multinomial(omega, k), lc), flrn),
+               lambda omega: push(c, omega))
 
 
-@law("mn-update-validity", "evidence on draws has the product validity")
-def _law_mn_update_validity(ctx: LawContext):
+@law("mn-update-validity", "evidence on draws has the product validity", sizes="k")
+def _law_mn_update_validity(ctx: LawContext, k: int):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
-        for k in range(ctx.k_max + 1):
-            yield (ctx.dist_pool(ctx.X), lambda omega: validity(ch.multinomial(omega, k), ext),
-                   lambda omega: validity(omega, p) ** k)
+        yield (ctx.dist_pool(ctx.X), lambda omega: validity(ch.multinomial(omega, k), ext),
+               lambda omega: validity(omega, p) ** k)
 
 
-@law("mn-update", "updating draws equals drawing from the update")
-def _law_mn_update(ctx: LawContext):
+@law("mn-update", "updating draws equals drawing from the update", sizes="k")
+def _law_mn_update(ctx: LawContext, k: int):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
-        pool = [w for w in ctx.dist_pool(ctx.X) if validity(w, p) != 0]
-        for k in range(ctx.k_max + 1):
-            yield (pool, lambda omega: update(ch.multinomial(omega, k), ext),
-                   lambda omega: ch.multinomial(update(omega, p), k))
+        yield ([w for w in ctx.dist_pool(ctx.X) if validity(w, p) != 0],
+               lambda omega: update(ch.multinomial(omega, k), ext),
+               lambda omega: ch.multinomial(update(omega, p), k))
 
 
-@law("pml-update-validity", "evidence on the law multiplies member validities")
-def _law_pml_update_validity(ctx: LawContext):
+@law("pml-update-validity", "evidence on the law multiplies member validities", sizes="k")
+def _law_pml_update_validity(ctx: LawContext, k: int):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
 
@@ -839,27 +796,23 @@ def _law_pml_update_validity(ctx: LawContext):
                 out *= validity(omega, p) ** n
             return out
 
-        for size in range(ctx.k_max + 1):
-            yield ctx.psi_pool(ctx.X, size), lambda psi: validity(pml(psi), ext), product_leg
+        yield ctx.psi_pool(ctx.X, k), lambda psi: validity(pml(psi), ext), product_leg
 
 
-@law("pml-update", "updating the law's output updates every member")
-def _law_pml_update(ctx: LawContext):
+@law("pml-update", "updating the law's output updates every member", sizes="k")
+def _law_pml_update(ctx: LawContext, k: int):
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
-        for size in range(ctx.k_max + 1):
-            yield ([psi for psi in ctx.psi_pool(ctx.X, size)
-                    if all(validity(omega, p) != 0 for omega, _ in psi.entries)],
-                   lambda psi: update(pml(psi), ext),
-                   lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))))
+        yield ([psi for psi in ctx.psi_pool(ctx.X, k)
+                if all(validity(omega, p) != 0 for omega, _ in psi.entries)],
+               lambda psi: update(pml(psi), ext),
+               lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))))
 
 
-@law("msum-deterministic", "concatenating arrangements collapses to multiset sum")
-def _law_msum_deterministic(ctx: LawContext):
-    for k in range(ctx.k_max + 1):
-        for l in range(ctx.l_max + 1):
-            yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
-                   lambda p: oracles.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
+@law("msum-deterministic", "concatenating arrangements collapses to multiset sum", sizes="k,l")
+def _law_msum_deterministic(ctx: LawContext, k: int, l: int):
+    yield (_pairs(enumerate_multisets(ctx.X, k), enumerate_multisets(ctx.X, l)),
+           lambda p: oracles.msum_channel(p.fst, p.snd), lambda p: unit(p.fst + p.snd))
 
 
 LAWS: tuple[Law, ...] = tuple(_registered)
@@ -888,19 +841,9 @@ def run_law(law: Law, ctx: LawContext) -> LawReport:
     return LawReport(law.name, ctx.params(), "fail", witness)
 
 
-def run_laws(
-    x_size: int = 2,
-    y_size: int = 2,
-    k_max: int = 3,
-    l_max: int = 3,
-    n_max: int = 4,
-    seed: int = 0,
-    n_random: int = 20,
-    only: str | None = None,
-) -> list[LawReport]:
-    """Run the catalogue (or one named law) and return the reports."""
-    ctx = LawContext(x_size=x_size, y_size=y_size, k_max=k_max, l_max=l_max,
-                     n_max=n_max, seed=seed, n_random=n_random)
+def run_laws(only: str | None = None, **bounds) -> list[LawReport]:
+    """Run the catalogue (or one named law) under the ``LawContext`` bounds given."""
+    ctx = LawContext(**bounds)
     if only is not None:
         if only not in _BY_NAME:
             raise DomainError(f"unknown law {only!r}; see the catalogue listing")

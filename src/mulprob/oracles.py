@@ -22,16 +22,22 @@ that the fast route and the definition agree.
   occurrence at a time.  Its monoid sum adds outcome multisets pairwise
   with ``Multiset.__add__``, independently of the packed-count kernel
   that ``pml.monoid_sum`` and ``pml.pml`` share.
+* ``pml_def3_check``: the law's defining triangle at one tuple of
+  distributions, which characterizes it rather than computes it.
+* ``permutation_mix``: arranging the multiset of a sequence, by listing
+  every permutation of the sequence.
 """
 
+import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from .channels import zip_tuples
-from .dist import Dist, unit
+from .dist import Dist, big_tensor, bind, unit
 from .elements import _show
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
-from .pml import _check_members
+from .pml import _check_members, pml
 
 
 def _arrangement_pairs(phi: Multiset, psi: Multiset, what: str):
@@ -138,3 +144,19 @@ def pml_def4(psi: Multiset) -> Dist:
     _check_members(psi)
     singletons = psi.map_elements(lambda w: w.map(lambda x: Multiset({x: 1})))
     return monoid_algebra(singletons)
+
+
+def pml_def3_check(omegas: Sequence[Dist]) -> bool:
+    """Does the defining triangle commute at this tuple of distributions?
+
+    Checks that applying ``pml`` to the multiset of the tuple's members
+    equals tensoring the tuple and accumulating the outcome sequences.
+    """
+    lhs = pml(accumulate(omegas))
+    rhs = bind(big_tensor(list(omegas)), lambda xs: unit(accumulate(xs)))
+    return lhs == rhs
+
+
+def permutation_mix(xs: tuple) -> Dist:
+    """Every permutation of ``xs`` with equal weight; repeated ones add up."""
+    return Dist.uniform(itertools.permutations(xs))

@@ -1,7 +1,7 @@
 """Turning a multiset of distributions into a distribution over multisets.
 
 This is the library's central construction.  It admits several equivalent
-formulations; the two computed here are
+formulations; the one computed here is
 
 * ``pml``: draw from each member with the multinomial of its
   multiplicity, independently in parallel, and sum the draws.  A draw of
@@ -11,33 +11,29 @@ formulations; the two computed here are
   coefficients of the product of those polynomials over the members.
   ``monoid_sum``, the sum of two independent multiset-valued
   distributions, is the same product of two factors.
-* ``pml_def3_check``: the characterization that is universal rather than
-  computational, exposed as a decidable check: collapsing a tuple of
-  distributions to a multiset and applying ``pml`` must agree with
-  tensoring the tuple and collapsing the outcomes.
 
 Both products run on one kernel over packed counts: the elements get
 indices once, a count vector is one ``int`` with a fixed number of bits
 per element, so adding two outcomes is one integer addition, and each
 outcome ``Multiset`` is built once, at the end.
 
-The joint-outcome route (``pml_def1``) and the algebraic route through
-the monoid structure (``pml_def4``, ``monoid_algebra``) exist only to
-cross-check this one and live in ``mulprob.oracles``.  Their agreement is
-checked, not assumed: the law suite re-derives it on enumerated inputs.
+The other formulations, by joint outcomes, through the monoid structure
+and by the law's defining triangle, exist only to cross-check this one
+and live in ``mulprob.oracles``.  Their agreement is checked, not
+assumed: the law suite re-derives it on enumerated inputs.
 ``lifted_map`` uses the law to apply a channel elementwise to a multiset,
 the workhorse behind the sampling round trip.
 """
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .channels import _draws, multiset_space
-from .dist import Channel, Dist, big_tensor, bind, unit
+from .dist import Channel, Dist
 from .elements import Elem, _show
 from .errors import DomainError, check_cells
-from .multiset import Multiset, accumulate
+from .multiset import Multiset
 
-__all__ = ["monoid_sum", "pml", "pml_def3_check", "lifted_map"]
+__all__ = ["monoid_sum", "pml", "lifted_map"]
 
 
 def _check_members(psi: Multiset) -> tuple[tuple[Dist, int], ...]:
@@ -173,17 +169,6 @@ def pml(psi: Multiset) -> Dist:
         acc = _times(acc, {packing.pack(draw): w for draw, w in _draws(omega, n)})
         den *= omega._den ** n
     return packing.unpack(acc, den)
-
-
-def pml_def3_check(omegas: Sequence[Dist]) -> bool:
-    """Does the defining triangle commute at this tuple of distributions?
-
-    Checks that applying ``pml`` to the multiset of the tuple's members
-    equals tensoring the tuple and accumulating the outcome sequences.
-    """
-    lhs = pml(accumulate(omegas))
-    rhs = bind(big_tensor(list(omegas)), lambda xs: unit(accumulate(xs)))
-    return lhs == rhs
 
 
 def lifted_map(f: Channel, k: int) -> Channel:

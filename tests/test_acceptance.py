@@ -37,8 +37,8 @@ from mulprob.multiset import (
     enumerate_arrangements,
     enumerate_multisets,
 )
-from mulprob.oracles import pml_def1, pml_def4
-from mulprob.pml import lifted_map, pml, pml_def3_check
+from mulprob.oracles import pml_def1, pml_def3_check, pml_def4
+from mulprob.pml import lifted_map, pml
 
 F = Fraction
 AB = Space(["a", "b"])

@@ -177,6 +177,28 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message)
 
+    @pytest.fixture
+    def digit_limit(self):
+        # The interpreter's default limit on converting ints to and from text.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(limit)
+
+    def test_number_past_the_digit_limit_is_a_parse_error(self, capsys, digit_limit):
+        code, out, err = run(capsys, "flrn", "[1" + "0" * 4400 + " a]")
+        assert (code, out) == (2, "")
+        assert err == ("parse error: number of 4401 digits, more than the limit of 4300 "
+                       "(at position 1)\n")
+
+    def test_result_past_the_digit_limit_is_one_error_line(self, capsys, digit_limit):
+        # 2,201 draws are well inside the cell budget, but 97**2200, a
+        # denominator of the result, has 4,371 digits.
+        code, out, err = run(capsys, "mn", "--k", "2200", "<1/97 a, 96/97 b>")
+        assert (code, out) == (1, "")
+        assert err == ("error: the result has a number of more than 4300 digits, "
+                       "the interpreter's limit for printing one\n")
+
     def test_cell_budget_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("MULPROB_MAX_CELLS", "4")
         code, _, err = run(capsys, "arr", "[4 a, 4 b]")
@@ -224,6 +246,7 @@ class TestLawsCommand:
         assert code == 0
         assert "acc-arr-id" in out
         assert "pml-tensor-mismatch" in out
+        assert out == LAWS_LIST.read_text()
 
     def test_single_law(self, capsys):
         code, out, _ = run(capsys, "laws", "--law", "flrn-mn", "--k", "2", "--random", "4")
@@ -274,6 +297,7 @@ class TestLargeDrawSizes:
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 HELP = Path(__file__).resolve().parent / "data" / "cli_help.txt"
+LAWS_LIST = HELP.with_name("laws_list.txt")
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

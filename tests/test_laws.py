@@ -112,6 +112,34 @@ def test_raising_law_fails_alone(monkeypatch):
     assert sum(r.verdict == "expected-fail" for r in reports) == 2
 
 
+# The domain points each pointwise law checks at the default bounds.  A
+# dropped size leaves every pinned report as it is, since the law still
+# holds on fewer inputs; these counts do not.
+DEFAULT_POINTS = {
+    "acc-arr-id": 10, "arr-acc-perm": 15, "arr-acc-tensor": 40, "arr-mn-iid": 68,
+    "acc-iid-mn": 68, "mn-combine": 272, "flrn-mn": 51, "dd-mn": 68, "flrn-dd": 12,
+    "hg-dd-iter": 55, "hg-natural": 220, "flrn-hg": 40, "hg-hg": 140, "hg-mn": 272,
+    "zip-iid": 1360, "zip-bigtensor": 820, "mzip-natural": 480, "mzip-unit": 20,
+    "mzip-assoc": 100, "mzip-proj": 60, "mzip-arr": 30, "mzip-dd": 54, "mzip-flrn": 29,
+    "mzip-mn": 1360, "mzip-hg": 225, "mn-tensor-mismatch": 1, "pml-squeeze-left": 40,
+    "pml-squeeze-right": 35, "pml-flrn": 34, "pml-dd": 55, "pml-hg": 218, "pml-sum": 1225,
+    "pml-unit": 10, "pml-mult": 26, "lift-id": 10, "lift-compose": 250, "mzip-pml": 443,
+    "lift-mzip": 270, "lift-sum": 300, "arr-chan-natural": 30, "acc-chan-natural": 45,
+    "dd-chan-natural": 42, "mn-chan-natural": 204, "hg-chan-natural": 165,
+    "pml-tensor-mismatch": 1, "sampling-correctness": 255, "mn-update-validity": 476,
+    "mn-update": 472, "pml-update-validity": 245, "pml-update": 232, "msum-deterministic": 100,
+}
+
+
+def test_points_checked_at_default_bounds():
+    # Counted from the cases' domains alone; no leg is evaluated.
+    ctx = LawContext()
+    points = {law.name: sum(sum(1 for _ in domain) for domain, _, _ in law.cases(ctx))
+              for law in LAWS if law.cases is not None}
+    assert points == DEFAULT_POINTS
+    assert (len(points), sum(points.values())) == (51, 11053)
+
+
 def counted_mzip(monkeypatch, raises=False):
     """Wrap ``mzip`` so each computed call is counted by its inputs, or so
     that it raises a library error instead."""

@@ -21,8 +21,8 @@ from mulprob.dist import (
 from mulprob.elements import Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
-from mulprob.oracles import pml_def1, pml_def4
-from mulprob.pml import lifted_map, monoid_sum, pml, pml_def3_check
+from mulprob.oracles import pml_def1, pml_def3_check, pml_def4
+from mulprob.pml import lifted_map, monoid_sum, pml
 
 F = Fraction
 AB = Space(["a", "b"])
