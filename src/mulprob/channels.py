@@ -36,7 +36,7 @@ from .multiset import (
 def arrange(m: Multiset) -> Dist:
     """Uniform distribution over the distinct sequences accumulating to m."""
     seqs = enumerate_arrangements(m)
-    return Dist(dict.fromkeys(seqs, 1), denominator=len(seqs))
+    return Dist._of(dict.fromkeys(seqs, 1), len(seqs))  # reduced: every numerator is 1
 
 
 def _draws(omega: Dist, k: int) -> list[tuple[tuple, int]]:
@@ -71,8 +71,9 @@ def multinomial(omega: Dist, k: int) -> Dist:
     """
     if k < 0:
         raise DomainError(f"draw size must be nonnegative: {k}")
-    return Dist({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
-                denominator=omega._den ** k)
+    # Reduced: the pure draw ``k x`` weighs ``n_x ** k``, and the ``n_x`` share no factor.
+    return Dist._of({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
+                    omega._den ** k)
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:

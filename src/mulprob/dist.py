@@ -14,8 +14,10 @@ equality compares integers, and the operations that build distributions
 add and multiply integers rather than ``Fraction``s.  The modules of the
 package read it through ``_map`` (element to numerator, in no particular
 order, as in every ``elements._FiniteMap``) and ``_den``, and build from
-it with ``Dist(nums, denominator=d)``.  The public views, ``entries`` (in
-canonical order) and indexing, give the weights as ``Fraction``s.
+it with ``Dist(nums, denominator=d)``, which checks the sum and reduces, or
+``Dist._of(nums, d)``, which does neither and is only for outputs normalized
+and reduced by construction, each caller saying why.  The public views,
+``entries`` (in canonical order) and indexing, give weights as ``Fraction``s.
 
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
@@ -72,7 +74,14 @@ class Dist(_FiniteMap):
             data, denominator = _numerators(_pairs(data))
         total = sum(data.values())
         if total != denominator:
-            raise DomainError(f"weights sum to {Fraction(total, denominator)}, not 1")
+            s = Fraction(total, denominator)
+            try:
+                shown = str(s)
+            except ValueError:  # longer than the interpreter's int/str digit limit
+                from decimal import Decimal  # reads an int without that limit
+                n, d = (Decimal(v).adjusted() + 1 for v in (s.numerator, s.denominator))
+                shown = f"a fraction of {n} digits over {d} digits"
+            raise DomainError(f"weights sum to {shown}, not 1")
         g = gcd(denominator, *data.values())
         if g != 1:
             denominator //= g
@@ -80,7 +89,16 @@ class Dist(_FiniteMap):
         # Equality and hashing look at the numerators alone, which is sound
         # because the reduced denominator is their sum.
         self._store(data)
-        object.__setattr__(self, "_den", denominator)
+        _set_den(self, denominator)
+
+    @classmethod
+    def _of(cls, nums: dict[Elem, int], den: int) -> "Dist":
+        """Trusted constructor for a fresh dict of positive ``int`` numerators
+        that sum to ``den`` and share no factor with it; ``nums`` is kept."""
+        d = object.__new__(cls)
+        d._store(nums)
+        _set_den(d, den)
+        return d
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
@@ -122,9 +140,12 @@ class Dist(_FiniteMap):
         return Dist(acc, denominator=self._den)
 
 
+_set_den = Dist._den.__set__
+
+
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
-    return Dist({elem: 1}, denominator=1)
+    return Dist._of({elem: 1}, 1)  # reduced: 1 over 1
 
 
 def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
@@ -217,8 +238,9 @@ def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
     check_cells(len(omega._map) * len(rho._map), "tensor product support")
     rho_nums = rho._map.items()
-    return Dist({Pair(x, y): n * m for x, n in omega._map.items() for y, m in rho_nums},
-                denominator=omega._den * rho._den)
+    # Reduced: the numerators' gcd is the product of the factors' gcds, 1 and 1.
+    return Dist._of({Pair(x, y): n * m for x, n in omega._map.items() for y, m in rho_nums},
+                    omega._den * rho._den)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
@@ -239,7 +261,8 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
         nums = omega._map.items()
         acc = {xs + (x,): w * v for xs, w in acc.items() for x, v in nums}
         den *= omega._den
-    return Dist(acc, denominator=den)
+    # Reduced as a product of reduced states, as in ``dtensor``.
+    return Dist._of(acc, den)
 
 
 def iid(omega: Dist, k: int) -> Dist:

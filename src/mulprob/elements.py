@@ -5,12 +5,14 @@ Every value that can appear inside a multiset or a distribution is an
 of elements, a sequence of elements (plain ``tuple``), or a whole
 ``Multiset``/``Dist`` treated as a value.  All of them are immutable and
 hashable, and ``elem_key`` gives one strict total order across the lot.
+A ``Pair`` is a plain slotted class, neither a dataclass nor a tuple, so
+it never equals a sequence; it takes its hash when built and its sort key
+on first use.
 Multisets, distributions and predicates share one storage scheme,
 ``_FiniteMap``: one dict from elements to values, in no particular order,
 sorted by ``elem_key`` only when read in order.
 """
 
-from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -30,36 +32,45 @@ _ATOM_KEY_CAP = 1 << 16
 _atom_keys: dict[str, tuple] = {}
 
 
-@dataclass(frozen=True)
 class Pair:
-    """An element of a product space; components are elements themselves.
+    """An element of a product space; components are elements themselves."""
 
-    A pair keeps its hash and its sort key once computed.  Both live
-    outside the dataclass fields, so equality still looks at the
-    components only.
-    """
+    __slots__ = ("fst", "snd", "_hash", "_key")
 
-    fst: Elem
-    snd: Elem
+    def __new__(cls, fst: Elem, snd: Elem):
+        p = object.__new__(cls)
+        _set_fst(p, fst)
+        _set_snd(p, snd)
+        _set_pair_hash(p, hash((fst, snd)))
+        _set_pair_key(p, None)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Pair is immutable")
+
+    def __reduce__(self):
+        return Pair, (self.fst, self.snd)
 
     def __repr__(self) -> str:
         return f"Pair({self.fst!r}, {self.snd!r})"
 
+    def __eq__(self, other):
+        if type(other) is not Pair:
+            return NotImplemented
+        return self.fst == other.fst and self.snd == other.snd
+
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fst, self.snd))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def _element_sort_key(self) -> tuple:
-        try:
-            return self._key
-        except AttributeError:
-            key = (_PAIR, elem_key(self.fst), elem_key(self.snd))
-            object.__setattr__(self, "_key", key)
-            return key
+        if self._key is None:
+            _set_pair_key(self, (_PAIR, elem_key(self.fst), elem_key(self.snd)))
+        return self._key
+
+
+# The slots' own setters, as ``_set_map`` and its kin below.
+_set_fst, _set_snd, _set_pair_hash, _set_pair_key = (
+    getattr(Pair, name).__set__ for name in Pair.__slots__)
 
 
 def _atom_key(e: str) -> tuple:
@@ -132,6 +143,10 @@ class _FiniteMap:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Rebuilt through the checking constructor, from the public values.
+        return type(self), (self.entries,)
 
     @property
     def entries(self) -> tuple[tuple[Elem, Any], ...]:

@@ -456,18 +456,18 @@ def _law_hg_mn(ctx: LawContext, k: int, l: int):
 @law("zip-iid", "zipping independent copies matches copies of the product", sizes="k")
 def _law_zip_iid(ctx: LawContext, k: int):
     zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-    yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
-           lambda p: dtensor(iid(p.fst, k), iid(p.snd, k)).map(zipped),
+    xs, ys = ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)
+    iids = {omega: iid(omega, k) for omega in xs + ys}
+    yield (_pairs(xs, ys), lambda p: dtensor(iids[p.fst], iids[p.snd]).map(zipped),
            lambda p: iid(dtensor(p.fst, p.snd), k))
 
 
 @law("zip-bigtensor", "zipping commutes with big tensors of distributions", sizes="k")
 def _law_zip_bigtensor(ctx: LawContext, k: int):
-    cx = ctx.corner_dists(ctx.X)
-    cy = ctx.corner_dists(ctx.Y)
     zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-    yield (_pairs(itertools.product(cx, repeat=k), itertools.product(cy, repeat=k)),
-           lambda p: dtensor(big_tensor(list(p.fst)), big_tensor(list(p.snd))).map(zipped),
+    xs, ys = (list(itertools.product(ctx.corner_dists(s), repeat=k)) for s in (ctx.X, ctx.Y))
+    tensors = {ws: big_tensor(list(ws)) for ws in xs + ys}
+    yield (_pairs(xs, ys), lambda p: dtensor(tensors[p.fst], tensors[p.snd]).map(zipped),
            lambda p: big_tensor([dtensor(a, b) for a, b in zip(p.fst, p.snd)]))
 
 
@@ -558,9 +558,9 @@ def _law_mzip_flrn(ctx: LawContext, k: int):
 @law("mzip-mn", "zipped replacement draws are draws from the product", sizes="k")
 def _law_mzip_mn(ctx: LawContext, k: int):
     zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-    yield (_pairs(ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)),
-           lambda p: bind(dtensor(ch.multinomial(p.fst, k), ch.multinomial(p.snd, k)),
-                          zipped),
+    xs, ys = ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)
+    draws = {omega: ch.multinomial(omega, k) for omega in xs + ys}
+    yield (_pairs(xs, ys), lambda p: bind(dtensor(draws[p.fst], draws[p.snd]), zipped),
            lambda p: ch.multinomial(dtensor(p.fst, p.snd), k))
 
 
@@ -636,9 +636,10 @@ def _law_pml_hg(ctx: LawContext, n: int, k: int):
 
 @law("pml-sum", "the law turns multiset sums into independent sums", sizes="k,l")
 def _law_pml_sum(ctx: LawContext, k: int, l: int):
-    yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)),
-           lambda p: pml(p.fst + p.snd),
-           lambda p: monoid_sum(pml(p.fst), pml(p.snd)))
+    xs, ys = ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)
+    pmls = {psi: pml(psi) for psi in dict.fromkeys(xs + ys)}
+    yield (_pairs(xs, ys), lambda p: pml(p.fst + p.snd),
+           lambda p: monoid_sum(pmls[p.fst], pmls[p.snd]))
 
 
 @law("pml-unit", "a multiset of point masses maps to a point mass", sizes="k")
@@ -672,8 +673,9 @@ def _law_lift_compose(ctx: LawContext, k: int):
 @law("mzip-pml", "the lifted tensor intertwines the law and zipping", sizes="k")
 def _law_mzip_pml(ctx: LawContext, k: int):
     zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-    yield (_pairs(ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)),
-           lambda p: bind(dtensor(pml(p.fst), pml(p.snd)), zipped),
+    xs, ys = ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)
+    pmls = {psi: pml(psi) for psi in xs + ys}
+    yield (_pairs(xs, ys), lambda p: bind(dtensor(pmls[p.fst], pmls[p.snd]), zipped),
            lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
                theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
 

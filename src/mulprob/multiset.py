@@ -123,7 +123,11 @@ class Multiset(_FiniteMap):
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
-        return Multiset((f(e), n) for e, n in self._map.items())
+        counts: dict[Elem, int] = {}
+        for e, n in self._map.items():
+            y = f(e)
+            counts[y] = counts.get(y, 0) + n
+        return Multiset._of(counts, self._size)
 
     def coefficient(self) -> int:
         """Number of distinct sequences that accumulate to this multiset.

@@ -191,6 +191,13 @@ class TestErrors:
         assert err == ("parse error: number of 4401 digits, more than the limit of 4300 "
                        "(at position 1)\n")
 
+    def test_weight_sum_past_the_digit_limit_is_a_parse_error(self, capsys, digit_limit):
+        # Each weight prints, but their sum has a 6,000-digit denominator.
+        code, out, err = run(capsys, "mn", "--k", "1", f"<1/{'7' * 3000} a, 1/{'3' * 2999}1 b>")
+        assert (code, out) == (2, "")
+        assert err == ("parse error: weights sum to a fraction of 3001 digits over 6000 digits, "
+                       "not 1 (at position 0)\n")
+
     def test_result_past_the_digit_limit_is_one_error_line(self, capsys, digit_limit):
         # 2,201 draws are well inside the cell budget, but 97**2200, a
         # denominator of the result, has 4,371 digits.

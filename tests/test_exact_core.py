@@ -7,15 +7,18 @@ common factor, so products of denominators and the reduction on
 construction are both exercised.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mulprob.channels import hypergeometric, multinomial
-from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor
+from mulprob.channels import arrange, hypergeometric, multinomial
+from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor, iid, unit
 from mulprob.elements import Pair, elem_key
 from mulprob.ket import format_value, parse_value
 from mulprob.multiset import Multiset
@@ -305,3 +308,50 @@ def test_text_round_trip(text):
     printed = format_value(value)
     assert parse_value(printed) == value
     assert format_value(parse_value(printed)) == printed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(value_texts, predicate_texts))
+@example("((a,0):1/2, (0,a):02/04, 7:0)")
+def test_values_survive_pickling_and_deep_copies(text):
+    value = parse_value(text)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in [*copies, copy.deepcopy(value)]:
+        assert type(again) is type(value)
+        assert again == value and hash(again) == hash(value)
+
+
+values = value_texts.map(parse_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values, values, values, values)
+@example("a", "b", "a", "b")
+def test_pairs_are_values_of_their_own(x, y, u, v):
+    p, q = Pair(x, y), Pair(u, v)
+    assert not isinstance(p, tuple)
+    for t in [(x, y), (y, x)]:
+        assert p != t and t != p and not p == t and not t == p
+    assert (p == q) == (x == u and y == v)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert hash(p) == hash(Pair(x, y))
+    assert ((elem_key(p) < elem_key(q))
+            == ((elem_key(x), elem_key(y)) < (elem_key(u), elem_key(v))))
+    with pytest.raises(AttributeError):
+        p.fst = u
+    assert p.fst is x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dists("abc"), dists("abc", DENS_57)), dists("uvw", DENS_57),
+       st.lists(st.one_of(dists("ab"), dists("uv", DENS_57)), max_size=3), st.integers(0, 3),
+       st.dictionaries(st.sampled_from("abc"), st.integers(1, 2)).map(Multiset), values)
+def test_trusted_dists_are_normalized_and_reduced(omega, rho, omegas, k, m, x):
+    # The rebuild goes through the checking constructor, which raises on a
+    # sum other than one and divides out a common factor.
+    for d in [unit(x), dtensor(omega, rho), big_tensor(omegas), iid(omega, k),
+              multinomial(omega, k), arrange(m)]:
+        again = Dist(dict(d._map), denominator=d._den)
+        assert again == d and again._den == d._den
