@@ -3,8 +3,10 @@
 A ``Dist`` is a formal convex sum of elements with exact rational weights
 that add up to one; the constructor enforces this, so every distribution
 in the library is normalized by construction.  A ``Channel`` pairs a
-finite domain with a kernel producing a ``Dist`` per input; evaluating
-both kernels over the whole domain decides channel equality.
+finite domain with a kernel producing a ``Dist`` per input, and keeps the
+outputs it has computed in a table filled on demand, so it is a function
+on its domain whose kernel runs at most once per point; evaluating both
+channels over the whole domain decides channel equality.
 
 Internally a ``Dist`` stores positive integer numerators over one common
 denominator, reduced once on construction so that the numerators and the
@@ -177,15 +179,25 @@ def flatten(omega: Dist) -> Dist:
 
 
 class Channel:
-    """A finite domain together with a kernel into distributions."""
+    """A finite domain together with a kernel into distributions.
 
-    __slots__ = ("domain", "_kernel")
+    A channel is a function on its finite domain: the kernel runs at most
+    once per point per channel object, and the output is kept in the
+    channel's table, which fills as points are asked for.  A stored output
+    is returned under any later ``MULPROB_MAX_CELLS``, since nothing is
+    computed then.  A kernel that raises, a budget error included, or
+    returns something other than a ``Dist`` stores nothing, so the next
+    call at that point runs it again.
+    """
+
+    __slots__ = ("domain", "_kernel", "_table")
 
     def __init__(self, domain: Space | Iterable[Elem], kernel: Callable[[Elem], Dist]):
         if not isinstance(domain, Space):
             domain = Space(domain)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_table", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Channel is immutable")
@@ -193,9 +205,12 @@ class Channel:
     def __call__(self, x: Elem) -> Dist:
         if x not in self.domain:
             raise DomainError(f"{_show(x)} is outside the channel domain")
-        out = self._kernel(x)
-        if not isinstance(out, Dist):
-            raise DomainError(f"channel kernel returned {out!r}, not a Dist")
+        out = self._table.get(x)
+        if out is None:
+            out = self._kernel(x)
+            if not isinstance(out, Dist):
+                raise DomainError(f"channel kernel returned {out!r}, not a Dist")
+            self._table[x] = out
         return out
 
     @classmethod
@@ -223,9 +238,9 @@ def push(f: Channel, omega: Dist) -> Dist:
     Rejects distributions whose support escapes the channel domain rather
     than renormalizing silently.
     """
-    for x in omega.support:
-        if x not in f.domain:
-            raise DomainError(f"support element {_show(x)} outside channel domain")
+    if not omega._map.keys() <= f.domain._members:
+        x = min([x for x in omega._map if x not in f.domain], key=elem_key)
+        raise DomainError(f"support element {_show(x)} outside channel domain")
     return bind(omega, f)
 
 
@@ -341,7 +356,8 @@ def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
 
 
 def channel_equal(f: Channel, g: Channel) -> bool:
-    """Decide channel equality by evaluating both kernels on every input.
+    """Decide channel equality by evaluating both channels on every input,
+    which fills both tables.
 
     The domains must enumerate the same elements; this is what makes the
     check terminate and makes it complete.

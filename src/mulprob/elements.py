@@ -206,6 +206,9 @@ class Space:
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
 
+    def __reduce__(self):
+        return Space, (self.elements,)
+
     def __iter__(self) -> Iterator[Elem]:
         return iter(self.elements)
 

@@ -447,9 +447,10 @@ def _law_hg_hg(ctx: LawContext, n: int):
 
 @law("hg-mn", "subsampling a replacement draw is a smaller replacement draw", sizes="k,l")
 def _law_hg_mn(ctx: LawContext, k: int, l: int):
-    yield (ctx.dist_pool(ctx.X),
-           lambda omega: bind(ch.multinomial(omega, k + l),
-                              lambda psi: ch.hypergeometric(psi, k)),
+    # One channel over every draw of size k + l, so a draw that several
+    # states share is subsampled once.
+    sub = Channel(ch.multiset_space(ctx.X, k + l), lambda psi: ch.hypergeometric(psi, k))
+    yield (ctx.dist_pool(ctx.X), lambda omega: bind(ch.multinomial(omega, k + l), sub),
            lambda omega: ch.multinomial(omega, k))
 
 
@@ -629,8 +630,8 @@ def _law_pml_dd(ctx: LawContext, k: int):
 
 @law("pml-hg", "draws without replacement commute with the law", sizes="n,k<=n")
 def _law_pml_hg(ctx: LawContext, n: int, k: int):
-    yield (ctx.psi_pool(ctx.X, n),
-           lambda psi: bind(pml(psi), lambda phi: ch.hypergeometric(phi, k)),
+    sub = Channel(ch.multiset_space(ctx.X, n), lambda phi: ch.hypergeometric(phi, k))
+    yield (ctx.psi_pool(ctx.X, n), lambda psi: bind(pml(psi), sub),
            lambda psi: bind(ch.hypergeometric(psi, k), pml))
 
 
@@ -638,7 +639,8 @@ def _law_pml_hg(ctx: LawContext, n: int, k: int):
 def _law_pml_sum(ctx: LawContext, k: int, l: int):
     xs, ys = ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.X, l)
     pmls = {psi: pml(psi) for psi in dict.fromkeys(xs + ys)}
-    yield (_pairs(xs, ys), lambda p: pml(p.fst + p.snd),
+    sums = {s: pml(s) for s in dict.fromkeys(a + b for a in xs for b in ys)}
+    yield (_pairs(xs, ys), lambda p: sums[p.fst + p.snd],
            lambda p: monoid_sum(pmls[p.fst], pmls[p.snd]))
 
 
@@ -662,10 +664,11 @@ def _law_lift_id(ctx: LawContext, k: int):
 
 @law("lift-compose", "lifting preserves channel composition", sizes="k")
 def _law_lift_compose(ctx: LawContext, k: int):
+    gs = ctx.channel_pool(ctx.Y, ctx.Z, "lift-g")
+    lgs = [lifted_map(g, k) for g in gs]
     for f in ctx.channel_pool(ctx.X, ctx.Y, "lift-f"):
-        for g in ctx.channel_pool(ctx.Y, ctx.Z, "lift-g"):
-            lf = lifted_map(f, k)
-            lg = lifted_map(g, k)
+        lf = lifted_map(f, k)
+        for g, lg in zip(gs, lgs):
             yield (enumerate_multisets(ctx.X, k), lifted_map(compose(g, f), k),
                    lambda phi: push(lg, lf(phi)))
 
@@ -675,19 +678,23 @@ def _law_mzip_pml(ctx: LawContext, k: int):
     zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
     xs, ys = ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)
     pmls = {psi: pml(psi) for psi in xs + ys}
+    # Each pair of members tensored once, so ``pml`` meets the same states.
+    members = [dict.fromkeys(omega for psi in pool for omega in psi._map) for pool in (xs, ys)]
+    tensors = {q: dtensor(q.fst, q.snd) for q in _pairs(*members)}
     yield (_pairs(xs, ys), lambda p: bind(dtensor(pmls[p.fst], pmls[p.snd]), zipped),
-           lambda p: bind(ch.mzip(p.fst, p.snd), lambda theta: pml(
-               theta.map_elements(lambda q: dtensor(q.fst, q.snd)))))
+           lambda p: bind(ch.mzip(p.fst, p.snd),
+                          lambda theta: pml(theta.map_elements(tensors.__getitem__))))
 
 
 @law("lift-mzip", "lifted channels form a monoidal pair with zipping", sizes="k")
 def _law_lift_mzip(ctx: LawContext, k: int):
     yx = _by_pair(ctx.mzip_table(k, ctx.Y, ctx.X))
     xz = ctx.mzip_table(k, ctx.X, ctx.Z)
+    gs = ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]
+    lgs = [lifted_map(g, k) for g in gs]
     for f in ctx.channel_pool(ctx.X, ctx.Y, "monoidal-f")[:3]:
-        for g in ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]:
-            lf = lifted_map(f, k)
-            lg = lifted_map(g, k)
+        lf = lifted_map(f, k)
+        for g, lg in zip(gs, lgs):
             lfg = lifted_map(ctensor(f, g), k)
             yield (_multiset_pairs(k, ctx.X, ctx.Z),
                    lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
@@ -772,23 +779,26 @@ def _law_sampling(ctx: LawContext, k: int):
 
 @law("mn-update-validity", "evidence on draws has the product validity", sizes="k")
 def _law_mn_update_validity(ctx: LawContext, k: int):
+    draws = {omega: ch.multinomial(omega, k) for omega in ctx.dist_pool(ctx.X)}
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
-        yield (ctx.dist_pool(ctx.X), lambda omega: validity(ch.multinomial(omega, k), ext),
+        yield (ctx.dist_pool(ctx.X), lambda omega: validity(draws[omega], ext),
                lambda omega: validity(omega, p) ** k)
 
 
 @law("mn-update", "updating draws equals drawing from the update", sizes="k")
 def _law_mn_update(ctx: LawContext, k: int):
+    draws = {omega: ch.multinomial(omega, k) for omega in ctx.dist_pool(ctx.X)}
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
         yield ([w for w in ctx.dist_pool(ctx.X) if validity(w, p) != 0],
-               lambda omega: update(ch.multinomial(omega, k), ext),
+               lambda omega: update(draws[omega], ext),
                lambda omega: ch.multinomial(update(omega, p), k))
 
 
 @law("pml-update-validity", "evidence on the law multiplies member validities", sizes="k")
 def _law_pml_update_validity(ctx: LawContext, k: int):
+    pmls = {psi: pml(psi) for psi in ctx.psi_pool(ctx.X, k)}
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
 
@@ -798,16 +808,17 @@ def _law_pml_update_validity(ctx: LawContext, k: int):
                 out *= validity(omega, p) ** n
             return out
 
-        yield ctx.psi_pool(ctx.X, k), lambda psi: validity(pml(psi), ext), product_leg
+        yield ctx.psi_pool(ctx.X, k), lambda psi: validity(pmls[psi], ext), product_leg
 
 
 @law("pml-update", "updating the law's output updates every member", sizes="k")
 def _law_pml_update(ctx: LawContext, k: int):
+    pmls = {psi: pml(psi) for psi in ctx.psi_pool(ctx.X, k)}
     for p in ctx.predicate_pool(ctx.X):
         ext = pred_extend(p)
         yield ([psi for psi in ctx.psi_pool(ctx.X, k)
                 if all(validity(omega, p) != 0 for omega, _ in psi.entries)],
-               lambda psi: update(pml(psi), ext),
+               lambda psi: update(pmls[psi], ext),
                lambda psi: pml(psi.map_elements(lambda omega: update(omega, p))))
 
 

@@ -176,7 +176,9 @@ def lifted_map(f: Channel, k: int) -> Channel:
 
     The result is a channel between multiset spaces: push each element of
     the input multiset through ``f`` and recombine the outcome
-    distributions with ``pml``.
+    distributions with ``pml``.  Both channels keep their tables, so a
+    repeat at one multiset is a lookup, and ``f`` runs its kernel once per
+    element however many multisets share it.
     """
     if k < 0:
         raise DomainError(f"multiset size must be nonnegative: {k}")

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mulprob.dist import (
     Channel,
+    channel_equal,
     Dist,
     Predicate,
     big_tensor,
@@ -26,6 +28,7 @@ from mulprob.dist import (
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets, flatten_multiset
+from mulprob.pml import lifted_map
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -100,6 +103,13 @@ class TestPushAndCompose:
         with pytest.raises(DomainError, match=r"^\[1\] is outside the channel domain$"):
             self.f([1])
 
+    def test_push_names_the_first_outside_element_in_canonical_order(self):
+        # Stored in the order d, a, c; the message names c, which sorts first.
+        omega = Dist([("d", F(1, 3)), ("a", F(1, 3)), ("c", F(1, 3))])
+        assert list(omega._map) == ["d", "a", "c"]
+        with pytest.raises(DomainError, match=r"^support element c outside channel domain$"):
+            push(self.f, omega)
+
     def test_unit_laws(self):
         assert compose(Channel.identity(Space(["0", "1"])), self.f)("a") == self.f("a")
         assert compose(self.f, Channel.identity(AB))("b") == self.f("b")
@@ -135,6 +145,74 @@ class TestPushAndCompose:
             rhs = compose(h, compose(g, f))
             for x in AB:
                 assert lhs(x) == rhs(x)
+
+
+def counting_channel(domain, kernel):
+    """A channel whose kernel counts its runs at each point."""
+    runs = Counter()
+
+    def counted(x):
+        runs[x] += 1
+        return kernel(x)
+
+    return Channel(domain, counted), runs
+
+
+class TestChannelTable:
+    def test_kernel_runs_once_per_point(self):
+        c, runs = counting_channel(AB, lambda x: Dist.uniform([x + "0", x + "1", x + "2"]))
+        assert c("a") is c("a")
+        first = push(c, OMEGA)
+        assert push(c, OMEGA) == first
+        assert bind(OMEGA, c) == first
+        lifted = lifted_map(c, 3)
+        phi = Multiset({"a": 2, "b": 1})
+        assert lifted(phi) is lifted(phi)
+        assert runs == Counter({"a": 1, "b": 1})
+
+    def test_kernel_that_returns_no_dist_raises_every_time(self):
+        c, runs = counting_channel(AB, lambda x: {x: 1})
+        for n in (1, 2):
+            with pytest.raises(DomainError, match=r"^channel kernel returned \{'a': 1\}, not a Dist$"):
+                c("a")
+            assert runs["a"] == n
+
+    def test_budget_error_stores_nothing(self, monkeypatch):
+        c, runs = counting_channel(AB, lambda x: Dist.uniform([x + "0", x + "1", x + "2"]))
+        lifted = lifted_map(c, 3)
+        phi = Multiset({"a": 3})
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "9")
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="needs 10 cells"):
+                lifted(phi)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "10")
+        out = lifted(phi)
+        assert len(out.support) == 10
+        # Stored, so returned under any budget: nothing is computed.
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "0")
+        assert lifted(phi) is out
+        assert runs == Counter({"a": 1})
+
+    def test_domain_errors_survive_a_filled_table(self):
+        c, runs = counting_channel(AB, unit)
+        assert [c(x) for x in AB] == [unit("a"), unit("b")]
+        with pytest.raises(DomainError, match=r"^c is outside the channel domain$"):
+            c("c")
+        with pytest.raises(DomainError, match=r"^\[1\] is outside the channel domain$"):
+            c([1])
+        with pytest.raises(DomainError, match=r"^\{\} is outside the channel domain$"):
+            c({})
+        assert runs == Counter({"a": 1, "b": 1})
+
+    def test_channel_equal_fills_both_tables_and_still_decides(self):
+        f, f_runs = counting_channel(AB, {"a": OMEGA, "b": unit("b")}.__getitem__)
+        g, g_runs = counting_channel(AB, lambda x: OMEGA if x == "a" else unit("b"))
+        h = Channel.from_mapping({"a": OMEGA, "b": unit("a")})
+        for _ in range(2):
+            assert channel_equal(f, g)
+            assert not channel_equal(f, h)
+            assert not channel_equal(f, Channel.identity(Space(["a"])))
+        assert f_runs == g_runs == Counter({"a": 1, "b": 1})
 
 
 class TestFlatten:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mulprob.channels import arrange, hypergeometric, multinomial
 from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor, iid, unit
-from mulprob.elements import Pair, elem_key
+from mulprob.elements import Pair, Space, elem_key
 from mulprob.ket import format_value, parse_value
 from mulprob.multiset import Multiset
 from mulprob.oracles import pml_def1
@@ -320,6 +320,22 @@ def test_values_survive_pickling_and_deep_copies(text):
     for again in [*copies, copy.deepcopy(value)]:
         assert type(again) is type(value)
         assert again == value and hash(again) == hash(value)
+
+
+@pytest.mark.parametrize("elements", [
+    ["b", "a", "10", "9"],
+    [Pair("a", "u"), Pair("b", Pair("0", "1"))],
+    [Multiset({"a": 2}), Multiset(), Multiset({Pair("a", "u"): 1, "b": 3})],
+], ids=["atoms", "pairs", "multisets"])
+def test_spaces_survive_pickling_and_copies(elements):
+    space = Space(elements)
+    copies = [pickle.loads(pickle.dumps(space, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in [*copies, copy.deepcopy(space), copy.copy(space)]:
+        assert type(again) is Space
+        assert again == space and hash(again) == hash(space)
+        assert again.elements == space.elements
+        assert all(x in again for x in elements)
 
 
 values = value_texts.map(parse_value)

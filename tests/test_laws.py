@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import mulprob.channels
-from mulprob.dist import Dist
+from mulprob.dist import Channel, Dist
 from mulprob.errors import DomainError
 from mulprob.laws import LAWS, LawContext, catalogue, render_reports, run_law, run_laws
 from mulprob.multiset import Multiset, enumerate_multisets
@@ -138,6 +138,28 @@ def test_points_checked_at_default_bounds():
               for law in LAWS if law.cases is not None}
     assert points == DEFAULT_POINTS
     assert (len(points), sum(points.values())) == (51, 11053)
+
+
+def test_default_sweep_runs_each_kernel_once_per_point(monkeypatch):
+    # Every channel the sweep builds, lifted and composed ones included,
+    # keeps a table; a law that applies one Kleisli map again looks it up.
+    real_init = Channel.__init__
+    runs: list[Counter] = []
+
+    def init(self, domain, kernel):
+        counts = Counter()
+        runs.append(counts)
+
+        def counted(x):
+            counts[x] += 1
+            return kernel(x)
+
+        real_init(self, domain, counted)
+
+    monkeypatch.setattr(Channel, "__init__", init)
+    assert all(r.ok for r in run_laws())
+    assert len(runs) > 100 and sum(map(len, runs)) > 1000
+    assert {n for counts in runs for n in counts.values()} == {1}
 
 
 def counted_mzip(monkeypatch, raises=False):
