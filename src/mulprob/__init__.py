@@ -25,7 +25,6 @@ from .dist import (
     Predicate,
     big_tensor,
     bind,
-    channel_equal,
     compose,
     ctensor,
     dtensor,
@@ -50,7 +49,6 @@ from .channels import (
 )
 from .pml import lifted_map, monoid_sum, pml
 from .ket import (
-    format_element,
     format_value,
     parse_channel,
     parse_dist,

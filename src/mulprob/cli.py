@@ -75,9 +75,10 @@ class _Command(NamedTuple):
 
 
 def _sample_check(a) -> tuple:
+    # The direct push first, so an error names an element the user wrote.
     omega, chan = parse_dist(a.state), parse_channel(a.chan)
-    sampled = bind(push(lifted_map(chan, a.k), multinomial(omega, a.k)), flrn)
-    return sampled, push(chan, omega)
+    direct = push(chan, omega)
+    return bind(push(lifted_map(chan, a.k), multinomial(omega, a.k)), flrn), direct
 
 
 def _show_check(legs: tuple) -> tuple[str, bool]:

@@ -4,9 +4,9 @@ A ``Dist`` is a formal convex sum of elements with exact rational weights
 that add up to one; the constructor enforces this, so every distribution
 in the library is normalized by construction.  A ``Channel`` pairs a
 finite domain with a kernel producing a ``Dist`` per input, and keeps the
-outputs it has computed in a table filled on demand, so it is a function
-on its domain whose kernel runs at most once per point; evaluating both
-channels over the whole domain decides channel equality.
+outputs it has computed in a table filled on demand, so it is a finite
+value: a function on its domain whose kernel runs at most once per point,
+with ``==`` and ``hash`` taken over the whole table.
 
 Internally a ``Dist`` stores positive integer numerators over one common
 denominator, reduced once on construction so that the numerators and the
@@ -119,10 +119,6 @@ class Dist(_FiniteMap):
     def __getitem__(self, elem: Elem) -> Fraction:
         return Fraction(self._map.get(elem, 0), self._den)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{w} {e!r}" for e, w in self.entries)
-        return f"Dist<{inner}>"
-
     def _element_sort_key(self) -> tuple:
         # Distributions order by support first, then by the weight vector.
         if self._key is None:
@@ -188,6 +184,11 @@ class Channel:
     computed then.  A kernel that raises, a budget error included, or
     returns something other than a ``Dist`` stores nothing, so the next
     call at that point runs it again.
+
+    Channels are values: two are equal when their domains are equal and
+    they agree at every point, and the hash is taken over the whole table.
+    Both fill the table, so a kernel that raises at some point makes ``==``
+    and ``hash`` raise too, and still stores nothing there.
     """
 
     __slots__ = ("domain", "_kernel", "_table")
@@ -203,15 +204,27 @@ class Channel:
         raise AttributeError("Channel is immutable")
 
     def __call__(self, x: Elem) -> Dist:
-        if x not in self.domain:
-            raise DomainError(f"{_show(x)} is outside the channel domain")
-        out = self._table.get(x)
+        # A stored point is in the domain, so the table is read first.
+        try:
+            out = self._table.get(x)
+        except TypeError:  # unhashable, so not an element value
+            out = None
         if out is None:
+            if x not in self.domain:
+                raise DomainError(f"{_show(x)} is outside the channel domain")
             out = self._kernel(x)
             if not isinstance(out, Dist):
-                raise DomainError(f"channel kernel returned {out!r}, not a Dist")
+                raise DomainError(f"channel kernel returned {_show(out)}, not a Dist")
             self._table[x] = out
         return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Channel):
+            return NotImplemented
+        return self.domain == other.domain and all(self(x) == other(x) for x in self.domain)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, tuple([self(x) for x in self.domain])))
 
     @classmethod
     def deterministic(cls, domain, f: Callable[[Elem], Elem]) -> "Channel":
@@ -316,10 +329,6 @@ class Predicate(_FiniteMap):
         except KeyError:
             raise DomainError(f"predicate not defined at {_show(elem)}") from None
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{e!r}: {v}" for e, v in self.entries)
-        return f"Predicate({inner})"
-
 
 PredicateLike = Predicate | Callable[[Elem], Fraction]
 
@@ -354,14 +363,3 @@ def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
         return Fraction(num, den)
     return extended
 
-
-def channel_equal(f: Channel, g: Channel) -> bool:
-    """Decide channel equality by evaluating both channels on every input,
-    which fills both tables.
-
-    The domains must enumerate the same elements; this is what makes the
-    check terminate and makes it complete.
-    """
-    if f.domain != g.domain:
-        return False
-    return all(f(x) == g(x) for x in f.domain)

@@ -171,6 +171,9 @@ class _FiniteMap:
             object.__setattr__(self, "_hash", hash(frozenset(self._map.items())))
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
     def __str__(self) -> str:
         from .ket import format_value
 
@@ -232,6 +235,8 @@ class Space:
 
     def product(self, other: "Space") -> "Space":
         """The product space, with Pair elements."""
+        check_cells(len(self.elements) * len(other.elements),
+                    f"{len(self.elements)}x{len(other.elements)} product space")
         return Space(Pair(x, y) for x in self for y in other)
 
     def power(self, k: int) -> list[tuple]:

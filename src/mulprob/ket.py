@@ -8,12 +8,13 @@ The bit-exact surface syntax of the library:
 * distribution: ``<1/3 a, 2/3 b>``; values may be elements, multisets, or
   nested distributions
 * predicate: ``(a:1, b:1/2)``
-* channel table (used by the CLI): ``{a: <1/2 u, 1/2 v>, b: <1 u>}``
+* channel: ``{a: <1/2 u, 1/2 v>, b: <1 u>}``, one output per element of
+  its domain, printed in the domain's order
 * rational: ``p`` or ``p/q``, always reduced on output
 
 Printed output is canonical: entries sorted by the element order,
 rationals in lowest terms, so printing after parsing normalizes and two
-equal values always print identically.
+equal values, channels included, always print identically.
 """
 
 import re
@@ -31,27 +32,24 @@ _MAX_DEPTH = 100
 # -- formatting ---------------------------------------------------------------
 
 
-def format_element(e: Elem) -> str:
-    if isinstance(e, str):
-        return e
-    if isinstance(e, Pair):
-        return f"({format_element(e.fst)},{format_element(e.snd)})"
-    if isinstance(e, tuple):
-        return "(" + ",".join(format_element(c) for c in e) + ")"
-    if isinstance(e, (Multiset, Dist)):
-        return format_value(e)
-    raise TypeError(f"cannot format {e!r} as an element")
-
-
 def format_value(v) -> str:
-    """The canonical text of an element, multiset, distribution or predicate."""
+    """The canonical text of any value: an element, a multiset, a distribution,
+    a predicate or a channel; a channel's table is filled to print it."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, Pair):
+        return f"({format_value(v.fst)},{format_value(v.snd)})"
+    if isinstance(v, tuple):
+        return "(" + ",".join(format_value(c) for c in v) + ")"
     if isinstance(v, Multiset):
-        return "[" + ", ".join(f"{n} {format_element(e)}" for e, n in v.entries) + "]"
+        return "[" + ", ".join(f"{n} {format_value(e)}" for e, n in v.entries) + "]"
     if isinstance(v, Dist):
-        return "<" + ", ".join(f"{w} {format_element(e)}" for e, w in v.entries) + ">"
+        return "<" + ", ".join(f"{w} {format_value(e)}" for e, w in v.entries) + ">"
     if isinstance(v, Predicate):
-        return "(" + ", ".join(f"{format_element(e)}:{w}" for e, w in v.entries) + ")"
-    return format_element(v)
+        return "(" + ", ".join(f"{format_value(e)}:{w}" for e, w in v.entries) + ")"
+    if isinstance(v, Channel):
+        return "{" + ", ".join(f"{format_value(x)}: {format_value(v(x))}" for x in v.domain) + "}"
+    raise TypeError(f"cannot format {v!r} as a value")
 
 
 # -- tokenizing ---------------------------------------------------------------

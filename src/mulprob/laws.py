@@ -255,23 +255,26 @@ class LawContext:
             out.append(Predicate({x: rng.choice(values) for x in elems}))
         return out
 
-    # The zips as finite tables, filled once per sweep through the ``ch``
-    # module, so a patched or traced channel sees every computed call.  A
-    # table is keyed by the pair's components, which hash and compare
-    # without a call into ``Pair``; ``_by_pair`` looks a ``Pair`` up in it.
+    # The zips, computed once per sweep through the ``ch`` module, so a
+    # patched or traced zip sees every computed call.
 
     @_pooled
-    def zip_table(self, k: int, left: Space, right: Space) -> dict:
-        """``zip_tuples`` at every pair of length-k sequences over the two spaces."""
+    def zip_table(self, k: int, left: Space, right: Space) -> Callable[[Pair], tuple]:
+        """``zip_tuples`` at every pair of length-k sequences over the two spaces.
+
+        The table is keyed by the pair's components, which hash and compare
+        without a call into ``Pair``; the lookup takes a ``Pair``.
+        """
         ys = right.power(k)
-        return {(xs, y): ch.zip_tuples(xs, y) for xs in left.power(k) for y in ys}
+        table = {(xs, y): ch.zip_tuples(xs, y) for xs in left.power(k) for y in ys}
+        return lambda p: table[p.fst, p.snd]
 
     @_pooled
-    def mzip_table(self, k: int, left: Space, right: Space) -> dict:
-        """``mzip`` at every pair of size-k multisets over the two spaces."""
-        psis = list(enumerate_multisets(right, k))
-        return {(phi, psi): ch.mzip(phi, psi)
-                for phi in enumerate_multisets(left, k) for psi in psis}
+    def mzip_table(self, k: int, left: Space, right: Space) -> Channel:
+        """``mzip`` as the Kleisli map ``M[k]X x M[k]Y -> D(M[k](X x Y))``, a
+        channel on pairs of size-k multisets whose table fills on demand."""
+        domain = ch.multiset_space(left, k).product(ch.multiset_space(right, k))
+        return Channel(domain, lambda p: ch.mzip(p.fst, p.snd))
 
 
 # -- helpers shared by several checks -----------------------------------------
@@ -292,11 +295,6 @@ def _tensor_pairs(omega: Dist) -> Dist:
     return omega.map(lambda p: p.fst.tensor(p.snd))
 
 
-def _by_pair(table: dict) -> Callable[[Pair], object]:
-    """A zip table as a kernel on pairs, looked up by the pair's components."""
-    return lambda p: table[p.fst, p.snd]
-
-
 def _iter_dd(psi_dist: Dist, times: int) -> Dist:
     out = psi_dist
     for _ in range(times):
@@ -308,10 +306,6 @@ def _pairs(left: Iterable, right: Iterable) -> Iterator[Pair]:
     """Every Pair of the two domains, the left component varying slowest."""
     right = list(right)
     return (Pair(a, b) for a in left for b in right)
-
-
-def _multiset_pairs(k: int, left: Space, right: Space) -> Iterator[Pair]:
-    return _pairs(enumerate_multisets(left, k), enumerate_multisets(right, k))
 
 
 # -- the catalogue -------------------------------------------------------------
@@ -456,7 +450,7 @@ def _law_hg_mn(ctx: LawContext, k: int, l: int):
 
 @law("zip-iid", "zipping independent copies matches copies of the product", sizes="k")
 def _law_zip_iid(ctx: LawContext, k: int):
-    zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
+    zipped = ctx.zip_table(k, ctx.X, ctx.Y)
     xs, ys = ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)
     iids = {omega: iid(omega, k) for omega in xs + ys}
     yield (_pairs(xs, ys), lambda p: dtensor(iids[p.fst], iids[p.snd]).map(zipped),
@@ -465,7 +459,7 @@ def _law_zip_iid(ctx: LawContext, k: int):
 
 @law("zip-bigtensor", "zipping commutes with big tensors of distributions", sizes="k")
 def _law_zip_bigtensor(ctx: LawContext, k: int):
-    zipped = _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
+    zipped = ctx.zip_table(k, ctx.X, ctx.Y)
     xs, ys = (list(itertools.product(ctx.corner_dists(s), repeat=k)) for s in (ctx.X, ctx.Y))
     tensors = {ws: big_tensor(list(ws)) for ws in xs + ys}
     yield (_pairs(xs, ys), lambda p: dtensor(tensors[p.fst], tensors[p.snd]).map(zipped),
@@ -477,10 +471,10 @@ def _law_mzip_natural(ctx: LawContext, k: int):
     yx, xy = ctx.mzip_table(k, ctx.Y, ctx.X), ctx.mzip_table(k, ctx.X, ctx.Y)
     for f in ctx.function_pool(ctx.X, ctx.Y):
         for g in ctx.function_pool(ctx.Y, ctx.X):
-            yield (_multiset_pairs(k, ctx.X, ctx.Y),
-                   lambda p: yx[p.fst.map_elements(f.__getitem__),
-                                p.snd.map_elements(g.__getitem__)],
-                   lambda p: xy[p.fst, p.snd].map(lambda theta: theta.map_elements(
+            yield (xy.domain,
+                   lambda p: yx(Pair(p.fst.map_elements(f.__getitem__),
+                                     p.snd.map_elements(g.__getitem__))),
+                   lambda p: xy(p).map(lambda theta: theta.map_elements(
                        lambda q: Pair(f[q.fst], g[q.snd]))))
 
 
@@ -488,7 +482,7 @@ def _law_mzip_natural(ctx: LawContext, k: int):
 def _law_mzip_unit(ctx: LawContext, k: int):
     xy = ctx.mzip_table(k, ctx.X, ctx.Y)
     yield (_pairs(enumerate_multisets(ctx.X, k), ctx.Y),
-           lambda p: xy[p.fst, Multiset({p.snd: k})],
+           lambda p: xy(Pair(p.fst, Multiset({p.snd: k}))),
            lambda p: unit(p.fst.tensor(Multiset({p.snd: 1}))))
 
 
@@ -503,19 +497,16 @@ def _law_mzip_assoc(ctx: LawContext, k: int):
     xy_z = ctx.mzip_table(k, ctx.X.product(ctx.Y), ctx.Z)
     x_yz = ctx.mzip_table(k, ctx.X, ctx.Y.product(ctx.Z))
     yield (itertools.product(*(enumerate_multisets(s, k) for s in (ctx.X, ctx.Y, ctx.Z))),
-           lambda t: bind(xy[t[0], t[1]], lambda th: xy_z[th, t[2]]).map(reassoc),
-           lambda t: bind(yz[t[1], t[2]], lambda th: x_yz[t[0], th]))
+           lambda t: bind(xy(Pair(t[0], t[1])), lambda th: xy_z(Pair(th, t[2]))).map(reassoc),
+           lambda t: bind(yz(Pair(t[1], t[2])), lambda th: x_yz(Pair(t[0], th))))
 
 
 @law("mzip-proj", "projecting a zipped multiset returns either input", sizes="k")
 def _law_mzip_proj(ctx: LawContext, k: int):
-    pairs = list(_multiset_pairs(k, ctx.X, ctx.Y))
     xy = ctx.mzip_table(k, ctx.X, ctx.Y)
-    yield (pairs,
-           lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.fst)),
+    yield (xy.domain, lambda p: xy(p).map(lambda th: th.map_elements(lambda q: q.fst)),
            lambda p: unit(p.fst))
-    yield (pairs,
-           lambda p: xy[p.fst, p.snd].map(lambda th: th.map_elements(lambda q: q.snd)),
+    yield (xy.domain, lambda p: xy(p).map(lambda th: th.map_elements(lambda q: q.snd)),
            lambda p: unit(p.snd))
 
 
@@ -525,7 +516,7 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
     # one multiset witnessing the failure.
     xx = ctx.mzip_table(2, ctx.X, ctx.X)
     for phi in enumerate_multisets(ctx.X, 2):
-        lhs = xx[phi, phi]
+        lhs = xx(Pair(phi, phi))
         rhs = unit(phi.map_elements(lambda x: Pair(x, x)))
         if lhs != rhs:
             return True, None
@@ -534,31 +525,29 @@ def _law_mzip_diag_counterexample(ctx: LawContext):
 
 @law("mzip-arr", "arranging a zipped multiset zips the arrangements", sizes="k")
 def _law_mzip_arr(ctx: LawContext, k: int):
-    xy, zipped = ctx.mzip_table(k, ctx.X, ctx.Y), _by_pair(ctx.zip_table(k, ctx.X, ctx.Y))
-    yield (_multiset_pairs(k, ctx.X, ctx.Y),
-           lambda p: bind(xy[p.fst, p.snd], ch.arrange),
+    xy, zipped = ctx.mzip_table(k, ctx.X, ctx.Y), ctx.zip_table(k, ctx.X, ctx.Y)
+    yield (xy.domain, lambda p: bind(xy(p), ch.arrange),
            lambda p: dtensor(ch.arrange(p.fst), ch.arrange(p.snd)).map(zipped))
 
 
 @law("mzip-dd", "deleting one element on both sides commutes with zipping", sizes="k")
 def _law_mzip_dd(ctx: LawContext, k: int):
-    small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-    big = ctx.mzip_table(k + 1, ctx.X, ctx.Y)
-    yield (_multiset_pairs(k + 1, ctx.X, ctx.Y),
+    small, big = ctx.mzip_table(k, ctx.X, ctx.Y), ctx.mzip_table(k + 1, ctx.X, ctx.Y)
+    yield (big.domain,
            lambda p: bind(dtensor(ch.draw_delete(p.fst), ch.draw_delete(p.snd)), small),
-           lambda p: bind(big[p.fst, p.snd], ch.draw_delete))
+           lambda p: bind(big(p), ch.draw_delete))
 
 
 @law("mzip-flrn", "learning from a zipped multiset learns the tensor", sizes="k>0")
 def _law_mzip_flrn(ctx: LawContext, k: int):
     xy = ctx.mzip_table(k, ctx.X, ctx.Y)
-    yield (_multiset_pairs(k, ctx.X, ctx.Y), lambda p: bind(xy[p.fst, p.snd], flrn),
+    yield (xy.domain, lambda p: bind(xy(p), flrn),
            lambda p: flrn(p.fst.tensor(p.snd)))
 
 
 @law("mzip-mn", "zipped replacement draws are draws from the product", sizes="k")
 def _law_mzip_mn(ctx: LawContext, k: int):
-    zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    zipped = ctx.mzip_table(k, ctx.X, ctx.Y)
     xs, ys = ctx.dist_pool(ctx.X), ctx.dist_pool(ctx.Y)
     draws = {omega: ch.multinomial(omega, k) for omega in xs + ys}
     yield (_pairs(xs, ys), lambda p: bind(dtensor(draws[p.fst], draws[p.snd]), zipped),
@@ -567,10 +556,8 @@ def _law_mzip_mn(ctx: LawContext, k: int):
 
 @law("mzip-hg", "zipping commutes with draws without replacement", sizes="n,k<=n")
 def _law_mzip_hg(ctx: LawContext, n: int, k: int):
-    big = ctx.mzip_table(n, ctx.X, ctx.Y)
-    small = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
-    yield (_multiset_pairs(n, ctx.X, ctx.Y),
-           lambda p: bind(big[p.fst, p.snd], lambda th: ch.hypergeometric(th, k)),
+    big, small = ctx.mzip_table(n, ctx.X, ctx.Y), ctx.mzip_table(k, ctx.X, ctx.Y)
+    yield (big.domain, lambda p: bind(big(p), lambda th: ch.hypergeometric(th, k)),
            lambda p: bind(dtensor(ch.hypergeometric(p.fst, k),
                                   ch.hypergeometric(p.snd, k)), small))
 
@@ -675,7 +662,7 @@ def _law_lift_compose(ctx: LawContext, k: int):
 
 @law("mzip-pml", "the lifted tensor intertwines the law and zipping", sizes="k")
 def _law_mzip_pml(ctx: LawContext, k: int):
-    zipped = _by_pair(ctx.mzip_table(k, ctx.X, ctx.Y))
+    zipped = ctx.mzip_table(k, ctx.X, ctx.Y)
     xs, ys = ctx.psi_pool(ctx.X, k), ctx.psi_pool(ctx.Y, k)
     pmls = {psi: pml(psi) for psi in xs + ys}
     # Each pair of members tensored once, so ``pml`` meets the same states.
@@ -688,7 +675,7 @@ def _law_mzip_pml(ctx: LawContext, k: int):
 
 @law("lift-mzip", "lifted channels form a monoidal pair with zipping", sizes="k")
 def _law_lift_mzip(ctx: LawContext, k: int):
-    yx = _by_pair(ctx.mzip_table(k, ctx.Y, ctx.X))
+    yx = ctx.mzip_table(k, ctx.Y, ctx.X)
     xz = ctx.mzip_table(k, ctx.X, ctx.Z)
     gs = ctx.channel_pool(ctx.Z, ctx.X, "monoidal-g")[:3]
     lgs = [lifted_map(g, k) for g in gs]
@@ -696,9 +683,8 @@ def _law_lift_mzip(ctx: LawContext, k: int):
         lf = lifted_map(f, k)
         for g, lg in zip(gs, lgs):
             lfg = lifted_map(ctensor(f, g), k)
-            yield (_multiset_pairs(k, ctx.X, ctx.Z),
-                   lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
-                   lambda p: bind(xz[p.fst, p.snd], lfg))
+            yield (xz.domain, lambda p: bind(dtensor(lf(p.fst), lg(p.snd)), yx),
+                   lambda p: bind(xz(p), lfg))
 
 
 @law("lift-sum", "lifted channels commute with multiset sums", sizes="k,l")

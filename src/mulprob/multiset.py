@@ -67,10 +67,6 @@ class Multiset(_FiniteMap):
     def __bool__(self) -> bool:
         return bool(self._map)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n} {e!r}" for e, n in self.entries)
-        return f"Multiset[{inner}]"
-
     def _element_sort_key(self) -> tuple:
         # Colexicographic order on multiplicity vectors: compare counts at
         # the largest elements first, missing entries counting as zero.

@@ -274,6 +274,15 @@ class TestBudgets:
         monkeypatch.setenv("MULPROB_MAX_CELLS", "70")
         assert len(hypergeometric(urn, 4).entries) == 70
 
+    def test_product_space_is_charged_before_it_is_built(self, monkeypatch):
+        abcd = Space("abcd")
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "15")
+        with pytest.raises(ResourceLimitError, match=r"^4x4 product space needs 16 cells") as err:
+            abcd.product(abcd)
+        assert (err.value.op, err.value.needed, err.value.limit) == ("4x4 product space", 16, 15)
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "16")
+        assert len(abcd.product(abcd)) == 16
+
 
 class TestChannelBuilders:
     def test_multiset_space(self):
@@ -302,14 +311,14 @@ class TestPprProofReplay:
 
 
 def test_channel_equality_is_pointwise():
-    from mulprob.dist import Channel, channel_equal
+    from mulprob.dist import Channel
 
     f = Channel.from_mapping({"a": OMEGA, "b": unit("b")})
     g = Channel(AB, lambda x: OMEGA if x == "a" else unit("b"))
     h = Channel.from_mapping({"a": OMEGA, "b": unit("a")})
-    assert channel_equal(f, g)
-    assert not channel_equal(f, h)
-    assert not channel_equal(f, Channel.identity(Space(["a"])))
+    assert f == g and hash(f) == hash(g)
+    assert f != h
+    assert f != Channel.identity(Space(["a"]))
 
 
 def test_every_draw_output_is_normalized():

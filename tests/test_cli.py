@@ -160,9 +160,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["sample-check", "<1 a>", "--chan", "{b: <1 u>}", "--k", "1"],
-         "error: support element [1 a] outside channel domain\n"),
+         "error: support element a outside channel domain\n"),
         (["sample-check", "<1 (a,00)>", "--chan", "{b: <1 u>}", "--k", "1"],
-         "error: support element [1 (a,00)] outside channel domain\n"),
+         "error: support element (a,00) outside channel domain\n"),
+        (["sample-check", "<1/2 a, 1/2 b>", "--chan", "{a: <1 u>}", "--k", "2"],
+         "error: support element b outside channel domain\n"),
+        (["sample-check", "<1 [1 a]>", "--chan", "{b: <1 u>}", "--k", "1"],
+         "error: support element [1 a] outside channel domain\n"),
         (["pml", "[2 <1/2 a, 1/2 b>, 1 [1 a]]"],
          "error: expected a multiset of distributions, found [1 a]\n"),
         (["pml", "[1 (0,00)]"],
@@ -171,8 +175,8 @@ class TestErrors:
          "error: predicate not defined at (a,b)\n"),
         (["update", "<1/2 [1 a], 1/2 b>", "--pred", "(b:1)"],
          "error: predicate not defined at [1 a]\n"),
-    ], ids=["push-multiset", "push-pair", "pml-multiset", "pml-pair", "predicate-pair",
-            "predicate-multiset"])
+    ], ids=["push-atom", "push-pair", "push-second-atom", "push-multiset", "pml-multiset",
+            "pml-pair", "predicate-pair", "predicate-multiset"])
     def test_values_in_messages_are_in_ket_notation(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mulprob.dist import (
     Channel,
-    channel_equal,
     Dist,
     Predicate,
     big_tensor,
@@ -177,6 +176,11 @@ class TestChannelTable:
                 c("a")
             assert runs["a"] == n
 
+    def test_kernel_output_is_shown_in_ket_notation(self):
+        c = Channel(AB, lambda x: Multiset({x: 1}))
+        with pytest.raises(DomainError, match=r"^channel kernel returned \[1 a\], not a Dist$"):
+            c("a")
+
     def test_budget_error_stores_nothing(self, monkeypatch):
         c, runs = counting_channel(AB, lambda x: Dist.uniform([x + "0", x + "1", x + "2"]))
         lifted = lifted_map(c, 3)
@@ -204,14 +208,14 @@ class TestChannelTable:
             c({})
         assert runs == Counter({"a": 1, "b": 1})
 
-    def test_channel_equal_fills_both_tables_and_still_decides(self):
+    def test_equality_fills_both_tables_and_still_decides(self):
         f, f_runs = counting_channel(AB, {"a": OMEGA, "b": unit("b")}.__getitem__)
         g, g_runs = counting_channel(AB, lambda x: OMEGA if x == "a" else unit("b"))
         h = Channel.from_mapping({"a": OMEGA, "b": unit("a")})
         for _ in range(2):
-            assert channel_equal(f, g)
-            assert not channel_equal(f, h)
-            assert not channel_equal(f, Channel.identity(Space(["a"])))
+            assert f == g and hash(f) == hash(g)
+            assert f != h
+            assert f != Channel.identity(Space(["a"]))
         assert f_runs == g_runs == Counter({"a": 1, "b": 1})
 
 

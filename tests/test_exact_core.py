@@ -11,6 +11,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mulprob.channels import arrange, hypergeometric, multinomial
-from mulprob.dist import Dist, Predicate, big_tensor, bind, dtensor, iid, unit
+from mulprob.dist import Channel, Dist, Predicate, big_tensor, bind, dtensor, iid, unit
 from mulprob.elements import Pair, Space, elem_key
-from mulprob.ket import format_value, parse_value
+from mulprob.errors import DomainError
+from mulprob.ket import format_value, parse_channel, parse_value
 from mulprob.multiset import Multiset
 from mulprob.oracles import pml_def1
 from mulprob.pml import monoid_sum, pml
@@ -308,6 +310,61 @@ def test_text_round_trip(text):
     printed = format_value(value)
     assert parse_value(printed) == value
     assert format_value(parse_value(printed)) == printed
+
+
+# Channel tables: distinct atom or pair keys, each mapped to a distribution.
+channel_entries = st.lists(
+    st.tuples(element_texts, st.lists(st.tuples(value_texts, st.integers(1, 3)),
+                                      min_size=1, max_size=3).map(dist_text)),
+    min_size=1, max_size=4, unique_by=lambda entry: entry[0])
+
+
+def channel_text(entries) -> str:
+    return "{" + ", ".join(f"{key}: {d}" for key, d in entries) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_entries, st.randoms(use_true_random=False))
+@example([("(a,0)", "<1/2 a, 1/2 b>"), ("b", "<1/1 [2 a]>"), ("0", "<1/1 00>")], random.Random(0))
+def test_channels_are_values(entries, rng):
+    c = parse_channel(channel_text(entries))
+    shuffled = parse_channel(channel_text(rng.sample(entries, len(entries))))
+    assert c == shuffled and hash(c) == hash(shuffled)
+    assert format_value(c) == format_value(shuffled)
+    assert parse_channel(format_value(c)) == c
+    table = {x: c(x) for x in c.domain}
+    x = rng.choice(c.domain.elements)
+    changed = dict(table)
+    changed[x] = unit("b") if table[x] == unit("a") else unit("a")
+    assert c != Channel.from_mapping(changed)
+    assert c != Channel.from_mapping({**table, "zz": unit("a")})
+    if len(table) > 1:
+        assert c != Channel.from_mapping({y: d for y, d in table.items() if y != x})
+    for other in (table[x], unit(x), x):
+        assert c != other and other != c
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel_entries, st.randoms(use_true_random=False))
+def test_a_raising_kernel_makes_equality_and_hash_raise(entries, rng):
+    c = parse_channel(channel_text(entries))
+    bad = rng.choice(c.domain.elements)
+    runs = []
+
+    def kernel(x):
+        if x == bad:
+            runs.append(x)
+            raise DomainError("no output here")
+        return c(x)
+
+    f = Channel(c.domain, kernel)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^no output here$"):
+            bool(f == c)
+        with pytest.raises(DomainError, match="^no output here$"):
+            hash(f)
+    # Nothing was stored at the raising point, so each attempt ran the kernel.
+    assert len(runs) == 4
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,6 @@ from mulprob.dist import Dist, Predicate
 from mulprob.elements import Pair
 from mulprob.errors import ParseError
 from mulprob.ket import (
-    format_element,
     format_value,
     parse_channel,
     parse_dist,
@@ -132,11 +131,27 @@ def test_predicate_round_trip(values):
 
 class TestFormatting:
     def test_tuples(self):
-        assert format_element(("a", "b", "b")) == "(a,b,b)"
-        assert format_element(()) == "()"
+        assert format_value(("a", "b", "b")) == "(a,b,b)"
+        assert format_value(()) == "()"
 
     def test_pairs_have_no_spaces(self):
-        assert format_element(Pair("a", "z1")) == "(a,z1)"
+        assert format_value(Pair("a", "z1")) == "(a,z1)"
+
+    def test_channels_print_in_domain_order(self):
+        text = "{b: <1 u>, (a,0): <2/3 v, 1/3 u>, a: <1/2 u, 1/2 v>}"
+        assert format_value(parse_channel(text)) == (
+            "{a: <1/2 u, 1/2 v>, b: <1 u>, (a,0): <1/3 u, 2/3 v>}")
+
+    def test_values_repr_as_their_ket_text(self):
+        assert repr(parse_value("<2/3 b, 1/3 a>")) == "Dist('<1/3 a, 2/3 b>')"
+        assert repr(parse_value("[2 b, 1 [1 a]]")) == "Multiset('[2 b, 1 [1 a]]')"
+        assert repr(Multiset()) == "Multiset('[]')"
+        assert repr(parse_value("(b:1/2, a:1)")) == "Predicate('(a:1, b:1/2)')"
+
+    @pytest.mark.parametrize("value", [1, None, ["a"], {"a": 1}])
+    def test_other_objects_are_not_values(self, value):
+        with pytest.raises(TypeError, match="^cannot format .* as a value$"):
+            format_value(value)
 
     def test_predicate_format(self):
         assert format_value(Predicate({"b": F(1, 2), "a": 1})) == "(a:1, b:1/2)"

@@ -21,6 +21,7 @@ def test_library_example_runs():
     bind, pml, flrn, flatten = names["bind"], names["pml"], names["flrn"], names["flatten"]
     psi = names["psi"]
     assert bind(pml(psi), flrn) == flatten(flrn(psi))
+    assert names["c"] == names["parse_channel"]("{a: <1/2 u, 1/2 v>, b: <1 u>}")
     format_value, Multiset = names["format_value"], names["Multiset"]
     assert format_value(names["ppr"](("a", "b", "b"))) == "<2/3 (a,b), 1/3 (b,b)>"
     assert (format_value(names["draw_delete"](Multiset({"a": 1, "b": 2})))
