@@ -9,16 +9,12 @@ equation is decidable and checked bit-exactly by the law suite.
 
 __version__ = "0.1.0"
 
-from .combinatorics import binomial, factorial, multichoose
+from types import ModuleType as _ModuleType
+
+from .combinatorics import binomial, multichoose
 from .elements import Elem, Pair, Space, elem_key
 from .errors import DomainError, MulprobError, ParseError, ResourceLimitError
-from .multiset import (
-    Multiset,
-    accumulate,
-    enumerate_arrangements,
-    enumerate_multisets,
-    flatten_multiset,
-)
+from .multiset import Multiset, accumulate, enumerate_arrangements, enumerate_multisets
 from .dist import (
     Channel,
     Dist,
@@ -59,4 +55,6 @@ from .ket import (
 )
 from .laws import LawContext, LawReport, catalogue, render_reports, run_laws
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every public name above; the submodules the imports bind are not exports.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -5,21 +5,14 @@ for counts and multiplicities, ``fractions.Fraction`` for probabilities.
 There is no floating point anywhere in the library; equality of
 distributions is decided exactly.
 
-Factorials and binomials call the math module directly, with no memo
-table: for the small arguments used here, a cache lookup costs as much
-as the computation itself.
+Binomials call the math module directly, with no memo table: for the
+small arguments used here, a cache lookup costs as much as the
+computation itself.
 """
 
 import math
 
 from .errors import DomainError
-
-
-def factorial(n: int) -> int:
-    """n! for a nonnegative integer n."""
-    if n < 0:
-        raise DomainError(f"factorial of negative number: {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

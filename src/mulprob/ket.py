@@ -2,14 +2,16 @@
 
 The bit-exact surface syntax of the library:
 
-* element: identifier (``a``, ``z0``), numeral (``0``), or pair ``(a,0)``
-* multiset: ``[3 a, 2 b]``, empty ``[]``; entry values may themselves be
-  multisets or distributions, as in ``[2 <1/3 a, 2/3 b>]``
-* distribution: ``<1/3 a, 2/3 b>``; values may be elements, multisets, or
-  nested distributions
-* predicate: ``(a:1, b:1/2)``
+* element: an identifier (``a``, ``z0``), a numeral (``0``), a pair of
+  elements ``(a,0)``, a multiset or a distribution, so pair components,
+  multiset and distribution entries, predicate keys and channel keys may
+  all be multisets or distributions, as in ``([1 a],[1 u])``
+* multiset: ``[3 a, 2 b]``, empty ``[]``
+* distribution: ``<1/3 a, 2/3 b>``; never empty
+* predicate: ``(a:1, b:1/2)``, at the top level only
 * channel: ``{a: <1/2 u, 1/2 v>, b: <1 u>}``, one output per element of
-  its domain, printed in the domain's order
+  its domain, printed in the domain's order; ``{}`` is the channel with
+  an empty domain; at the top level only
 * rational: ``p`` or ``p/q``, always reduced on output
 
 Printed output is canonical: entries sorted by the element order,
@@ -26,7 +28,7 @@ from .elements import Elem, Pair, _show
 from .errors import DomainError, ParseError
 from .multiset import Multiset
 
-# Deepest nesting of pairs, multisets and distributions the parser accepts.
+# Deepest nesting of brackets the parser accepts.
 _MAX_DEPTH = 100
 
 # -- formatting ---------------------------------------------------------------
@@ -145,6 +147,7 @@ class _Parser:
         return Fraction(num)
 
     def element(self) -> Elem:
+        """An atom, a pair of elements, a multiset or a distribution."""
         kind, text, pos = self.peek()
         if kind in ("ident", "nat"):
             self.next()
@@ -152,6 +155,10 @@ class _Parser:
         if text == "(":
             self.enter("(")
             return self.pair_rest(self.element())
+        if text == "[":
+            return self.multiset()
+        if text == "<":
+            return self.dist()
         raise ParseError(f"expected an element, found {text or 'end of input'!r}", pos)
 
     def pair_rest(self, fst: Elem) -> Pair:
@@ -161,44 +168,34 @@ class _Parser:
         self.leave(")")
         return Pair(fst, snd)
 
-    def value(self):
-        kind, text, pos = self.peek()
-        if text == "[":
-            return self.multiset()
-        if text == "<":
-            return self.dist()
-        return self.element()
+    def entries(self, start: int, close: str, entry, build, empty: bool = False):
+        """Comma-separated entries up to ``close``, made into a value by ``build``.
+
+        The opening bracket, at ``start``, is read; ``empty`` allows no
+        entries.  A value ``build`` rejects is a parse error at ``start``.
+        """
+        items = []
+        if not (empty and self.peek()[1] == close):
+            items.append(entry())
+            while self.peek()[1] == ",":
+                self.next()
+                items.append(entry())
+        self.leave(close)
+        try:
+            return build(items)
+        except DomainError as exc:
+            raise ParseError(str(exc), start) from None
+
+    def weighted(self, weight) -> tuple:
+        """A weight and the element after it, as an ``(element, weight)`` entry."""
+        w = weight()
+        return self.element(), w
 
     def multiset(self) -> Multiset:
-        start = self.enter("[")
-        entries = []
-        if self.peek()[1] != "]":
-            while True:
-                n = self.nat()
-                entries.append((self.value(), n))
-                if self.peek()[1] != ",":
-                    break
-                self.next()
-        self.leave("]")
-        try:
-            return Multiset(entries)
-        except DomainError as exc:
-            raise ParseError(str(exc), start) from None
+        return self.entries(self.enter("["), "]", lambda: self.weighted(self.nat), Multiset, True)
 
     def dist(self) -> Dist:
-        start = self.enter("<")
-        entries = []
-        while True:
-            w = self.rational()
-            entries.append((self.value(), w))
-            if self.peek()[1] != ",":
-                break
-            self.next()
-        self.leave(">")
-        try:
-            return Dist(entries)
-        except DomainError as exc:
-            raise ParseError(str(exc), start) from None
+        return self.entries(self.enter("<"), ">", lambda: self.weighted(self.rational), Dist)
 
     def predicate(self) -> Predicate:
         start = self.enter("(")
@@ -210,41 +207,31 @@ class _Parser:
         Every key is read one nesting level inside the bracket, so a key
         that parses in one position parses in any, the canonical one too.
         """
-        entries = []
-        while True:
+        keys = [key]
+
+        def entry():
+            k = keys.pop() if keys else self.element()
             self.expect(":")
-            entries.append((key, self.rational()))
-            if self.peek()[1] != ",":
-                break
-            self.next()
-            key = self.element()
-        self.leave(")")
-        try:
-            return Predicate(entries)
-        except DomainError as exc:
-            raise ParseError(str(exc), start) from None
+            return k, self.rational()
+
+        return self.entries(start, ")", entry, Predicate)
 
     def channel(self) -> Channel:
-        self.expect("{")
         table = {}
-        while True:
+
+        def entry():
             key = self.element()
             self.expect(":")
             if key in table:
                 raise ParseError(f"duplicate channel entry for {_show(key)}", self.peek()[2])
             table[key] = self.dist()
-            if self.peek()[1] != ",":
-                break
-            self.next()
-        self.expect("}")
+
+        self.entries(self.enter("{"), "}", entry, list, True)
         return Channel.from_mapping(table)
 
     def any_value(self):
+        """An element, or at the top level a predicate or a channel."""
         kind, text, pos = self.peek()
-        if text == "[":
-            return self.multiset()
-        if text == "<":
-            return self.dist()
         if text == "{":
             return self.channel()
         if text == "(":
@@ -267,7 +254,8 @@ def _parse_with(method_name: str, text: str):
 
 
 def parse_value(text: str):
-    """Parse any ket literal: element, multiset, distribution, or predicate."""
+    """Parse any ket literal: an element (multisets and distributions
+    included), a predicate or a channel."""
     return _parse_with("any_value", text)
 
 

@@ -169,28 +169,18 @@ class LawContext:
     def dist_pool(self, space: Space) -> list[Dist]:
         """Corner distributions followed by the seeded random ones."""
         rng = self._rng(f"dists:{space.elements}")
-        out = list(self.corner_dists(space))
-        seen = set(out)
-        for _ in range(self.n_random):
-            d = self._random_dist(rng, space)
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-        return out
+        randoms = [self._random_dist(rng, space) for _ in range(self.n_random)]
+        return list(dict.fromkeys([*self.corner_dists(space), *randoms]))
 
     @_pooled
     def psi_pool(self, space: Space, size: int) -> list[Multiset]:
         """Multisets of distributions: all over the corners, plus random ones."""
-        out = list(enumerate_multisets(Space(self.corner_dists(space)), size))
         rng = self._rng(f"psis:{space.elements}:{size}")
         pool = self.dist_pool(space)
-        seen = set(out)
-        for _ in range(max(4, self.n_random // 3)):
-            psi = accumulate([rng.choice(pool) for _ in range(size)])
-            if psi not in seen:
-                seen.add(psi)
-                out.append(psi)
-        return out
+        randoms = [accumulate([rng.choice(pool) for _ in range(size)])
+                   for _ in range(max(4, self.n_random // 3))]
+        return list(dict.fromkeys([*enumerate_multisets(Space(self.corner_dists(space)), size),
+                                   *randoms]))
 
     @_pooled
     def nested_pool(self, space: Space, size: int) -> list[Multiset]:
@@ -208,14 +198,8 @@ class LawContext:
                 inner.append(unit(pair[0]))
             else:
                 inner.append(Dist({pair[0]: w, pair[1]: 1 - w}))
-        out = list(enumerate_multisets(Space(inner[:3]), size))
-        seen = set(out)
-        for _ in range(4):
-            xi = accumulate([rng.choice(inner) for _ in range(size)])
-            if xi not in seen:
-                seen.add(xi)
-                out.append(xi)
-        return out
+        randoms = [accumulate([rng.choice(inner) for _ in range(size)]) for _ in range(4)]
+        return list(dict.fromkeys([*enumerate_multisets(Space(inner[:3]), size), *randoms]))
 
     @_pooled
     def channel_pool(self, src: Space, dst: Space, tag: str) -> list[Channel]:

@@ -105,12 +105,6 @@ class Multiset(_FiniteMap):
             return NotImplemented
         return all(n <= other[e] for e, n in self._map.items())
 
-    def scale(self, n: int) -> "Multiset":
-        """All multiplicities multiplied by a nonnegative integer."""
-        if n < 0:
-            raise DomainError(f"negative scale factor: {n}")
-        return Multiset({e: n * m for e, m in self._map.items()})
-
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
         return Multiset(
@@ -144,16 +138,6 @@ _set_size = Multiset._size.__set__
 def accumulate(xs: Sequence[Elem]) -> Multiset:
     """Collapse a sequence to the multiset of its element counts."""
     return Multiset((x, 1) for x in xs)
-
-
-def flatten_multiset(outer: Multiset) -> Multiset:
-    """Union of multisets-of-multisets, weighted by outer multiplicities."""
-    total = Multiset()
-    for inner, n in outer.entries:
-        if not isinstance(inner, Multiset):
-            raise DomainError(f"flatten_multiset needs multiset elements, got {_show(inner)}")
-        total = total + inner.scale(n)
-    return total
 
 
 def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:

@@ -33,8 +33,6 @@ from .elements import Elem, _show
 from .errors import DomainError, check_cells
 from .multiset import Multiset
 
-__all__ = ["monoid_sum", "pml", "lifted_map"]
-
 
 def _check_members(psi: Multiset) -> tuple[tuple[Dist, int], ...]:
     """The members of ``psi`` with their counts, in canonical order; each

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from mulprob.channels import (
     ppr,
     zip_tuples,
 )
-from mulprob.combinatorics import factorial
 from mulprob.dist import Dist, bind, flrn, unit
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
@@ -229,8 +229,8 @@ class TestMzipCost:
         for j in range(7):
             tau = Multiset({Pair("a", "u"): j, Pair("a", "v"): 6 - j,
                             Pair("b", "u"): 6 - j, Pair("b", "v"): j})
-            want = F(factorial(6) ** 4,
-                     factorial(12) * factorial(j) ** 2 * factorial(6 - j) ** 2)
+            want = F(math.factorial(6) ** 4,
+                     math.factorial(12) * math.factorial(j) ** 2 * math.factorial(6 - j) ** 2)
             assert got[tau] == want
 
     def test_budget_counts_tables(self, monkeypatch):

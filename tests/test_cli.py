@@ -113,6 +113,14 @@ class TestSampleCheck:
         direct = lines[1].split(None, 1)[1]
         assert sampled == direct
 
+    def test_sample_check_over_multisets(self, capsys):
+        # A channel keyed by multisets, as a lifted channel prints.
+        assert run(capsys, "sample-check", "<1/3 [1 a], 2/3 [2 b]>", "--chan",
+                   "{[1 a]: <1/2 [1 u], 1/2 [1 v]>, [2 b]: <1 [2 u]>}", "--k", "2") == (
+            0, "sampled:  <1/6 [1 u], 2/3 [2 u], 1/6 [1 v]>\n"
+               "direct:   <1/6 [1 u], 2/3 [2 u], 1/6 [1 v]>\n"
+               "sample-check: OK\n", "")
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, capsys):

@@ -4,36 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulprob.combinatorics import binomial, factorial, multichoose
+from mulprob.combinatorics import binomial, multichoose
 from mulprob.errors import DomainError
-
-
-def iterative_factorial(n):
-    out = 1
-    for i in range(1, n + 1):
-        out *= i
-    return out
-
-
-class TestFactorial:
-    def test_empty_product(self):
-        assert factorial(0) == 1
-
-    @pytest.mark.parametrize("n", [5, 10])
-    def test_against_iterative_product(self, n):
-        assert factorial(n) == iterative_factorial(n)
-
-    def test_recurrence(self):
-        for n in range(20):
-            assert factorial(n + 1) == (n + 1) * factorial(n)
-
-    def test_beyond_memo_cap(self):
-        n = 69
-        assert factorial(n) == math.factorial(n)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            factorial(-1)
 
 
 class TestBinomial:

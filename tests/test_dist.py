@@ -26,7 +26,7 @@ from mulprob.dist import (
 )
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
-from mulprob.multiset import Multiset, enumerate_multisets, flatten_multiset
+from mulprob.multiset import Multiset, enumerate_multisets
 from mulprob.pml import lifted_map
 
 F = Fraction
@@ -495,13 +495,11 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: Multiset({Pair("a", "b"): -1}), "negative multiplicity -1 for (a,b)"),
     (lambda: Multiset({"a": 1}).remove_one(Pair("a", "b")),
      "cannot remove (a,b): not in the multiset"),
-    (lambda: flatten_multiset(Multiset({unit("a"): 1})),
-     "flatten_multiset needs multiset elements, got <1 a>"),
     (lambda: Dist({Pair("a", "b"): F(3, 2), "c": F(-1, 2)}), "negative weight -1/2 for c"),
     (lambda: Dist({Pair("a", "b"): F(-1, 2), "c": F(3, 2)}), "negative weight -1/2 for (a,b)"),
     (lambda: flatten(unit(Pair("a", "b"))), "flatten needs distribution elements, got (a,b)"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
-        "remove-one", "flatten-multiset", "weight-atom", "weight-pair", "flatten"])
+        "remove-one", "weight-atom", "weight-pair", "flatten"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()

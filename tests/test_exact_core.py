@@ -19,13 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mulprob.channels import arrange, hypergeometric, multinomial
-from mulprob.dist import Channel, Dist, Predicate, big_tensor, bind, dtensor, iid, unit
+from mulprob.dist import Channel, Dist, Predicate, big_tensor, bind, ctensor, dtensor, iid, unit
 from mulprob.elements import Pair, Space, elem_key
 from mulprob.errors import DomainError
 from mulprob.ket import format_value, parse_channel, parse_value
 from mulprob.multiset import Multiset
 from mulprob.oracles import pml_def1
-from mulprob.pml import monoid_sum, pml
+from mulprob.pml import lifted_map, monoid_sum, pml
 
 F = Fraction
 
@@ -196,14 +196,18 @@ def dist_text(entries) -> str:
     return "<" + ", ".join(f"{n}/{total} {v}" for v, n in entries) + ">"
 
 
+# Values nest in any order: pairs of multisets, multisets of pairs of
+# distributions, and so on.
 value_texts = st.recursive(
     element_texts,
     lambda inner: st.one_of(
+        st.builds("({},{})".format, inner, inner),
         st.lists(st.tuples(inner, st.integers(0, 2)), max_size=3).map(multiset_text),
         st.lists(st.tuples(inner, st.integers(1, 3)), min_size=1, max_size=3).map(dist_text),
     ),
     max_leaves=5,
 )
+values = value_texts.map(parse_value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,6 +309,7 @@ predicate_texts = st.lists(st.tuples(element_texts, predicate_values), min_size=
 @given(st.one_of(padded_value_texts, predicate_texts))
 @example("((a,0):1/2, (0,a):02/04, 7:0)")
 @example("[02 <01/02 007, 1/2 07>, 00 a]")
+@example("([1 a],<1/2 u, 1/2 v>)")
 def test_text_round_trip(text):
     value = parse_value(text)
     printed = format_value(value)
@@ -312,11 +317,12 @@ def test_text_round_trip(text):
     assert format_value(parse_value(printed)) == printed
 
 
-# Channel tables: distinct atom or pair keys, each mapped to a distribution.
+# Channel tables: keys of distinct value, each mapped to a distribution.
+# A key may be any element: an atom, a pair, a multiset or a distribution.
 channel_entries = st.lists(
-    st.tuples(element_texts, st.lists(st.tuples(value_texts, st.integers(1, 3)),
-                                      min_size=1, max_size=3).map(dist_text)),
-    min_size=1, max_size=4, unique_by=lambda entry: entry[0])
+    st.tuples(value_texts, st.lists(st.tuples(value_texts, st.integers(1, 3)),
+                                    min_size=1, max_size=3).map(dist_text)),
+    min_size=1, max_size=4, unique_by=lambda entry: parse_value(entry[0]))
 
 
 def channel_text(entries) -> str:
@@ -326,6 +332,7 @@ def channel_text(entries) -> str:
 @settings(max_examples=200, deadline=None)
 @given(channel_entries, st.randoms(use_true_random=False))
 @example([("(a,0)", "<1/2 a, 1/2 b>"), ("b", "<1/1 [2 a]>"), ("0", "<1/1 00>")], random.Random(0))
+@example([("[1 a]", "<1/2 [1 u], 1/2 [1 v]>"), ("[1 b]", "<1/1 [1 u]>")], random.Random(0))
 def test_channels_are_values(entries, rng):
     c = parse_channel(channel_text(entries))
     shuffled = parse_channel(channel_text(rng.sample(entries, len(entries))))
@@ -342,6 +349,28 @@ def test_channels_are_values(entries, rng):
         assert c != Channel.from_mapping({y: d for y, d in table.items() if y != x})
     for other in (table[x], unit(x), x):
         assert c != other and other != c
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel_entries, channel_entries, st.integers(0, 2))
+@example([("a", "<1/2 u, 1/2 v>"), ("b", "<1/1 u>")], [("[1 a]", "<1/1 [2 b]>")], 1)
+def test_channels_the_library_builds_parse_back(entries, more, k):
+    # Lifted channels have multisets for keys, tensors have pairs, and the
+    # empty channel prints as {}.
+    f, g = parse_channel(channel_text(entries)), parse_channel(channel_text(more))
+    for c in (lifted_map(f, k), ctensor(f, g), ctensor(g, f), Channel.from_mapping({})):
+        text = format_value(c)
+        assert parse_channel(text) == c
+        assert parse_value(text) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(dists("ab"), dists("uv", DENS_57), st.integers(0, 2))
+def test_tensors_of_draws_parse_back(omega, rho, k):
+    # A distribution over pairs of multisets; pairs of generated values
+    # are in test_text_round_trip.
+    v = dtensor(multinomial(omega, k), multinomial(rho, k))
+    assert parse_value(format_value(v)) == v
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,9 +422,6 @@ def test_spaces_survive_pickling_and_copies(elements):
         assert again == space and hash(again) == hash(space)
         assert again.elements == space.elements
         assert all(x in again for x in elements)
-
-
-values = value_texts.map(parse_value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -73,6 +73,16 @@ class TestParseBasics:
         assert set(chan.domain) == {"a", "b"}
         assert chan("b") == Dist({"u": 1})
 
+    def test_elements_nest_anywhere(self):
+        # Pair components, predicate keys and channel keys read the same
+        # element production as multiset and distribution entries.
+        assert parse_value("([1 a],[1 u])") == Pair(Multiset({"a": 1}), Multiset({"u": 1}))
+        assert parse_element("(<1 a>,[])") == Pair(Dist({"a": 1}), Multiset())
+        chan = parse_channel("{[1 a]: <1 [1 u]>}")
+        assert chan(Multiset({"a": 1})) == Dist({Multiset({"u": 1}): 1})
+        assert parse_value("([1 a]:1, <1 b>:1/2)") == Predicate(
+            {Multiset({"a": 1}): 1, Dist({"b": 1}): F(1, 2)})
+
 
 class TestCanonicalization:
     def test_multiset_entries_sorted_and_merged(self):
@@ -195,6 +205,15 @@ class TestErrors:
     def test_empty_dist_is_invalid(self):
         with pytest.raises(ParseError):
             parse_dist("<>")
+        with pytest.raises(ParseError):
+            parse_value("<>")
+
+    @pytest.mark.parametrize("text", ["[1 (a:1)]", "<1 (a:1)>", "((a:1),b)", "[1 {}]",
+                                      "{a: <1 {}>}", "{(a:1): <1 u>}", "{a: [1 u]}"])
+    def test_predicates_and_channels_are_not_elements(self, text):
+        # They have no place in the element order, so they stay top-level.
+        with pytest.raises(ParseError):
+            parse_value(text)
 
     def test_nesting_depth_is_bounded(self):
         deepest = "[1 " * 100 + "a" + "]" * 100

@@ -13,7 +13,6 @@ from mulprob.multiset import (
     accumulate,
     enumerate_arrangements,
     enumerate_multisets,
-    flatten_multiset,
 )
 
 
@@ -90,11 +89,6 @@ class TestBasics:
         perms = set(itertools.permutations("abc"))
         assert ms(a=1, b=1, c=1).coefficient() == len(perms)
 
-    def test_scale(self):
-        assert ms(a=1, b=2).scale(3) == ms(a=3, b=6)
-        assert ms(a=1).scale(0) == Multiset()
-
-
 class TestAccumulate:
     def test_counts_occurrences(self):
         assert accumulate("aaba") == ms(a=3, b=1)
@@ -104,19 +98,6 @@ class TestAccumulate:
 
     def test_order_insensitive(self):
         assert accumulate("ba") == ms(a=1, b=1)
-
-
-class TestFlatten:
-    def test_weighted_union(self):
-        outer = Multiset({ms(a=1): 2, ms(a=1, b=1): 1})
-        assert flatten_multiset(outer) == ms(a=3, b=1)
-
-    def test_empty(self):
-        assert flatten_multiset(Multiset()) == Multiset()
-
-    def test_rejects_non_multiset_elements(self):
-        with pytest.raises(DomainError):
-            flatten_multiset(ms(a=1))
 
 
 class TestEnumerateMultisets:

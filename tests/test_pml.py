@@ -273,6 +273,15 @@ class TestLearningAndSampling:
             assert sampled == push(c, OMEGA)
 
 
+def flatten_multiset(outer: Multiset) -> Multiset:
+    """The union of a multiset of multisets, each counted with its multiplicity."""
+    counts: dict = {}
+    for inner, n in outer.entries:
+        for x, m in inner.entries:
+            counts[x] = counts.get(x, 0) + n * m
+    return Multiset(counts)
+
+
 class TestMonadSideAxioms:
     """The law also respects the structure of multisets themselves."""
 
@@ -286,8 +295,6 @@ class TestMonadSideAxioms:
     def test_multiplication_side(self):
         # Flattening nested multisets before the law agrees with applying
         # the law at both levels and flattening the outcome multisets.
-        from mulprob.multiset import flatten_multiset
-
         rng = random.Random(17)
         pool = [OMEGA, RHO, Dist.uniform(AB)]
         for _ in range(40):
