@@ -85,8 +85,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]

@@ -277,6 +277,11 @@ class TestLawsCommand:
         assert code == 1
         assert "unknown law" in err
 
+    def test_one_atom_space_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "laws", "--x-size", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: 51 pass, 2 expected-fail, 0 fail"
+
     def test_expected_failures_keep_exit_zero(self, capsys):
         code, out, _ = run(capsys, "laws", "--law", "mn-tensor-mismatch")
         assert code == 0

@@ -1,13 +1,16 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import mulprob.channels
-from mulprob.dist import Channel, Dist
+import mulprob.oracles
+from mulprob.dist import Channel, Dist, unit
 from mulprob.errors import DomainError
 from mulprob.laws import LAWS, LawContext, catalogue, render_reports, run_law, run_laws
 from mulprob.multiset import Multiset, enumerate_multisets
+from mulprob.pml import pml
 
 F = Fraction
 
@@ -64,6 +67,29 @@ def test_degenerate_size_zero_bounds():
     assert by_name["pml-defs-agree"].verdict == "pass"
 
 
+def test_one_atom_space_passes():
+    # Over one atom every size-2 multiset zips with itself to the
+    # duplicated one; the diagonal counterexample is pinned, not searched.
+    reports = run_laws(**{**FAST, "x_size": 1})
+    assert all(r.ok for r in reports), render_reports(reports)
+    assert sum(r.verdict == "pass" for r in reports) == len(LAWS) - 2
+
+
+@pytest.mark.parametrize("route", ["pml_def1", "pml_def4", "pml_def3_check"])
+def test_wrong_pml_route_fails_defs_agree(monkeypatch, route):
+    # Each cross-check route is compared pointwise against the production
+    # law, so a wrong one fails the law with an input and both legs.
+    wrong = {
+        "pml_def1": lambda psi: unit(psi),
+        "pml_def4": lambda psi: pml(psi).map(lambda phi: phi + phi),
+        "pml_def3_check": lambda omegas: len(omegas) < 2,
+    }[route]
+    monkeypatch.setattr(mulprob.oracles, route, wrong)
+    (report,) = run_laws(only="pml-defs-agree", **FAST)
+    assert report.verdict == "fail"
+    assert re.fullmatch(r"input=\[.*\]; lhs=.+; rhs=.+", report.witness)
+
+
 def test_tampered_multinomial_is_caught(monkeypatch):
     # An off-by-one in the draw coefficients must surface as a witness in
     # the learning-recovers-the-urn law.
@@ -112,7 +138,7 @@ def test_raising_law_fails_alone(monkeypatch):
     assert sum(r.verdict == "expected-fail" for r in reports) == 2
 
 
-# The domain points each pointwise law checks at the default bounds.  A
+# The domain points each law checks at the default bounds.  A
 # dropped size leaves every pinned report as it is, since the law still
 # holds on fewer inputs; these counts do not.
 DEFAULT_POINTS = {
@@ -120,8 +146,9 @@ DEFAULT_POINTS = {
     "acc-iid-mn": 68, "mn-combine": 272, "flrn-mn": 51, "dd-mn": 68, "flrn-dd": 12,
     "hg-dd-iter": 55, "hg-natural": 220, "flrn-hg": 40, "hg-hg": 140, "hg-mn": 272,
     "zip-iid": 1360, "zip-bigtensor": 820, "mzip-natural": 480, "mzip-unit": 20,
-    "mzip-assoc": 100, "mzip-proj": 60, "mzip-arr": 30, "mzip-dd": 54, "mzip-flrn": 29,
-    "mzip-mn": 1360, "mzip-hg": 225, "mn-tensor-mismatch": 1, "pml-squeeze-left": 40,
+    "mzip-assoc": 100, "mzip-proj": 60, "mzip-diag-counterexample": 1, "mzip-arr": 30,
+    "mzip-dd": 54, "mzip-flrn": 29, "mzip-mn": 1360, "mzip-hg": 225, "mn-tensor-mismatch": 1,
+    "pml-defs-agree": 168, "pml-squeeze-left": 40,
     "pml-squeeze-right": 35, "pml-flrn": 34, "pml-dd": 55, "pml-hg": 218, "pml-sum": 1225,
     "pml-unit": 10, "pml-mult": 26, "lift-id": 10, "lift-compose": 250, "mzip-pml": 443,
     "lift-mzip": 270, "lift-sum": 300, "arr-chan-natural": 30, "acc-chan-natural": 45,
@@ -135,9 +162,9 @@ def test_points_checked_at_default_bounds():
     # Counted from the cases' domains alone; no leg is evaluated.
     ctx = LawContext()
     points = {law.name: sum(sum(1 for _ in domain) for domain, _, _ in law.cases(ctx))
-              for law in LAWS if law.cases is not None}
+              for law in LAWS}
     assert points == DEFAULT_POINTS
-    assert (len(points), sum(points.values())) == (51, 11053)
+    assert (len(points), sum(points.values())) == (53, 11222)
 
 
 def test_default_sweep_runs_each_kernel_once_per_point(monkeypatch):
@@ -206,10 +233,9 @@ def test_default_sweep_zip_counts(monkeypatch):
     monkeypatch.setattr(mulprob.channels, "zip_tuples", counting)
     assert all(r.ok for r in run_laws())
     # Each input once, except the empty pair: once for each of the six
-    # size-0 tables and once more by ``mzip-pml``'s own zip.  The tables
-    # fill on demand, so ``mzip-diag-counterexample`` zips only the
-    # diagonal pairs it reads.
-    assert (sum(calls.values()), len(calls), calls[Multiset(), Multiset()]) == (828, 822, 7)
+    # size-0 tables and once more by ``mzip-pml``'s own zip.
+    # ``mzip-diag-counterexample`` zips its one pinned pair.
+    assert (sum(calls.values()), len(calls), calls[Multiset(), Multiset()]) == (827, 821, 7)
     assert (sum(zipped.values()), len(zipped)) == (85, 85)
 
 
