@@ -12,7 +12,8 @@ walk over bounded count vectors in ``mulprob.multiset``: ``multinomial``
 with every cap the draw size (its draws, ``_draws``, are also the factors
 ``pml`` multiplies), ``hypergeometric`` with the urn's counts as caps,
 and each ``mzip`` row with the capacity its columns have left.  Outcome
-multisets are built by the trusted ``Multiset._of``, once each.
+multisets are built by the trusted ``Multiset._of`` that ``Multiset`` and
+``Dist`` share, once each.
 The literal definitions survive in ``mulprob.oracles`` and the test suite
 as independent cross-checks.
 """
@@ -43,7 +44,7 @@ def _draws(omega: Dist, k: int) -> list[tuple[tuple, int]]:
     """Each size-k draw with replacement from ``omega``, with its numerator.
 
     A draw is given by its nonzero ``(element, count)`` pairs, as
-    ``_bounded_counts`` lists them; its numerator over ``omega._den ** k``
+    ``_bounded_counts`` lists them; its numerator over ``omega._total ** k``
     is the multiset coefficient times the product of the element
     numerators, each raised to its count.  The coefficient
     ``k! / prod n!`` is a product of binomials over the running count, so
@@ -73,7 +74,7 @@ def multinomial(omega: Dist, k: int) -> Dist:
         raise DomainError(f"draw size must be nonnegative: {k}")
     # Reduced: the pure draw ``k x`` weighs ``n_x ** k``, and the ``n_x`` share no factor.
     return Dist._of({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
-                    omega._den ** k)
+                    omega._total ** k)
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:
@@ -135,9 +136,12 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     are ``phi`` and whose column margins are ``psi``, and ``tau`` weighs
     its own coefficient, the count ``K! / prod tau(x,y)!`` of sequences of
     pairs accumulating to it, over the ``coefficient(phi) *
-    coefficient(psi)`` pairs of arrangements.  Every coefficient is a
-    product of binomials over the running count, as in ``_draws``, so no
-    factorial of ``K`` is taken.
+    coefficient(psi)`` pairs of arrangements.  Dividing both by
+    ``coefficient(phi) = K! / prod phi(x)!`` leaves the product over the
+    rows ``x`` of each row's own coefficient ``phi(x)! / prod_y
+    tau(x,y)!``, over ``coefficient(psi)``: the same weight over a smaller
+    denominator.  Every coefficient is a product of binomials over the
+    running count, as in ``_draws``, so no factorial is taken.
 
     Tables are built row by row over the support of ``phi``; each row walks
     the splits within the capacity the columns have left, and the last row
@@ -158,24 +162,22 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     check_cells(bound * min(len(rows) * len(cols), phi.size), "cells of mzip contingency tables")
 
     cells = [[Pair(x, y) for y, _ in cols] for x, _ in rows]
-    # A partial table: its nonzero cells, its coefficient so far, and the
-    # capacity each column has left.
+    # A partial table: its nonzero cells, the product of its rows'
+    # coefficients, and the capacity each column has left.
     tables = [((), 1, dict(cols))]
-    placed = 0
     for row, (_, r) in zip(cells, rows):
         grown = []
         for taken, coeff, caps in tables:
             for split in _bounded_counts(zip(row, caps.values()), r):
-                left, c, n = dict(caps), coeff, placed
+                left, c, n = dict(caps), coeff, 0
                 for cell, t in split:
                     left[cell.snd] -= t
                     n += t
                     c *= n if t == 1 else comb(n, t)
                 grown.append((taken + split, c, left))
         tables = grown
-        placed += r
     weights = {Multiset._of(dict(taken), phi.size): c for taken, c, _ in tables}
-    return Dist(weights, denominator=phi.coefficient() * psi.coefficient())
+    return Dist(weights, denominator=psi.coefficient())
 
 
 def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:

@@ -8,18 +8,20 @@ outputs it has computed in a table filled on demand, so it is a finite
 value: a function on its domain whose kernel runs at most once per point,
 with ``==`` and ``hash`` taken over the whole table.
 
-Internally a ``Dist`` stores positive integer numerators over one common
-denominator, reduced once on construction so that the numerators and the
-denominator share no factor.  That representation is canonical, so
-equality compares integers, and the operations that build distributions
-(``bind``, the tensors, the draw channels, the monoid sum behind ``pml``)
-add and multiply integers rather than ``Fraction``s.  The modules of the
+Internally a ``Dist`` is a reduced multiset: positive integer numerators
+whose sum is the denominator, reduced once on construction so that they
+share no factor.  That representation is canonical, so equality compares
+integers, and the operations that build distributions (``bind``, the
+tensors, the draw channels, the monoid sum behind ``pml``) add and multiply
+integers rather than ``Fraction``s.  It is the count store of
+``elements._FiniteMap``, the one ``Multiset`` uses: the modules of the
 package read it through ``_map`` (element to numerator, in no particular
-order, as in every ``elements._FiniteMap``) and ``_den``, and build from
-it with ``Dist(nums, denominator=d)``, which checks the sum and reduces, or
-``Dist._of(nums, d)``, which does neither and is only for outputs normalized
-and reduced by construction, each caller saying why.  The public views,
-``entries`` (in canonical order) and indexing, give weights as ``Fraction``s.
+order) and ``_total`` (the denominator), and build from it with
+``Dist(nums, denominator=d)``, which checks the sum and reduces, or the
+shared ``Dist._of(nums, d)``, which does neither and is only for outputs
+normalized and reduced by construction, each caller saying why.  The
+public views, ``entries`` (in canonical order) and indexing, give weights
+as ``Fraction``s.
 
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
@@ -30,9 +32,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .elements import _DIST, Elem, Pair, Space, _FiniteMap, _pairs, _show, elem_key
+from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _show, elem_key
 from .errors import DomainError, check_cells
-from .multiset import Multiset
+from .multiset import Multiset, accumulate
 
 Weight = int | Fraction
 
@@ -66,7 +68,7 @@ def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], 
 class Dist(_FiniteMap):
     """An immutable distribution: elements mapped to weights in (0, 1]."""
 
-    __slots__ = ("_den",)
+    __slots__ = ()
 
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]], *,
                  denominator: int | None = None):
@@ -90,34 +92,22 @@ class Dist(_FiniteMap):
             data = {e: n // g for e, n in data.items()}
         # Equality and hashing look at the numerators alone, which is sound
         # because the reduced denominator is their sum.
-        self._store(data)
-        _set_den(self, denominator)
-
-    @classmethod
-    def _of(cls, nums: dict[Elem, int], den: int) -> "Dist":
-        """Trusted constructor for a fresh dict of positive ``int`` numerators
-        that sum to ``den`` and share no factor with it; ``nums`` is kept."""
-        d = object.__new__(cls)
-        d._store(nums)
-        _set_den(d, den)
-        return d
+        self._store(data, denominator)
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
-        counts: dict[Elem, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        if not counts:
+        m = accumulate(values)
+        if not m:
             raise DomainError("uniform distribution over nothing")
-        return cls(counts, denominator=sum(counts.values()))
+        return flrn(m)
 
     # -- views -------------------------------------------------------------
 
     def _public(self, n: int) -> Fraction:
-        return Fraction(n, self._den)
+        return Fraction(n, self._total)
 
     def __getitem__(self, elem: Elem) -> Fraction:
-        return Fraction(self._map.get(elem, 0), self._den)
+        return Fraction(self._map.get(elem, 0), self._total)
 
     def _element_sort_key(self) -> tuple:
         # Distributions order by support first, then by the weight vector.
@@ -131,14 +121,7 @@ class Dist(_FiniteMap):
 
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
-        acc: dict[Elem, int] = {}
-        for e, n in self._map.items():
-            y = f(e)
-            acc[y] = acc.get(y, 0) + n
-        return Dist(acc, denominator=self._den)
-
-
-_set_den = Dist._den.__set__
+        return Dist(self._image(f), denominator=self._total)
 
 
 def unit(elem: Elem) -> Dist:
@@ -156,13 +139,13 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     """
     outs = [(n, f(x)) for x, n in omega._map.items()]
     check_cells(sum(len(d._map) for _, d in outs), "bind kernel outcomes")
-    den = lcm(*[d._den for _, d in outs])
+    den = lcm(*[d._total for _, d in outs])
     acc: dict[Elem, int] = {}
     for n, d in outs:
-        scale = n * (den // d._den)
+        scale = n * (den // d._total)
         for y, m in d._map.items():
             acc[y] = acc.get(y, 0) + scale * m
-    return Dist(acc, denominator=omega._den * den)
+    return Dist(acc, denominator=omega._total * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -264,11 +247,8 @@ def compose(g: Channel, f: Channel) -> Channel:
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
-    check_cells(len(omega._map) * len(rho._map), "tensor product support")
-    rho_nums = rho._map.items()
     # Reduced: the numerators' gcd is the product of the factors' gcds, 1 and 1.
-    return Dist._of({Pair(x, y): n * m for x, n in omega._map.items() for y, m in rho_nums},
-                    omega._den * rho._den)
+    return Dist._of(omega._tensor(rho), omega._total * rho._total)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
@@ -288,7 +268,7 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
     for omega in omegas:
         nums = omega._map.items()
         acc = {xs + (x,): w * v for xs, w in acc.items() for x, v in nums}
-        den *= omega._den
+        den *= omega._total
     # Reduced as a product of reduced states, as in ``dtensor``.
     return Dist._of(acc, den)
 
@@ -335,7 +315,7 @@ PredicateLike = Predicate | Callable[[Elem], Fraction]
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    return sum((n * p(x) for x, n in omega._map.items()), Fraction(0)) / omega._den
+    return sum((n * p(x) for x, n in omega._map.items()), Fraction(0)) / omega._total
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:

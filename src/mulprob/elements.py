@@ -10,7 +10,11 @@ it never equals a sequence; it takes its hash when built and its sort key
 on first use.
 Multisets, distributions and predicates share one storage scheme,
 ``_FiniteMap``: one dict from elements to values, in no particular order,
-sorted by ``elem_key`` only when read in order.
+sorted by ``elem_key`` only when read in order.  A multiset and a
+distribution both store positive integer counts and their sum: the size
+of a multiset, the reduced denominator of a distribution, which is a
+multiset normalized.  So they also share the trusted constructor, the
+pushforward of counts and the budgeted tensor of counts on pairs.
 """
 
 from types import GeneratorType
@@ -125,21 +129,50 @@ class _FiniteMap:
     ``_map`` sends each element of the support to its stored value (a
     count, an integer numerator or a ``Fraction``); two values of one class
     are equal exactly when their dicts are, whatever order they were built
-    in.  ``entries`` lists the support in the canonical order with the
-    public values, sorted on first use and kept.
+    in.  ``_total`` is the sum of integer counts, ``None`` for a predicate.
+    ``entries`` lists the support in the canonical order with the public
+    values, sorted on first use and kept.
     """
 
     # ``_key`` caches the sort key of the kinds that are elements themselves.
-    __slots__ = ("_map", "_entries", "_hash", "_key")
+    __slots__ = ("_map", "_total", "_entries", "_hash", "_key")
 
     def _public(self, stored):
         return stored
 
-    def _store(self, data: dict) -> None:
+    def _store(self, data: dict, total: int | None = None) -> None:
         _set_map(self, data)
+        _set_total(self, total)
         _set_entries(self, None)
         _set_hash(self, None)
         _set_key(self, None)
+
+    @classmethod
+    def _of(cls, data: dict, total: int):
+        """Trusted constructor: no checks, and ``data`` is kept.
+
+        Only for library code that already holds a fresh dict of positive
+        ``int`` counts over element values, and their sum ``total``.  For a
+        ``Dist`` the counts are numerators over ``total`` and must also share
+        no factor with it; each caller says why they do.
+        """
+        m = object.__new__(cls)
+        m._store(data, total)
+        return m
+
+    def _image(self, f) -> dict:
+        """The counts pushed forward along ``f``; collided images add up."""
+        out: dict = {}
+        for e, n in self._map.items():
+            y = f(e)
+            out[y] = out.get(y, 0) + n
+        return out
+
+    def _tensor(self, other: "_FiniteMap") -> dict:
+        """The counts on pairs, each the product of its components' counts."""
+        check_cells(len(self._map) * len(other._map), "tensor product support")
+        theirs = other._map.items()
+        return {Pair(x, y): n * m for x, n in self._map.items() for y, m in theirs}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -182,7 +215,7 @@ class _FiniteMap:
 
 # The slots' own setters, which skip the ``__setattr__`` that makes the
 # values immutable; they cost half as much as ``object.__setattr__``.
-_set_map, _set_entries, _set_hash, _set_key = (
+_set_map, _set_total, _set_entries, _set_hash, _set_key = (
     getattr(_FiniteMap, name).__set__ for name in _FiniteMap.__slots__)
 
 

@@ -1,9 +1,9 @@
 """Finite multisets with natural-number multiplicities.
 
 A multiset is one dict from elements to positive counts, in no particular
-order (``elements._FiniteMap``).  Two multisets are equal exactly when
-they are equal as functions from elements to counts, so ``==`` is the
-semantic equality the law checks rely on.
+order, and their sum, its size (``elements._FiniteMap``).  Two multisets
+are equal exactly when they are equal as functions from elements to
+counts, so ``==`` is the semantic equality the law checks rely on.
 
 The module also owns the enumerations the rest of the library is built
 on.  One walk, ``_bounded_counts``, lists the count vectors of a fixed
@@ -21,14 +21,14 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import multichoose
-from .elements import _MULTISET, Elem, Pair, Space, _FiniteMap, _pairs, _show, elem_key
+from .elements import _MULTISET, Elem, Space, _FiniteMap, _pairs, _show, elem_key
 from .errors import DomainError, check_cells
 
 
 class Multiset(_FiniteMap):
     """An immutable map from elements to positive multiplicities."""
 
-    __slots__ = ("_size",)
+    __slots__ = ()
 
     def __init__(self, data: Mapping[Elem, int] | Iterable[tuple[Elem, int]] = ()):
         counts: dict[Elem, int] = {}
@@ -39,27 +39,14 @@ class Multiset(_FiniteMap):
                 raise DomainError(f"negative multiplicity {n} for {_show(elem)}")
             if n:
                 counts[elem] = counts.get(elem, 0) + n
-        self._store(counts)
-        _set_size(self, sum(counts.values()))
-
-    @classmethod
-    def _of(cls, counts: dict[Elem, int], size: int) -> "Multiset":
-        """Trusted constructor: no checks, and ``counts`` is kept.
-
-        Only for library code that already holds a fresh dict of positive
-        ``int`` counts over element values, and their sum ``size``.
-        """
-        m = object.__new__(cls)
-        m._store(counts)
-        _set_size(m, size)
-        return m
+        self._store(counts, sum(counts.values()))
 
     # -- basic views ------------------------------------------------------
 
     @property
     def size(self) -> int:
         """Total number of element occurrences."""
-        return self._size
+        return self._total
 
     def __getitem__(self, elem: Elem) -> int:
         return self._map.get(elem, 0)
@@ -85,7 +72,7 @@ class Multiset(_FiniteMap):
         counts = dict(self._map)
         for e, n in other._map.items():
             counts[e] = counts.get(e, 0) + n
-        return Multiset._of(counts, self._size + other._size)
+        return Multiset._of(counts, self._total + other._total)
 
     def remove_one(self, elem: Elem) -> "Multiset":
         """Decrement the multiplicity of ``elem`` by one."""
@@ -97,27 +84,15 @@ class Multiset(_FiniteMap):
             del counts[elem]
         else:
             counts[elem] = n - 1
-        return Multiset._of(counts, self._size - 1)
-
-    def __le__(self, other: "Multiset") -> bool:
-        """Pointwise ordering: every multiplicity bounded by the other's."""
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return all(n <= other[e] for e, n in self._map.items())
+        return Multiset._of(counts, self._total - 1)
 
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
-        return Multiset(
-            ((Pair(x, y), n * m) for x, n in self._map.items() for y, m in other._map.items())
-        )
+        return Multiset._of(self._tensor(other), self._total * other._total)
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
-        counts: dict[Elem, int] = {}
-        for e, n in self._map.items():
-            y = f(e)
-            counts[y] = counts.get(y, 0) + n
-        return Multiset._of(counts, self._size)
+        return Multiset._of(self._image(f), self._total)
 
     def coefficient(self) -> int:
         """Number of distinct sequences that accumulate to this multiset.
@@ -131,8 +106,6 @@ class Multiset(_FiniteMap):
             out *= comb(placed, n)
         return out
 
-
-_set_size = Multiset._size.__set__
 
 
 def accumulate(xs: Sequence[Elem]) -> Multiset:

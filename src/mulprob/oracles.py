@@ -25,10 +25,12 @@ that the fast route and the definition agree.
 * ``pml_def3_check``: the law's defining triangle at one tuple of
   distributions, which characterizes it rather than computes it.
 * ``permutation_mix``: arranging the multiset of a sequence, by listing
-  every permutation of the sequence.
+  every permutation of the sequence; the budget counts the ``len(xs)!``
+  permutations before any is listed.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -120,7 +122,7 @@ def _pairwise_sum(a: Dist, b: Dist) -> Dist:
         for chi, v in b_nums:
             key = phi + chi
             acc[key] = acc.get(key, 0) + w * v
-    return Dist(acc, denominator=a._den * b._den)
+    return Dist(acc, denominator=a._total * b._total)
 
 
 def monoid_algebra(psi: Multiset) -> Dist:
@@ -159,4 +161,5 @@ def pml_def3_check(omegas: Sequence[Dist]) -> bool:
 
 def permutation_mix(xs: tuple) -> Dist:
     """Every permutation of ``xs`` with equal weight; repeated ones add up."""
+    check_cells(math.factorial(len(xs)), f"permutations of a length-{len(xs)} sequence")
     return Dist.uniform(itertools.permutations(xs))

@@ -142,12 +142,12 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
             if type(phi) is not Multiset:
                 raise DomainError(f"monoid sum needs distributions over multisets, found {_show(phi)}")
             atoms.update(dict.fromkeys(phi._map))
-            largest = max(largest, phi._size)
+            largest = max(largest, phi._total)
         top += largest
     packing = _Packing(atoms, top)
     a_poly, b_poly = ({packing.pack(phi._map.items()): w for phi, w in d._map.items()}
                       for d in (a, b))
-    return packing.unpack(_times(a_poly, b_poly), a._den * b._den)
+    return packing.unpack(_times(a_poly, b_poly), a._total * b._total)
 
 
 def pml(psi: Multiset) -> Dist:
@@ -165,7 +165,7 @@ def pml(psi: Multiset) -> Dist:
     den = 1
     for omega, n in members:
         acc = _times(acc, {packing.pack(draw): w for draw, w in _draws(omega, n)})
-        den *= omega._den ** n
+        den *= omega._total ** n
     return packing.unpack(acc, den)
 
 

@@ -122,7 +122,8 @@ class TestHypergeometric:
         urn = ms(a=2, b=1, c=1)
         for k in range(urn.size + 1):
             got = hypergeometric(urn, k)
-            assert all(phi.size == k and phi <= urn for phi, _ in got.entries)
+            for phi, _ in got.entries:
+                assert phi.size == k and all(n <= urn[x] for x, n in phi.entries)
 
 
 class TestDrawDelete:

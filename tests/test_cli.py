@@ -224,6 +224,17 @@ class TestErrors:
         assert code == 1
         assert "cells" in err
 
+    def test_permutation_oracle_trips_the_budget_in_the_law_sweep(self, capsys, monkeypatch):
+        # The oracle would list 5! permutations of each length-5 sequence;
+        # the law fails at that size with one witness line.
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        code, out, _ = run(capsys, "laws", "--k", "12", "--law", "arr-acc-perm")
+        assert code == 1
+        witness = out.splitlines()[1].strip()
+        assert witness == ("raised ResourceLimitError: permutations of a length-5 sequence "
+                           "needs 120 cells, exceeding the limit of 100 "
+                           "(set MULPROB_MAX_CELLS to raise it)")
+
 
 def atoms(n):
     return [f"x{i}" for i in range(n)]

@@ -18,12 +18,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mulprob.channels import arrange, hypergeometric, multinomial
-from mulprob.dist import Channel, Dist, Predicate, big_tensor, bind, ctensor, dtensor, iid, unit
+from mulprob.channels import arrange, hypergeometric, multinomial, mzip
+from mulprob.dist import (
+    Channel,
+    Dist,
+    Predicate,
+    big_tensor,
+    bind,
+    ctensor,
+    dtensor,
+    flrn,
+    iid,
+    unit,
+)
 from mulprob.elements import Pair, Space, elem_key
 from mulprob.errors import DomainError
 from mulprob.ket import format_value, parse_channel, parse_value
-from mulprob.multiset import Multiset
+from mulprob.multiset import Multiset, accumulate, enumerate_multisets
 from mulprob.oracles import pml_def1
 from mulprob.pml import lifted_map, monoid_sum, pml
 
@@ -284,6 +295,44 @@ def test_trusted_multiset_matches_the_checked_one(counts, rng):
     assert trusted.size == Multiset(counts).size
 
 
+def assert_total_is_the_sum(value) -> None:
+    """The stored total is the sum of the stored counts: a multiset's size,
+    or the denominator of a distribution, which shares no factor with its
+    numerators."""
+    assert value._total == sum(value._map.values())
+    if type(value) is Multiset:
+        assert value.size == value._total
+    else:
+        assert math.gcd(value._total, *value._map.values()) == 1
+
+
+small_multisets = st.dictionaries(st.sampled_from("abc"), st.integers(1, 3)).map(Multiset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=4), small_multisets, small_multisets,
+       st.integers(0, 3), st.one_of(dists("abc"), dists("abc", DENS_57)),
+       st.lists(st.one_of(dists("ab"), dists("bc", DENS_57)), max_size=3), st.data())
+def test_stored_totals_are_the_sums(xs, phi, psi, k, omega, omegas, data):
+    ys = data.draw(st.lists(st.sampled_from("uvw"), min_size=phi.size, max_size=phi.size))
+    multisets = [accumulate(xs), phi + psi, phi.tensor(psi),
+                 phi.map_elements(lambda x: "a" if x == "b" else x),
+                 *[phi.remove_one(x) for x in phi.support], *enumerate_multisets("abc", k)]
+    dists_built = [multinomial(omega, k), hypergeometric(phi, min(k, phi.size)),
+                   pml(accumulate(omegas)), mzip(phi, accumulate(ys))]
+    for d in dists_built:
+        assert_total_is_the_sum(d)
+        multisets.extend(d.support)
+    for m in multisets:
+        assert_total_is_the_sum(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(values, min_size=1, max_size=5))
+def test_uniform_is_the_normalized_accumulation(xs):
+    assert_same_value(Dist.uniform(xs), flrn(accumulate(xs)))
+
+
 def leading_zeros(text: str, rng) -> str:
     """The text with up to two zeros put before each numeral token, counts,
     weights and numeral atoms alike; ``07`` is another atom than ``7``."""
@@ -452,5 +501,5 @@ def test_trusted_dists_are_normalized_and_reduced(omega, rho, omegas, k, m, x):
     # sum other than one and divides out a common factor.
     for d in [unit(x), dtensor(omega, rho), big_tensor(omegas), iid(omega, k),
               multinomial(omega, k), arrange(m)]:
-        again = Dist(dict(d._map), denominator=d._den)
-        assert again == d and again._den == d._den
+        again = Dist(dict(d._map), denominator=d._total)
+        assert again == d and again._total == d._total

@@ -51,11 +51,6 @@ class TestBasics:
         with pytest.raises(DomainError):
             ms(b=2).remove_one("a")
 
-    def test_pointwise_order(self):
-        assert ms(a=1) <= ms(a=3, b=2)
-        assert not (ms(a=4) <= ms(a=3, b=2))
-        assert Multiset() <= ms(a=3, b=2)
-
     def test_tensor(self):
         left = ms(a=3, b=2, c=1)
         right = Multiset({"0": 2, "1": 4})
@@ -75,6 +70,15 @@ class TestBasics:
         phi = ms(a=2, b=1)
         assert phi.tensor(ms(y=1)) == Multiset({Pair(e, "y"): n for e, n in phi.entries})
         assert Multiset().tensor(phi) == Multiset()
+
+    def test_tensor_is_charged_to_the_budget(self, monkeypatch):
+        left = Multiset({f"x{i}": 1 for i in range(300)})
+        right = Multiset({f"y{i}": 2 for i in range(300)})
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        with pytest.raises(ResourceLimitError) as info:
+            left.tensor(right)
+        assert info.value.op == "tensor product support"
+        assert info.value.needed == 90000
 
     def test_map_elements(self):
         assert ms(a=3, b=2).map_elements(lambda _: "c") == ms(c=5)

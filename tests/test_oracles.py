@@ -5,9 +5,16 @@ import pytest
 from mulprob.channels import multinomial
 from mulprob.dist import Dist, unit
 from mulprob.elements import Pair, Space
-from mulprob.errors import DomainError
+from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets
-from mulprob.oracles import monoid_algebra, msum_channel, mzip_arrangements, pml_def1, pml_def4
+from mulprob.oracles import (
+    monoid_algebra,
+    msum_channel,
+    mzip_arrangements,
+    permutation_mix,
+    pml_def1,
+    pml_def4,
+)
 from mulprob.pml import monoid_sum
 
 F = Fraction
@@ -44,6 +51,15 @@ class TestMzipArrangements:
 
     def test_empty(self):
         assert mzip_arrangements(Multiset(), Multiset()) == unit(Multiset())
+
+
+class TestPermutationMix:
+    def test_permutations_are_charged_before_they_are_listed(self, monkeypatch):
+        monkeypatch.setenv("MULPROB_MAX_CELLS", "100")
+        with pytest.raises(ResourceLimitError) as info:
+            permutation_mix(tuple("abcdefghi"))
+        assert info.value.needed == 362880
+        assert len(permutation_mix(tuple("abcd")).support) == 24
 
 
 class TestPmlDefinitions:
