@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .combinatorics import binomial, multichoose
+from .combinatorics import multichoose
 from .elements import Elem, Pair, Space, elem_key
 from .errors import DomainError, MulprobError, ParseError, ResourceLimitError
 from .multiset import Multiset, accumulate, enumerate_arrangements, enumerate_multisets

@@ -21,14 +21,15 @@ as independent cross-checks.
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinatorics import binomial, multichoose
-from .dist import Dist, unit
+from .combinatorics import multichoose
+from .dist import Dist, flrn, unit
 from .elements import Elem, Pair, Space
 from .errors import DomainError, check_cells
 from .multiset import (
     Multiset,
     _bounded_counts,
     _sub_multiset_count,
+    accumulate,
     enumerate_arrangements,
     enumerate_multisets,
 )
@@ -81,7 +82,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     """Distribution of size-k draws without replacement from the urn.
 
     A draw takes ``phi(x)`` of the ``urn(x)`` copies of each ``x``; its
-    weight is the product of ``binomial(urn(x), phi(x))`` over ``C(|urn|, k)``.
+    weight is the product of ``C(urn(x), phi(x))`` over ``C(|urn|, k)``.
     The budget counts the draws exactly.
     """
     n = urn.size
@@ -94,9 +95,9 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
         w = 1
         for x, t in draw:
             if t < caps[x]:  # taking every copy weighs 1
-                w *= binomial(caps[x], t)
+                w *= comb(caps[x], t)
         weights[Multiset._of(dict(draw), k)] = w
-    return Dist(weights, denominator=binomial(n, k))
+    return Dist(weights, denominator=comb(n, k))
 
 
 def draw_delete(urn: Multiset) -> Dist:
@@ -111,11 +112,7 @@ def ppr(xs: tuple) -> Dist:
     """Uniform mixture of the single-position deletions of a sequence."""
     if len(xs) == 0:
         raise DomainError("cannot project away a position of the empty sequence")
-    acc: dict[tuple, int] = {}
-    for i in range(len(xs)):
-        shorter = xs[:i] + xs[i + 1:]
-        acc[shorter] = acc.get(shorter, 0) + 1
-    return Dist(acc, denominator=len(xs))
+    return flrn(accumulate([xs[:i] + xs[i + 1:] for i in range(len(xs))]))
 
 
 def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:

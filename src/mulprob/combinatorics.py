@@ -5,23 +5,14 @@ for counts and multiplicities, ``fractions.Fraction`` for probabilities.
 There is no floating point anywhere in the library; equality of
 distributions is decided exactly.
 
-Binomials call the math module directly, with no memo table: for the
-small arguments used here, a cache lookup costs as much as the
-computation itself.
+Binomials are ``math.comb`` itself, called where they are needed, with no
+memo table: for the small arguments used here, a cache lookup costs as
+much as the computation itself.
 """
 
 import math
 
 from .errors import DomainError
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise DomainError(f"binomial arguments must be nonnegative: ({n}, {k})")
-    if k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def multichoose(n: int, k: int) -> int:
@@ -36,4 +27,4 @@ def multichoose(n: int, k: int) -> int:
         return 1
     if n == 0:
         raise DomainError("no multisets of positive size over the empty set")
-    return binomial(n + k - 1, k)
+    return math.comb(n + k - 1, k)

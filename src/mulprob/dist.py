@@ -234,7 +234,7 @@ def push(f: Channel, omega: Dist) -> Dist:
     Rejects distributions whose support escapes the channel domain rather
     than renormalizing silently.
     """
-    if not omega._map.keys() <= f.domain._members:
+    if not omega._map.keys() <= f.domain._map.keys():
         x = min([x for x in omega._map if x not in f.domain], key=elem_key)
         raise DomainError(f"support element {_show(x)} outside channel domain")
     return bind(omega, f)

@@ -8,17 +8,20 @@ hashable, and ``elem_key`` gives one strict total order across the lot.
 A ``Pair`` is a plain slotted class, neither a dataclass nor a tuple, so
 it never equals a sequence; it takes its hash when built and its sort key
 on first use.
-Multisets, distributions and predicates share one storage scheme,
-``_FiniteMap``: one dict from elements to values, in no particular order,
-sorted by ``elem_key`` only when read in order.  A multiset and a
+Multisets, distributions, predicates and spaces share one storage
+scheme, ``_FiniteMap``: one dict from elements to values, in no particular
+order, sorted by ``elem_key`` only when read in order.  A multiset and a
 distribution both store positive integer counts and their sum: the size
 of a multiset, the reduced denominator of a distribution, which is a
 multiset normalized.  So they also share the trusted constructor, the
-pushforward of counts and the budgeted tensor of counts on pairs.
+pushforward of counts and the budgeted tensor of counts on pairs.  A
+``Space`` is a finite set, the support of a multiset: a count store whose
+counts are all 1, sorted on first read, whose product is that tensor.
 """
 
-from types import GeneratorType
-from typing import Any, Iterable, Iterator, Mapping
+import itertools
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from .errors import DomainError, check_cells
 
@@ -108,18 +111,8 @@ def elem_key(e: Elem) -> tuple:
     raise TypeError(f"not an element value: {e!r}")
 
 
-# Containers the constructors meet most, known not to be mappings; the
-# ``Mapping`` check is an ABC lookup, too slow for every construction.
-_PAIR_ITERABLES = frozenset({tuple, list, GeneratorType, zip, map})
-
-
 def _pairs(data) -> Iterable[tuple]:
     """The ``(element, value)`` pairs of a mapping or an iterable of pairs."""
-    t = type(data)
-    if t is dict:
-        return data.items()
-    if t in _PAIR_ITERABLES:
-        return data
     return data.items() if isinstance(data, Mapping) else data
 
 
@@ -129,7 +122,8 @@ class _FiniteMap:
     ``_map`` sends each element of the support to its stored value (a
     count, an integer numerator or a ``Fraction``); two values of one class
     are equal exactly when their dicts are, whatever order they were built
-    in.  ``_total`` is the sum of integer counts, ``None`` for a predicate.
+    in.  ``_total`` is the sum of integer counts (a space's size), ``None``
+    for a predicate.
     ``entries`` lists the support in the canonical order with the public
     values, sorted on first use and kept.
     """
@@ -229,18 +223,23 @@ def _show(e: Elem) -> str:
         return repr(e)
 
 
-class Space:
-    """A finite, ordered, duplicate-free universe of elements."""
+class Space(_FiniteMap):
+    """A finite set of elements: a count store whose counts are all 1.
 
-    __slots__ = ("elements", "_members")
+    ``_total`` is the size; ``elements`` is the support, sorted by
+    ``elem_key`` on first read, so a space built and only tested for
+    membership is never sorted.
+    """
+
+    __slots__ = ()
 
     def __init__(self, elements: Iterable[Elem]):
-        members = frozenset(elements)
-        object.__setattr__(self, "elements", tuple(sorted(members, key=elem_key)))
-        object.__setattr__(self, "_members", members)
+        data = dict.fromkeys(elements, 1)
+        self._store(data, len(data))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Space is immutable")
+    @property
+    def elements(self) -> tuple[Elem, ...]:
+        return self.support
 
     def __reduce__(self):
         return Space, (self.elements,)
@@ -249,35 +248,26 @@ class Space:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._total
 
     def __contains__(self, e: Elem) -> bool:
         try:
-            return e in self._members
+            return e in self._map
         except TypeError:  # unhashable, so not an element value
             return False
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Space) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(("Space", self.elements))
 
     def __repr__(self) -> str:
         return f"Space({list(self.elements)!r})"
 
+    __str__ = __repr__
+
     def product(self, other: "Space") -> "Space":
         """The product space, with Pair elements."""
-        check_cells(len(self.elements) * len(other.elements),
-                    f"{len(self.elements)}x{len(other.elements)} product space")
-        return Space(Pair(x, y) for x in self for y in other)
+        return Space._of(self._tensor(other), self._total * other._total)
 
     def power(self, k: int) -> list[tuple]:
         """All length-k sequences over this space, in lexicographic order."""
         if k < 0:
             raise DomainError("sequence length must be nonnegative")
-        check_cells(len(self.elements) ** k, f"{len(self.elements)}^{k} sequence space")
-        out = [()]
-        for _ in range(k):
-            out = [xs + (x,) for xs in out for x in self.elements]
-        return out
+        check_cells(len(self) ** k, f"{len(self)}^{k} sequence space")
+        return list(itertools.product(self.elements, repeat=k))

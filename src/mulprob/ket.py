@@ -57,23 +57,20 @@ def format_value(v) -> str:
 # -- tokenizing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[\[\]<>(){},:/-])"
+    r"(?P<space>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<sym>[\[\]<>(){},:/-])|(?P<bad>.)",
+    re.S,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), i))
-        i = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -278,9 +278,9 @@ class TestBudgets:
     def test_product_space_is_charged_before_it_is_built(self, monkeypatch):
         abcd = Space("abcd")
         monkeypatch.setenv("MULPROB_MAX_CELLS", "15")
-        with pytest.raises(ResourceLimitError, match=r"^4x4 product space needs 16 cells") as err:
+        with pytest.raises(ResourceLimitError, match=r"^tensor product support needs 16 cells") as err:
             abcd.product(abcd)
-        assert (err.value.op, err.value.needed, err.value.limit) == ("4x4 product space", 16, 15)
+        assert (err.value.op, err.value.needed, err.value.limit) == ("tensor product support", 16, 15)
         monkeypatch.setenv("MULPROB_MAX_CELLS", "16")
         assert len(abcd.product(abcd)) == 16
 

@@ -4,41 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulprob.combinatorics import binomial, multichoose
+from mulprob.combinatorics import multichoose
 from mulprob.errors import DomainError
-
-
-class TestBinomial:
-    def test_enumeration_oracle(self):
-        import itertools
-
-        assert binomial(4, 2) == sum(1 for _ in itertools.combinations(range(4), 2))
-
-    def test_choose_nothing(self):
-        for n in range(8):
-            assert binomial(n, 0) == 1
-
-    def test_k_larger_than_n(self):
-        assert binomial(2, 3) == 0
-
-    def test_pascal(self):
-        for n in range(1, 21):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    def test_vandermonde(self):
-        # This identity is what normalizes draws without replacement.
-        for m in range(9):
-            for l in range(9):
-                for k in range(m + l + 1):
-                    total = sum(
-                        binomial(m, i) * binomial(l, k - i) for i in range(k + 1)
-                    )
-                    assert binomial(m + l, k) == total
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
 
 
 class TestMultichoose:
@@ -61,7 +28,7 @@ class TestMultichoose:
     def test_closed_form(self):
         for n in range(1, 6):
             for k in range(7):
-                assert multichoose(n, k) == binomial(n + k - 1, k)
+                assert multichoose(n, k) == math.comb(n + k - 1, k)
 
 
 small_ints = st.integers(min_value=-30, max_value=30)

@@ -474,6 +474,27 @@ def test_spaces_survive_pickling_and_copies(elements):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ATOMS), max_size=12), st.integers(0, 3))
+@example(["b", "a", "b", "007", "7", "a"], 2)
+def test_a_space_is_the_set_of_its_members(xs, k):
+    s = Space(xs)
+    again = Space(reversed(xs))
+    assert s == again and hash(s) == hash(again)
+    assert s.elements == tuple(sorted(set(xs), key=elem_key))
+    assert len(s) == len(set(xs))
+    for x in ATOMS:
+        assert (x in s) == (x in xs)
+    assert [] not in s
+    copies = [pickle.loads(pickle.dumps(s, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*copies, copy.deepcopy(s)]:
+        assert type(twin) is Space
+        assert twin == s and hash(twin) == hash(s) and twin.elements == s.elements
+    assert str(s) == repr(s) == f"Space({list(s.elements)!r})"
+    assert s.power(k) == list(itertools.product(s.elements, repeat=k))
+
+
+@settings(max_examples=200, deadline=None)
 @given(values, values, values, values)
 @example("a", "b", "a", "b")
 def test_pairs_are_values_of_their_own(x, y, u, v):

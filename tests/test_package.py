@@ -6,7 +6,7 @@ import mulprob
 EXPORTS = [
     "Channel", "Dist", "DomainError", "Elem", "LawContext", "LawReport", "MulprobError",
     "Multiset", "Pair", "ParseError", "Predicate", "ResourceLimitError", "Space",
-    "accumulate", "arrange", "big_tensor", "bind", "binomial", "catalogue", "compose",
+    "accumulate", "arrange", "big_tensor", "bind", "catalogue", "compose",
     "ctensor", "draw_delete", "dtensor", "elem_key", "enumerate_arrangements",
     "enumerate_multisets", "flatten", "flrn", "format_value", "hypergeometric", "iid",
     "lifted_map", "monoid_sum", "multichoose", "multinomial", "multiset_space", "mzip",
