@@ -38,7 +38,6 @@ from .channels import (
     draw_delete,
     hypergeometric,
     multinomial,
-    multiset_space,
     mzip,
     ppr,
     zip_tuples,

@@ -19,11 +19,11 @@ as independent cross-checks.
 """
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import multichoose
 from .dist import Dist, flrn, unit
-from .elements import Elem, Pair, Space
+from .elements import Elem, Pair
 from .errors import DomainError, check_cells
 from .multiset import (
     Multiset,
@@ -31,7 +31,6 @@ from .multiset import (
     _sub_multiset_count,
     accumulate,
     enumerate_arrangements,
-    enumerate_multisets,
 )
 
 
@@ -97,7 +96,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
             if t < caps[x]:  # taking every copy weighs 1
                 w *= comb(caps[x], t)
         weights[Multiset._of(dict(draw), k)] = w
-    return Dist(weights, denominator=comb(n, k))
+    return Dist._over(weights, comb(n, k))
 
 
 def draw_delete(urn: Multiset) -> Dist:
@@ -105,7 +104,7 @@ def draw_delete(urn: Multiset) -> Dist:
     size = urn.size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
-    return Dist({urn.remove_one(x): n for x, n in urn._map.items()}, denominator=size)
+    return Dist._over({urn.remove_one(x): n for x, n in urn._map.items()}, size)
 
 
 def ppr(xs: tuple) -> Dist:
@@ -174,9 +173,4 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
                 grown.append((taken + split, c, left))
         tables = grown
     weights = {Multiset._of(dict(taken), phi.size): c for taken, c, _ in tables}
-    return Dist(weights, denominator=psi.coefficient())
-
-
-def multiset_space(space: Space | Iterable[Elem], k: int) -> Space:
-    """The space of all size-k multisets over ``space``, the domain of ``lifted_map``."""
-    return Space(enumerate_multisets(space, k))
+    return Dist._over(weights, psi.coefficient())

@@ -17,11 +17,12 @@ integers rather than ``Fraction``s.  It is the count store of
 ``elements._FiniteMap``, the one ``Multiset`` uses: the modules of the
 package read it through ``_map`` (element to numerator, in no particular
 order) and ``_total`` (the denominator), and build from it with
-``Dist(nums, denominator=d)``, which checks the sum and reduces, or the
-shared ``Dist._of(nums, d)``, which does neither and is only for outputs
+``Dist._over(nums, d)``, which checks the sum and reduces, or the shared
+``Dist._of(nums, d)``, which does neither and is only for outputs
 normalized and reduced by construction, each caller saying why.  The
-public views, ``entries`` (in canonical order) and indexing, give weights
-as ``Fraction``s.
+public constructor ``Dist(data)`` takes weights alone.  The public views,
+``entries`` (in canonical order) and indexing, give weights as
+``Fraction``s.
 
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
@@ -39,15 +40,10 @@ from .multiset import Multiset, accumulate
 Weight = int | Fraction
 
 
-def _as_fraction(w: Weight) -> Fraction:
+def _exact(w: Weight) -> Weight:
     if isinstance(w, float):
         raise DomainError(f"float weight {w!r} rejected: the library is exact")
-    return Fraction(w)
-
-
-def _exact(w: Weight) -> Weight:
-    t = type(w)
-    return w if t is Fraction or t is int else _as_fraction(w)
+    return w if type(w) is Fraction or type(w) is int else Fraction(w)
 
 
 def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], int]:
@@ -65,34 +61,46 @@ def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], 
     return {e: w.numerator * (den // w.denominator) for e, w in weights.items()}, den
 
 
+def _check_sum(nums: dict[Elem, int], den: int) -> None:
+    total = sum(nums.values())
+    if total != den:
+        s = Fraction(total, den)
+        try:
+            shown = str(s)
+        except ValueError:  # longer than the interpreter's int/str digit limit
+            from decimal import Decimal  # reads an int without that limit
+            n, d = (Decimal(v).adjusted() + 1 for v in (s.numerator, s.denominator))
+            shown = f"a fraction of {n} digits over {d} digits"
+        raise DomainError(f"weights sum to {shown}, not 1")
+
+
 class Dist(_FiniteMap):
-    """An immutable distribution: elements mapped to weights in (0, 1]."""
+    """An immutable distribution: elements mapped to weights in (0, 1].
+
+    Equality and hashing look at the numerators alone, which is sound
+    because the reduced denominator is their sum.
+    """
 
     __slots__ = ()
 
-    def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]], *,
-                 denominator: int | None = None):
-        # With ``denominator``, ``data`` is a fresh dict of positive integer
-        # numerators over it, built by the library's own operations; it is kept.
-        if denominator is None:
-            data, denominator = _numerators(_pairs(data))
-        total = sum(data.values())
-        if total != denominator:
-            s = Fraction(total, denominator)
-            try:
-                shown = str(s)
-            except ValueError:  # longer than the interpreter's int/str digit limit
-                from decimal import Decimal  # reads an int without that limit
-                n, d = (Decimal(v).adjusted() + 1 for v in (s.numerator, s.denominator))
-                shown = f"a fraction of {n} digits over {d} digits"
-            raise DomainError(f"weights sum to {shown}, not 1")
-        g = gcd(denominator, *data.values())
+    def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
+        nums, den = _numerators(_pairs(data))
+        _check_sum(nums, den)
+        # Reduced: a prime dividing ``den`` divides some weight's own
+        # denominator as often, so it does not divide that weight's numerator.
+        self._store(nums, den)
+
+    @classmethod
+    def _over(cls, nums: dict[Elem, int], den: int) -> "Dist":
+        """The library's builder from a fresh dict of positive integer
+        numerators over ``den``: it checks their sum and reduces, and keeps
+        the dict when it is reduced already."""
+        _check_sum(nums, den)
+        g = gcd(den, *nums.values())
         if g != 1:
-            denominator //= g
-            data = {e: n // g for e, n in data.items()}
-        # Equality and hashing look at the numerators alone, which is sound
-        # because the reduced denominator is their sum.
-        self._store(data, denominator)
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        return cls._of(nums, den)
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
@@ -121,7 +129,7 @@ class Dist(_FiniteMap):
 
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
-        return Dist(self._image(f), denominator=self._total)
+        return Dist._over(self._image(f), self._total)
 
 
 def unit(elem: Elem) -> Dist:
@@ -145,7 +153,7 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
         scale = n * (den // d._total)
         for y, m in d._map.items():
             acc[y] = acc.get(y, 0) + scale * m
-    return Dist(acc, denominator=omega._total * den)
+    return Dist._over(acc, omega._total * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -284,7 +292,7 @@ def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
     if m.size == 0:
         raise DomainError("cannot normalize the empty multiset")
-    return Dist(dict(m._map), denominator=m.size)
+    return Dist._over(dict(m._map), m.size)
 
 
 class Predicate(_FiniteMap):
@@ -295,7 +303,7 @@ class Predicate(_FiniteMap):
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         values: dict[Elem, Fraction] = {}
         for elem, v in _pairs(data):
-            v = _as_fraction(v)
+            v = Fraction(_exact(v))
             if not 0 <= v <= 1:
                 raise DomainError(f"predicate value {v} for {_show(elem)} outside [0, 1]")
             if elem in values:
@@ -329,7 +337,7 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
     total = sum(nums.values())
     if total == 0:
         raise DomainError("cannot update on evidence with zero validity")
-    return Dist(nums, denominator=total)
+    return Dist._over(nums, total)
 
 
 def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:

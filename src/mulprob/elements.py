@@ -131,6 +131,10 @@ class _FiniteMap:
     # ``_key`` caches the sort key of the kinds that are elements themselves.
     __slots__ = ("_map", "_total", "_entries", "_hash", "_key")
 
+    # Not iterable: without this, ``iter`` would fall back on the indexing
+    # of ``Multiset`` and ``Dist``, which never runs out of keys.
+    __iter__ = None
+
     def _public(self, stored):
         return stored
 

@@ -27,11 +27,11 @@ the workhorse behind the sampling round trip.
 
 from typing import Iterable
 
-from .channels import _draws, multiset_space
+from .channels import _draws
 from .dist import Channel, Dist
 from .elements import Elem, _show
 from .errors import DomainError, check_cells
-from .multiset import Multiset
+from .multiset import Multiset, enumerate_multisets
 
 
 def _check_members(psi: Multiset) -> tuple[tuple[Dist, int], ...]:
@@ -112,7 +112,7 @@ class _Packing:
                 key >>= bits
                 i += 1
             out[of(counts, size)] = w
-        return Dist(out, denominator=den)
+        return Dist._over(out, den)
 
 
 def _times(acc: dict[int, int], factor: dict[int, int]) -> dict[int, int]:
@@ -178,7 +178,4 @@ def lifted_map(f: Channel, k: int) -> Channel:
     repeat at one multiset is a lookup, and ``f`` runs its kernel once per
     element however many multisets share it.
     """
-    if k < 0:
-        raise DomainError(f"multiset size must be nonnegative: {k}")
-    domain = multiset_space(f.domain, k)
-    return Channel(domain, lambda phi: pml(phi.map_elements(f)))
+    return Channel(enumerate_multisets(f.domain, k), lambda phi: pml(phi.map_elements(f)))

@@ -11,7 +11,6 @@ from mulprob.channels import (
     draw_delete,
     hypergeometric,
     multinomial,
-    multiset_space,
     mzip,
     ppr,
     zip_tuples,
@@ -283,11 +282,6 @@ class TestBudgets:
         assert (err.value.op, err.value.needed, err.value.limit) == ("tensor product support", 16, 15)
         monkeypatch.setenv("MULPROB_MAX_CELLS", "16")
         assert len(abcd.product(abcd)) == 16
-
-
-class TestChannelBuilders:
-    def test_multiset_space(self):
-        assert list(multiset_space(AB, 2)) == enumerate_multisets(AB, 2)
 
 
 class TestPprProofReplay:

@@ -57,6 +57,13 @@ class TestConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             Dist({"a": F(3, 2), "b": F(-1, 2)})
+        with pytest.raises(DomainError, match=r"^negative weight -1 for a$"):
+            Dist({"a": -1, "b": 2})
+
+    def test_weights_only(self):
+        # Numerators over a denominator are the library's own input (``Dist._over``).
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'denominator'$"):
+            Dist({"a": -1, "b": 2}, denominator=1)
 
     def test_floats_rejected(self):
         with pytest.raises(DomainError):

@@ -187,7 +187,7 @@ def test_internal_dist_order_does_not_matter(nums, scale, rng):
     shuffled = list(items)
     rng.shuffle(shuffled)
     den = sum(nums) * scale
-    a, b = Dist(dict(items), denominator=den), Dist(dict(shuffled), denominator=den)
+    a, b = Dist._over(dict(items), den), Dist._over(dict(shuffled), den)
     assert_same_value(a, b)
     assert a == Dist({x: F(n, den) for x, n in items})
 
@@ -518,9 +518,9 @@ def test_pairs_are_values_of_their_own(x, y, u, v):
        st.lists(st.one_of(dists("ab"), dists("uv", DENS_57)), max_size=3), st.integers(0, 3),
        st.dictionaries(st.sampled_from("abc"), st.integers(1, 2)).map(Multiset), values)
 def test_trusted_dists_are_normalized_and_reduced(omega, rho, omegas, k, m, x):
-    # The rebuild goes through the checking constructor, which raises on a
+    # The rebuild goes through the checking builder ``Dist._over``, which raises on a
     # sum other than one and divides out a common factor.
     for d in [unit(x), dtensor(omega, rho), big_tensor(omegas), iid(omega, k),
               multinomial(omega, k), arrange(m)]:
-        again = Dist(dict(d._map), denominator=d._total)
+        again = Dist._over(dict(d._map), d._total)
         assert again == d and again._total == d._total

@@ -1,0 +1,94 @@
+"""Guards that the rest of the suite does not reach.
+
+Each case asserts the exception type and message of one guard, so
+removing that guard fails it.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from mulprob.combinatorics import multichoose
+from mulprob.dist import Channel, Dist, iid, unit
+from mulprob.elements import Space, elem_key
+from mulprob.errors import DomainError
+from mulprob.laws import Law, LawContext, run_law
+from mulprob.multiset import Multiset, accumulate, enumerate_multisets
+from mulprob.pml import lifted_map
+
+AB = Space(["a", "b"])
+COIN = Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: multichoose(-1, 2), "multichoose arguments must be nonnegative: (-1, 2)"),
+    (lambda: Dist.uniform([]), "uniform distribution over nothing"),
+    (lambda: iid(COIN, -1), "copy count must be nonnegative: -1"),
+    (lambda: AB.power(-1), "sequence length must be nonnegative"),
+    (lambda: Multiset({"a": 1.5}), "multiplicity must be an integer: 1.5"),
+    (lambda: enumerate_multisets(AB, -1), "multiset size must be nonnegative: -1"),
+    (lambda: lifted_map(Channel.identity(AB), -1), "multiset size must be nonnegative: -1"),
+    (lambda: LawContext(x_size=5), "law spaces support at most 4 elements"),
+    (lambda: LawContext(k_max=-1), "size bounds must be nonnegative"),
+    (lambda: Dist._over({"a": 1, "b": 2}, 4), "weights sum to 3/4, not 1"),
+])
+def test_domain_guards(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_multiset_and_a_distribution_do_not_add():
+    message = "unsupported operand type(s) for +: 'Multiset' and 'Dist'"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Multiset({"a": 1}) + COIN
+
+
+@pytest.mark.parametrize("value, slot", [
+    (Multiset({"a": 2}), "_total"),
+    (COIN, "_total"),
+    (Channel.identity(AB), "domain"),
+])
+def test_values_are_immutable(value, slot):
+    # The slots exist, so only the guard stops the assignment.
+    name = type(value).__name__
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(value, slot, Space([]))
+
+
+def test_elem_key_rejects_non_elements():
+    with pytest.raises(TypeError, match=r"^not an element value: <object object at "):
+        elem_key(object())
+
+
+def test_a_str_subclass_is_an_atom():
+    class Atom(str):
+        pass
+
+    assert elem_key(Atom("7")) == elem_key("7")
+    assert elem_key(Atom("b")) == elem_key("b")
+    assert accumulate([Atom("b"), "a", "b"]).entries == (("a", 1), ("b", 2))
+
+
+def test_an_expected_failure_whose_legs_agree_fails():
+    agreeing = Law("agree", "both legs are the same point mass",
+                   lambda ctx: iter([(["a"], unit, unit)]), expect_fail=True)
+    report = run_law(agreeing, LawContext())
+    assert (report.verdict, report.witness) == (
+        "fail", "expected the two legs to differ, but they agree")
+
+
+@pytest.mark.parametrize("value", [Multiset({"a": 2}), COIN], ids=["Multiset", "Dist"])
+def test_count_stores_are_not_iterable(value):
+    # Without the guard ``iter`` would fall back on indexing, which yields 0
+    # forever; it returns at once either way, so it is asserted first and a
+    # missing guard fails here instead of hanging below.
+    not_iterable = f"^'{type(value).__name__}' object is not iterable$"
+    with pytest.raises(TypeError, match=not_iterable):
+        iter(value)
+    for call in (list, sorted, Multiset, Dist, Space, accumulate, Dist.uniform,
+                 lambda v: Channel(v, unit), lambda v: enumerate_multisets(v, 1)):
+        with pytest.raises(TypeError, match=not_iterable):
+            call(value)
+    assert "a" in value and "c" not in value
+    assert list(Space(["b", "a"])) == ["a", "b"]

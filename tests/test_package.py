@@ -9,7 +9,7 @@ EXPORTS = [
     "accumulate", "arrange", "big_tensor", "bind", "catalogue", "compose",
     "ctensor", "draw_delete", "dtensor", "elem_key", "enumerate_arrangements",
     "enumerate_multisets", "flatten", "flrn", "format_value", "hypergeometric", "iid",
-    "lifted_map", "monoid_sum", "multichoose", "multinomial", "multiset_space", "mzip",
+    "lifted_map", "monoid_sum", "multichoose", "multinomial", "mzip",
     "parse_channel", "parse_dist", "parse_element", "parse_multiset", "parse_predicate",
     "parse_value", "pml", "ppr", "pred_extend", "push", "render_reports", "run_laws", "unit",
     "update", "validity", "zip_tuples",
