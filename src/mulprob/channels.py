@@ -24,7 +24,7 @@ from typing import Sequence
 from .combinatorics import multichoose
 from .dist import Dist, flrn, unit
 from .elements import Elem, Pair
-from .errors import DomainError, check_cells
+from .errors import DomainError, _check_size, check_cells
 from .multiset import (
     Multiset,
     _bounded_counts,
@@ -70,8 +70,7 @@ def multinomial(omega: Dist, k: int) -> Dist:
     The weight of a draw is its multiset coefficient times the product of
     the element probabilities, each raised to its multiplicity.
     """
-    if k < 0:
-        raise DomainError(f"draw size must be nonnegative: {k}")
+    _check_size(k, "draw size")
     # Reduced: the pure draw ``k x`` weighs ``n_x ** k``, and the ``n_x`` share no factor.
     return Dist._of({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
                     omega._total ** k)
@@ -85,7 +84,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     The budget counts the draws exactly.
     """
     n = urn.size
-    if not 0 <= k <= n:
+    if _check_size(k, "draw size") > n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
     caps = urn._map
     check_cells(_sub_multiset_count(caps.items(), k), f"size-{k} sub-multisets of a size-{n} urn")

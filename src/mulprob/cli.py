@@ -50,6 +50,13 @@ def _natural(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = _natural(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return value
+
+
 def _arg(flag: str, help: str, **options) -> tuple[str, dict]:
     return flag, {"help": help, **options}
 
@@ -148,7 +155,7 @@ _COMMANDS = {
         "sample a state, push samples through a channel, learn, compare",
         (_STATE,
          _arg("--chan", "channel table, e.g. '{a: <1/2 u, 1/2 v>, b: <1 u>}'", required=True),
-         _k("sample size (at least 1)")),
+         _arg("--k", "sample size (at least 1)", type=_positive, required=True)),
         _sample_check, _show_check),
     "laws": _Command(
         "check the commuting-diagram catalogue",

@@ -12,7 +12,7 @@ much as the computation itself.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _check_size
 
 
 def multichoose(n: int, k: int) -> int:
@@ -21,9 +21,8 @@ def multichoose(n: int, k: int) -> int:
     Undefined for n = 0 with k > 0: there is no multiset of positive size
     over the empty set.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"multichoose arguments must be nonnegative: ({n}, {k})")
-    if k == 0:
+    _check_size(n, "element count")
+    if _check_size(k, "multiset size") == 0:
         return 1
     if n == 0:
         raise DomainError("no multisets of positive size over the empty set")

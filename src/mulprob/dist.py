@@ -33,17 +33,21 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _show, elem_key
-from .errors import DomainError, check_cells
+from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
+from .errors import DomainError, _check_size, check_cells
 from .multiset import Multiset, accumulate
 
 Weight = int | Fraction
 
 
-def _exact(w: Weight) -> Weight:
+def _exact(w, elem: Elem) -> Weight:
+    """``w`` when it is a weight: an ``int`` or a ``Fraction``, and not of a
+    subclass such as ``bool``.  The ``DomainError`` otherwise names ``elem``."""
+    if type(w) is int or type(w) is Fraction:
+        return w
     if isinstance(w, float):
         raise DomainError(f"float weight {w!r} rejected: the library is exact")
-    return w if type(w) is Fraction or type(w) is int else Fraction(w)
+    raise DomainError(f"weight {w!r} for {_show(elem)} is not an integer or a Fraction")
 
 
 def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], int]:
@@ -51,7 +55,7 @@ def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], 
     denominator; zero weights are dropped, repeated elements add up."""
     weights: dict[Elem, Fraction | int] = {}
     for elem, w in items:
-        w = _exact(w)
+        w = _exact(w, elem)
         if w < 0:
             raise DomainError(f"negative weight {w} for {_show(elem)}")
         if w:
@@ -122,7 +126,7 @@ class Dist(_FiniteMap):
         if self._key is None:
             key = (_DIST, tuple([elem_key(e) for e, _ in self.entries]),
                    tuple([w for _, w in self.entries]))
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return self._key
 
     # -- functorial actions --------------------------------------------------
@@ -283,9 +287,7 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
 
 def iid(omega: Dist, k: int) -> Dist:
     """K independent copies of the same distribution."""
-    if k < 0:
-        raise DomainError(f"copy count must be nonnegative: {k}")
-    return big_tensor([omega] * k)
+    return big_tensor([omega] * _check_size(k, "copy count"))
 
 
 def flrn(m: Multiset) -> Dist:
@@ -303,7 +305,7 @@ class Predicate(_FiniteMap):
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         values: dict[Elem, Fraction] = {}
         for elem, v in _pairs(data):
-            v = Fraction(_exact(v))
+            v = Fraction(_exact(v, elem))
             if not 0 <= v <= 1:
                 raise DomainError(f"predicate value {v} for {_show(elem)} outside [0, 1]")
             if elem in values:
@@ -323,7 +325,7 @@ PredicateLike = Predicate | Callable[[Elem], Fraction]
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    return sum((n * p(x) for x, n in omega._map.items()), Fraction(0)) / omega._total
+    return sum((n * _exact(p(x), x) for x, n in omega._map.items()), Fraction(0)) / omega._total
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:
@@ -345,7 +347,7 @@ def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
     def extended(m: Multiset) -> Fraction:
         num = den = 1
         for e, n in m._map.items():
-            v = _exact(p(e))
+            v = _exact(p(e), e)
             num *= v.numerator ** n
             den *= v.denominator ** n
         return Fraction(num, den)

@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
-from .errors import DomainError, check_cells
+from .errors import _check_size, check_cells
 
 Elem = Any
 
@@ -184,7 +184,7 @@ class _FiniteMap:
         if self._entries is None:
             data, public = self._map, self._public
             entries = tuple([(e, public(data[e])) for e in sorted(data, key=elem_key)])
-            object.__setattr__(self, "_entries", entries)
+            _set_entries(self, entries)
         return self._entries
 
     @property
@@ -199,7 +199,7 @@ class _FiniteMap:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._map.items())))
+            _set_hash(self, hash(frozenset(self._map.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -271,7 +271,6 @@ class Space(_FiniteMap):
 
     def power(self, k: int) -> list[tuple]:
         """All length-k sequences over this space, in lexicographic order."""
-        if k < 0:
-            raise DomainError("sequence length must be nonnegative")
+        _check_size(k, "sequence length")
         check_cells(len(self) ** k, f"{len(self)}^{k} sequence space")
         return list(itertools.product(self.elements, repeat=k))

@@ -74,6 +74,18 @@ def _parse_limit(raw) -> int:
         raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {text!r}") from None
 
 
+def _check_size(k, what: str) -> int:
+    """``k`` when it is a size: an ``int``, not of a subclass such as
+    ``bool``, and not negative.  ``what`` names it in the ``DomainError``
+    otherwise.  The name is private, so a tracer that wraps the public
+    functions of this module adds no span per size checked."""
+    if type(k) is not int:
+        raise DomainError(f"{what} must be an integer: {k!r}")
+    if k >= 0:
+        return k
+    raise DomainError(f"{what} must be nonnegative: {k}")
+
+
 def check_cells(count: int, what: str) -> None:
     """Abort with a resource error when an enumeration is too large."""
     cap = max_cells()

@@ -46,7 +46,7 @@ from .dist import (
     validity,
 )
 from .elements import Pair, Space, _show
-from .errors import DomainError, MulprobError
+from .errors import DomainError, MulprobError, _check_size
 from .multiset import Multiset, accumulate, enumerate_multisets
 from .pml import lifted_map, monoid_sum, pml
 
@@ -117,12 +117,13 @@ class LawContext:
         seed: int = 0,
         n_random: int = 20,
     ):
+        for what, size in [("x_size", x_size), ("y_size", y_size), ("k_max", k_max),
+                           ("l_max", l_max), ("n_max", n_max), ("n_random", n_random)]:
+            _check_size(size, what)
         if min(x_size, y_size) < 1:
             raise DomainError("spaces need at least one element")
         if max(x_size, y_size) > 4:
             raise DomainError("law spaces support at most 4 elements")
-        if min(k_max, l_max, n_max) < 0:
-            raise DomainError("size bounds must be nonnegative")
         self.x_size = x_size
         self.y_size = y_size
         self.k_max = k_max

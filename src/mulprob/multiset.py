@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import multichoose
-from .elements import _MULTISET, Elem, Space, _FiniteMap, _pairs, _show, elem_key
+from .elements import _MULTISET, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
 from .errors import DomainError, check_cells
 
 
@@ -35,10 +35,10 @@ class Multiset(_FiniteMap):
         for elem, n in _pairs(data):
             if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
                 raise DomainError(f"multiplicity must be an integer: {n!r}")
-            if n < 0:
-                raise DomainError(f"negative multiplicity {n} for {_show(elem)}")
-            if n:
+            if n > 0:
                 counts[elem] = counts.get(elem, 0) + n
+            elif n:
+                raise DomainError(f"negative multiplicity {n} for {_show(elem)}")
         self._store(counts, sum(counts.values()))
 
     # -- basic views ------------------------------------------------------
@@ -60,7 +60,7 @@ class Multiset(_FiniteMap):
         # Realized as lexicographic comparison of the reversed entry list.
         if self._key is None:
             key = (_MULTISET, tuple([(elem_key(e), n) for e, n in reversed(self.entries)]))
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return self._key
 
     # -- algebra -----------------------------------------------------------
@@ -208,11 +208,8 @@ def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]
     """
     if not isinstance(space, Space):
         space = Space(space)
-    if k < 0:
-        raise DomainError(f"multiset size must be nonnegative: {k}")
-    if not space.elements and k > 0:
-        raise DomainError("no multisets of positive size over the empty space")
     elems = space.elements
+    # ``multichoose`` checks ``k`` and rejects a positive size over no elements.
     check_cells(multichoose(len(elems), k), f"multisets of size {k} over {len(elems)} elements")
     return [Multiset._of(dict(v), k) for v in _bounded_counts([(x, k) for x in elems], k)]
 

@@ -36,7 +36,6 @@ from typing import Sequence
 
 from .channels import zip_tuples
 from .dist import Dist, big_tensor, bind, unit
-from .elements import _show
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
 from .pml import _check_members, pml
@@ -133,9 +132,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
     to the monoid unit.
     """
     out = unit(Multiset())
-    for member, n in psi.entries:
-        if not isinstance(member, Dist):
-            raise DomainError(f"expected distribution elements, found {_show(member)}")
+    for member, n in _check_members(psi):
         for _ in range(n):
             out = _pairwise_sum(out, member)
     return out

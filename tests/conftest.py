@@ -1,15 +1,16 @@
 """Test-suite settings.
 
-When ``CI`` is set, as GitHub Actions sets it, the ``hypothesis`` profile
-``ci`` is loaded: a generated case that fails prints its
+Every ``hypothesis`` test runs without a deadline: the ``mulprob`` profile,
+loaded for local runs, sets it once for the whole suite.  When ``CI`` is
+set, as GitHub Actions sets it, the ``ci`` profile is loaded instead: the
+same settings, and a generated case that fails prints its
 ``@reproduce_failure`` blob in the job log, so it can be replayed locally.
-Local runs keep the default profile.
 """
 
 import os
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+settings.register_profile("mulprob", deadline=None)
+settings.register_profile("ci", settings.get_profile("mulprob"), print_blob=True)
+settings.load_profile("ci" if os.environ.get("CI") else "mulprob")

@@ -211,7 +211,7 @@ def sized_multisets(atoms, k):
     return st.lists(st.sampled_from(atoms), min_size=k, max_size=k).map(accumulate)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 5).flatmap(
     lambda k: st.tuples(sized_multisets("abc", k), sized_multisets("uvw", k))))
 def test_mzip_agrees_with_arrangement_pairs(pair):

@@ -151,6 +151,7 @@ class TestErrors:
         ["mn", "<1 a>"],
         ["mn", "--k", "-1", "<1 a>"],
         ["hg", "[1 a]", "--k", "x"],
+        ["sample-check", "<1 a>", "--chan", "{a: <1 u>}", "--k", "0"],
     ])
     def test_bad_command_line_is_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -476,7 +477,7 @@ def _argvs(draw) -> list[str]:
 
 
 class TestGeneratedCommandLines:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_argvs(), st.sampled_from(["0", "1", "4", "16", "64", "x"]))
     def test_every_command_line_ends_in_a_code_and_one_line(self, argv, budget):
         with patch.dict(os.environ, {"MULPROB_MAX_CELLS": budget}):

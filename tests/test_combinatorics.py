@@ -40,7 +40,7 @@ def rationals(draw):
     return Fraction(draw(small_ints), draw(positive_ints))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rationals(), rationals(), rationals())
 def test_rational_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -50,7 +50,7 @@ def test_rational_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rationals(), rationals())
 def test_rational_exact_cancellation(a, b):
     assert (a + b) - b == a
@@ -58,7 +58,7 @@ def test_rational_exact_cancellation(a, b):
         assert (a * b) / b == a
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rationals())
 def test_rational_lowest_terms(q):
     assert math.gcd(q.numerator, q.denominator) == 1

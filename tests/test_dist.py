@@ -352,6 +352,10 @@ class TestPredicates:
         assert validity(OMEGA, always) == 1
         assert validity(OMEGA, never) == 0
 
+    def test_validity_of_an_integer_valued_callable_is_a_fraction(self):
+        value = validity(OMEGA, lambda x: int(x == "b"))
+        assert value == F(2, 3) and type(value) is Fraction
+
     def test_validity_two_term_sum(self):
         p = Predicate({"a": 1, "b": F(1, 2)})
         assert validity(d(a=F(1, 2), b=F(1, 2)), p) == F(3, 4)
@@ -435,7 +439,7 @@ def dists(draw, elements=("a", "b", "c")):
     return Dist((x, F(w, total)) for x, w in zip(support, ws))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dists())
 def test_monad_unit_laws(omega):
     space = Space(["a", "b", "c"])
@@ -444,7 +448,7 @@ def test_monad_unit_laws(omega):
     assert flatten(omega.map(unit)) == omega
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(dists(), st.randoms(use_true_random=False))
 def test_monad_associativity(omega, rng):
     # Triple-nested distributions flatten the same from either end.

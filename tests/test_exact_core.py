@@ -72,7 +72,7 @@ def accumulate_into(acc: dict, key, w: Fraction) -> None:
     acc[key] = acc.get(key, F(0)) + w
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(dists("abc"), st.fixed_dictionaries({x: dists("uvw", DENS_57) for x in "abc"}))
 def test_bind_matches_fraction_reference(omega, table):
     want: dict = {}
@@ -82,14 +82,14 @@ def test_bind_matches_fraction_reference(omega, table):
     same_weights(bind(omega, table.__getitem__), want)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(dists("abc"), dists("uvw", DENS_57))
 def test_dtensor_matches_fraction_reference(omega, rho):
     want = {Pair(x, y): w * v for x, w in omega.entries for y, v in rho.entries}
     same_weights(dtensor(omega, rho), want)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.one_of(dists("ab"), dists("uv", DENS_57)), max_size=3))
 def test_big_tensor_matches_fraction_reference(omegas):
     want: dict = {}
@@ -98,7 +98,7 @@ def test_big_tensor_matches_fraction_reference(omegas):
     same_weights(big_tensor(omegas), want)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(dists(SMALL_MULTISETS), dists(SMALL_MULTISETS, DENS_57))
 def test_monoid_sum_matches_fraction_reference(a, b):
     want: dict = {}
@@ -108,7 +108,7 @@ def test_monoid_sum_matches_fraction_reference(a, b):
     same_weights(monoid_sum(a, b), want)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.one_of(dists("abc"), dists("abc", DENS_57)), st.integers(0, 4))
 def test_multinomial_matches_fraction_reference(omega, k):
     # Every sequence of k independent draws, collapsed to its multiset.
@@ -119,7 +119,7 @@ def test_multinomial_matches_fraction_reference(omega, k):
     same_weights(multinomial(omega, k), want)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.dictionaries(st.sampled_from("abc"), st.integers(1, 3), min_size=1), st.data())
 def test_hypergeometric_matches_fraction_reference(counts, data):
     urn = Multiset(counts)
@@ -133,7 +133,7 @@ def test_hypergeometric_matches_fraction_reference(counts, data):
     same_weights(hypergeometric(urn, k), want)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "0", "00", Pair("a", "0")]),
                           st.fractions(min_value=0, max_value=1, max_denominator=12)),
                 min_size=1, max_size=6),
@@ -167,7 +167,7 @@ def assert_same_value(a, b) -> None:
 KEYS = ["a", "b", "0", "00", "7", Pair("a", "0"), Pair("a", "b")]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.dictionaries(st.sampled_from(KEYS), st.fractions(0, 1, max_denominator=12),
                        min_size=1, max_size=5),
        st.randoms(use_true_random=False))
@@ -178,7 +178,7 @@ def test_predicate_order_does_not_matter(values, rng):
     assert_same_value(Predicate(items), Predicate(shuffled))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=len(KEYS)), st.integers(1, 3),
        st.randoms(use_true_random=False))
 def test_internal_dist_order_does_not_matter(nums, scale, rng):
@@ -221,7 +221,7 @@ value_texts = st.recursive(
 values = value_texts.map(parse_value)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(value_texts, min_size=2, max_size=5))
 def test_elem_key_is_injective_on_parsed_values(texts):
     values = [parse_value(t) for t in texts]
@@ -252,7 +252,7 @@ def assert_canonical_throughout(v) -> None:
             assert_canonical_throughout(e)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(value_texts, st.randoms(use_true_random=False))
 def test_nested_construction_order_does_not_matter(text, rng):
     a = parse_value(text)
@@ -273,7 +273,7 @@ members = st.sampled_from(SUPPORTS).flatmap(
     lambda support: st.one_of(dists(support), dists(support, DENS_57)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(members, st.integers(1, 2)), max_size=3).map(Multiset))
 @example(Multiset())
 @example(Multiset([(Dist.uniform("ab"), 2), (Dist({"a": F(1, 3), "b": F(2, 3)}), 1)]))
@@ -284,7 +284,7 @@ def test_pml_matches_joint_outcomes(psi):
     assert_same_value(pml(psi), pml_def1(psi))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.dictionaries(value_texts.map(parse_value), st.integers(1, 3), max_size=4),
        st.randoms(use_true_random=False))
 def test_trusted_multiset_matches_the_checked_one(counts, rng):
@@ -309,7 +309,7 @@ def assert_total_is_the_sum(value) -> None:
 small_multisets = st.dictionaries(st.sampled_from("abc"), st.integers(1, 3)).map(Multiset)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.sampled_from("abc"), max_size=4), small_multisets, small_multisets,
        st.integers(0, 3), st.one_of(dists("abc"), dists("abc", DENS_57)),
        st.lists(st.one_of(dists("ab"), dists("bc", DENS_57)), max_size=3), st.data())
@@ -327,7 +327,7 @@ def test_stored_totals_are_the_sums(xs, phi, psi, k, omega, omegas, data):
         assert_total_is_the_sum(m)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(values, min_size=1, max_size=5))
 def test_uniform_is_the_normalized_accumulation(xs):
     assert_same_value(Dist.uniform(xs), flrn(accumulate(xs)))
@@ -354,7 +354,7 @@ predicate_texts = st.lists(st.tuples(element_texts, predicate_values), min_size=
     lambda entries: "(" + ", ".join(f"{key}:{v}" for key, v in entries) + ")")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(padded_value_texts, predicate_texts))
 @example("((a,0):1/2, (0,a):02/04, 7:0)")
 @example("[02 <01/02 007, 1/2 07>, 00 a]")
@@ -378,7 +378,7 @@ def channel_text(entries) -> str:
     return "{" + ", ".join(f"{key}: {d}" for key, d in entries) + "}"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(channel_entries, st.randoms(use_true_random=False))
 @example([("(a,0)", "<1/2 a, 1/2 b>"), ("b", "<1/1 [2 a]>"), ("0", "<1/1 00>")], random.Random(0))
 @example([("[1 a]", "<1/2 [1 u], 1/2 [1 v]>"), ("[1 b]", "<1/1 [1 u]>")], random.Random(0))
@@ -400,7 +400,7 @@ def test_channels_are_values(entries, rng):
         assert c != other and other != c
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(channel_entries, channel_entries, st.integers(0, 2))
 @example([("a", "<1/2 u, 1/2 v>"), ("b", "<1/1 u>")], [("[1 a]", "<1/1 [2 b]>")], 1)
 def test_channels_the_library_builds_parse_back(entries, more, k):
@@ -413,7 +413,7 @@ def test_channels_the_library_builds_parse_back(entries, more, k):
         assert parse_value(text) == c
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dists("ab"), dists("uv", DENS_57), st.integers(0, 2))
 def test_tensors_of_draws_parse_back(omega, rho, k):
     # A distribution over pairs of multisets; pairs of generated values
@@ -422,7 +422,7 @@ def test_tensors_of_draws_parse_back(omega, rho, k):
     assert parse_value(format_value(v)) == v
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(channel_entries, st.randoms(use_true_random=False))
 def test_a_raising_kernel_makes_equality_and_hash_raise(entries, rng):
     c = parse_channel(channel_text(entries))
@@ -445,7 +445,7 @@ def test_a_raising_kernel_makes_equality_and_hash_raise(entries, rng):
     assert len(runs) == 4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(value_texts, predicate_texts))
 @example("((a,0):1/2, (0,a):02/04, 7:0)")
 def test_values_survive_pickling_and_deep_copies(text):
@@ -473,7 +473,7 @@ def test_spaces_survive_pickling_and_copies(elements):
         assert all(x in again for x in elements)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.sampled_from(ATOMS), max_size=12), st.integers(0, 3))
 @example(["b", "a", "b", "007", "7", "a"], 2)
 def test_a_space_is_the_set_of_its_members(xs, k):
@@ -494,7 +494,7 @@ def test_a_space_is_the_set_of_its_members(xs, k):
     assert s.power(k) == list(itertools.product(s.elements, repeat=k))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(values, values, values, values)
 @example("a", "b", "a", "b")
 def test_pairs_are_values_of_their_own(x, y, u, v):
@@ -513,7 +513,7 @@ def test_pairs_are_values_of_their_own(x, y, u, v):
     assert p.fst is x
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(dists("abc"), dists("abc", DENS_57)), dists("uvw", DENS_57),
        st.lists(st.one_of(dists("ab"), dists("uv", DENS_57)), max_size=3), st.integers(0, 3),
        st.dictionaries(st.sampled_from("abc"), st.integers(1, 2)).map(Multiset), values)

@@ -1,16 +1,19 @@
 """Guards that the rest of the suite does not reach.
 
 Each case asserts the exception type and message of one guard, so
-removing that guard fails it.
+removing that guard fails it.  One property feeds hostile sizes and
+weights to every operation that takes one.
 """
 
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from mulprob.channels import hypergeometric, multinomial
 from mulprob.combinatorics import multichoose
-from mulprob.dist import Channel, Dist, iid, unit
+from mulprob.dist import Channel, Dist, Predicate, iid, pred_extend, unit, update, validity
 from mulprob.elements import Space, elem_key
 from mulprob.errors import DomainError
 from mulprob.laws import Law, LawContext, run_law
@@ -22,15 +25,15 @@ COIN = Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: multichoose(-1, 2), "multichoose arguments must be nonnegative: (-1, 2)"),
+    (lambda: multichoose(-1, 2), "element count must be nonnegative: -1"),
     (lambda: Dist.uniform([]), "uniform distribution over nothing"),
     (lambda: iid(COIN, -1), "copy count must be nonnegative: -1"),
-    (lambda: AB.power(-1), "sequence length must be nonnegative"),
+    (lambda: AB.power(-1), "sequence length must be nonnegative: -1"),
     (lambda: Multiset({"a": 1.5}), "multiplicity must be an integer: 1.5"),
     (lambda: enumerate_multisets(AB, -1), "multiset size must be nonnegative: -1"),
     (lambda: lifted_map(Channel.identity(AB), -1), "multiset size must be nonnegative: -1"),
     (lambda: LawContext(x_size=5), "law spaces support at most 4 elements"),
-    (lambda: LawContext(k_max=-1), "size bounds must be nonnegative"),
+    (lambda: LawContext(k_max=-1), "k_max must be nonnegative: -1"),
     (lambda: Dist._over({"a": 1, "b": 2}, 4), "weights sum to 3/4, not 1"),
 ])
 def test_domain_guards(call, message):
@@ -92,3 +95,56 @@ def test_count_stores_are_not_iterable(value):
             call(value)
     assert "a" in value and "c" not in value
     assert list(Space(["b", "a"])) == ["a", "b"]
+
+
+# Every operation that takes a size, as a function of that size.
+SIZED = {
+    "multichoose-n": lambda n: multichoose(n, 2),
+    "multichoose-k": lambda k: multichoose(2, k),
+    "enumerate_multisets": lambda k: enumerate_multisets(AB, k),
+    "Space.power": AB.power,
+    "iid": lambda k: iid(COIN, k),
+    "multinomial": lambda k: multinomial(COIN, k),
+    "hypergeometric": lambda k: hypergeometric(Multiset({"a": 2, "b": 1}), k),
+    "lifted_map": lambda k: lifted_map(Channel.identity(AB), k),
+    **{f"LawContext-{bound}": (lambda k, bound=bound: LawContext(**{bound: k}))
+       for bound in ("x_size", "y_size", "k_max", "l_max", "n_max", "n_random")},
+}
+
+# Every place a weight or a predicate value enters, as a function of it.
+WEIGHED = {
+    "Dist": lambda w: Dist({"a": w}),
+    "Predicate": lambda w: Predicate({"a": w}),
+    "validity": lambda w: validity(COIN, lambda _: w),
+    "update": lambda w: update(COIN, lambda _: w),
+    "pred_extend": lambda w: pred_extend(lambda _: w)(Multiset({"a": 2})),
+}
+
+# No value here is a size; the ``int``s and ``Fraction``s among them are weights.
+HOSTILE = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.complex_numbers(), st.decimals(),
+    st.text(max_size=3), st.integers(max_value=-1), st.fractions(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@pytest.mark.parametrize("kind, call", [("size", call) for call in SIZED.values()]
+                         + [("weight", call) for call in WEIGHED.values()],
+                         ids=[*SIZED, *WEIGHED])
+@settings(max_examples=30)
+@given(value=HOSTILE)
+@example(value=True)
+@example(value=2.0)
+@example(value=-1)
+@example(value="2")
+@example(value=None)
+@example(value="1/3")
+@example(value=1 + 0j)
+@example(value=0.5)
+def test_hostile_arguments_raise_one_line_domain_errors(kind, call, value):
+    # An exact weight is judged by its range, which not every operation checks.
+    assume(kind == "size" or type(value) not in (int, Fraction))
+    with pytest.raises(DomainError) as err:
+        call(value)
+    message = str(err.value)
+    assert "\n" not in message and repr(value) in message

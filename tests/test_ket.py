@@ -130,7 +130,7 @@ keys = st.recursive(atoms, lambda inner: st.builds(Pair, inner, inner), max_leav
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.dictionaries(keys, unit_rationals, min_size=1, max_size=5))
 def test_predicate_round_trip(values):
     p = Predicate(values)

@@ -173,14 +173,14 @@ multisets = st.dictionaries(elements, st.integers(min_value=0, max_value=4)).map
 sequences = st.lists(elements, max_size=5)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(multisets, multisets)
 def test_sizes_add_and_multiply(phi, psi):
     assert (phi + psi).size == phi.size + psi.size
     assert phi.tensor(psi).size == phi.size * psi.size
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(sequences, st.randoms(use_true_random=False))
 def test_accumulate_permutation_stable(xs, rng):
     shuffled = list(xs)
@@ -188,7 +188,7 @@ def test_accumulate_permutation_stable(xs, rng):
     assert accumulate(xs) == accumulate(shuffled)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(multisets)
 def test_functoriality(phi):
     f = {"a": "b", "b": "b", "c": "a"}
@@ -200,7 +200,7 @@ def test_functoriality(phi):
     assert phi.map_elements(f.__getitem__).size == phi.size
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=5), st.data())
 def test_bounded_counts_is_the_filtered_product(caps, data):
     # Every count vector under the caps with sum k, highest index compared
