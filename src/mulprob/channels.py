@@ -9,11 +9,12 @@ its cost follows the size of its output: the draw distributions enumerate
 the multisets they weigh, and ``mzip`` enumerates contingency tables
 rather than pairs of arrangements.  All three enumerate through the one
 walk over bounded count vectors in ``mulprob.multiset``: ``multinomial``
-with every cap the draw size (its draws, ``_draws``, are also the factors
-``pml`` multiplies), ``hypergeometric`` with the urn's counts as caps,
-and each ``mzip`` row with the capacity its columns have left.  Outcome
-multisets are built by the trusted ``Multiset._of`` that ``Multiset`` and
-``Dist`` share, once each.
+with every cap the draw size, ``hypergeometric`` with the urn's counts as
+caps, and each ``mzip`` row with the capacity its columns have left.
+Each outcome multiset is built once, by the trusted ``Multiset._of`` that
+``Multiset`` and ``Dist`` share, and is hashed and inserted once, into the
+output's one dict: the channels that reduce their weights hand outcomes
+and numerators to ``Dist._over`` as two parallel lists.
 The literal definitions survive in ``mulprob.oracles`` and the test suite
 as independent cross-checks.
 """
@@ -40,62 +41,54 @@ def arrange(m: Multiset) -> Dist:
     return Dist._of(dict.fromkeys(seqs, 1), len(seqs))  # reduced: every numerator is 1
 
 
-def _draws(omega: Dist, k: int) -> list[tuple[tuple, int]]:
-    """Each size-k draw with replacement from ``omega``, with its numerator.
+def multinomial(omega: Dist, k: int) -> Dist:
+    """Distribution of size-k draws with replacement from ``omega``.
 
     A draw is given by its nonzero ``(element, count)`` pairs, as
-    ``_bounded_counts`` lists them; its numerator over ``omega._total ** k``
+    ``_bounded_counts`` yields them; its numerator over ``omega._total ** k``
     is the multiset coefficient times the product of the element
     numerators, each raised to its count.  The coefficient
     ``k! / prod n!`` is a product of binomials over the running count, so
     no factorial of ``k`` is taken: a draw from a point mass costs nothing
     for any ``k``.  The budget counts the draws.
     """
+    _check_size(k, "draw size")
     nums = omega._map
     check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
-    out = []
+    out = {}
     for draw in _bounded_counts([(x, k) for x in nums], k):
         coeff, w, drawn = 1, 1, 0
         for x, n in draw:
             drawn += n
             coeff *= drawn if n == 1 else comb(drawn, n)
             w *= nums[x] ** n
-        out.append((draw, coeff * w))
-    return out
-
-
-def multinomial(omega: Dist, k: int) -> Dist:
-    """Distribution of size-k draws with replacement from ``omega``.
-
-    The weight of a draw is its multiset coefficient times the product of
-    the element probabilities, each raised to its multiplicity.
-    """
-    _check_size(k, "draw size")
+        out[Multiset._of(dict(draw), k)] = coeff * w
     # Reduced: the pure draw ``k x`` weighs ``n_x ** k``, and the ``n_x`` share no factor.
-    return Dist._of({Multiset._of(dict(draw), k): w for draw, w in _draws(omega, k)},
-                    omega._total ** k)
+    return Dist._of(out, omega._total ** k)
 
 
 def hypergeometric(urn: Multiset, k: int) -> Dist:
     """Distribution of size-k draws without replacement from the urn.
 
     A draw takes ``phi(x)`` of the ``urn(x)`` copies of each ``x``; its
-    weight is the product of ``C(urn(x), phi(x))`` over ``C(|urn|, k)``.
-    The budget counts the draws exactly.
+    weight is the product of ``C(urn(x), phi(x))`` over ``C(|urn|, k)``,
+    each binomial read from one table per element.  The budget counts the
+    draws exactly.
     """
     n = urn.size
     if _check_size(k, "draw size") > n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
     caps = urn._map
     check_cells(_sub_multiset_count(caps.items(), k), f"size-{k} sub-multisets of a size-{n} urn")
-    weights = {}
+    combs = {x: [comb(cap, t) for t in range(cap + 1)] for x, cap in caps.items()}
+    outcomes, nums = [], []
     for draw in _bounded_counts(urn.entries, k):
         w = 1
         for x, t in draw:
-            if t < caps[x]:  # taking every copy weighs 1
-                w *= comb(caps[x], t)
-        weights[Multiset._of(dict(draw), k)] = w
-    return Dist._over(weights, comb(n, k))
+            w *= combs[x][t]
+        outcomes.append(Multiset._of(dict(draw), k))
+        nums.append(w)
+    return Dist._over(outcomes, nums, comb(n, k))
 
 
 def draw_delete(urn: Multiset) -> Dist:
@@ -103,7 +96,16 @@ def draw_delete(urn: Multiset) -> Dist:
     size = urn.size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
-    return Dist._over({urn.remove_one(x): n for x, n in urn._map.items()}, size)
+    counts = urn._map
+    outcomes = []
+    for x, n in counts.items():
+        left = dict(counts)
+        if n == 1:
+            del left[x]
+        else:
+            left[x] = n - 1
+        outcomes.append(Multiset._of(left, size - 1))
+    return Dist._over(outcomes, counts.values(), size)
 
 
 def ppr(xs: tuple) -> Dist:
@@ -136,7 +138,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     rows ``x`` of each row's own coefficient ``phi(x)! / prod_y
     tau(x,y)!``, over ``coefficient(psi)``: the same weight over a smaller
     denominator.  Every coefficient is a product of binomials over the
-    running count, as in ``_draws``, so no factorial is taken.
+    running count, as in ``multinomial``, so no factorial is taken.
 
     Tables are built row by row over the support of ``phi``; each row walks
     the splits within the capacity the columns have left, and the last row
@@ -171,5 +173,6 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
                     c *= n if t == 1 else comb(n, t)
                 grown.append((taken + split, c, left))
         tables = grown
-    weights = {Multiset._of(dict(taken), phi.size): c for taken, c, _ in tables}
-    return Dist._over(weights, psi.coefficient())
+    size = phi.size
+    return Dist._over([Multiset._of(dict(taken), size) for taken, _, _ in tables],
+                      [c for _, c, _ in tables], psi.coefficient())

@@ -17,12 +17,13 @@ integers rather than ``Fraction``s.  It is the count store of
 ``elements._FiniteMap``, the one ``Multiset`` uses: the modules of the
 package read it through ``_map`` (element to numerator, in no particular
 order) and ``_total`` (the denominator), and build from it with
-``Dist._over(nums, d)``, which checks the sum and reduces, or the shared
-``Dist._of(nums, d)``, which does neither and is only for outputs
-normalized and reduced by construction, each caller saying why.  The
-public constructor ``Dist(data)`` takes weights alone.  The public views,
-``entries`` (in canonical order) and indexing, give weights as
-``Fraction``s.
+``Dist._over(outcomes, nums, d)``, which takes the outcomes and their
+numerators as two parallel lists, checks the sum and reduces before it
+builds the one dict, or the shared ``Dist._of(nums, d)``, which does
+neither and is only for outputs normalized and reduced by construction,
+each caller saying why.  The public constructor ``Dist(data)`` takes
+weights alone.  The public views, ``entries`` (in canonical order) and
+indexing, give weights as ``Fraction``s.
 
 Distributions are themselves element values (hashable, canonically
 ordered), which is what lets multisets of distributions and distributions
@@ -31,7 +32,7 @@ over distributions exist without any special cases.
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
 from .errors import DomainError, _check_size, check_cells
@@ -65,8 +66,8 @@ def _numerators(items: Iterable[tuple[Elem, Weight]]) -> tuple[dict[Elem, int], 
     return {e: w.numerator * (den // w.denominator) for e, w in weights.items()}, den
 
 
-def _check_sum(nums: dict[Elem, int], den: int) -> None:
-    total = sum(nums.values())
+def _check_sum(nums: Collection[int], den: int) -> None:
+    total = sum(nums)
     if total != den:
         s = Fraction(total, den)
         try:
@@ -89,22 +90,27 @@ class Dist(_FiniteMap):
 
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         nums, den = _numerators(_pairs(data))
-        _check_sum(nums, den)
+        _check_sum(nums.values(), den)
         # Reduced: a prime dividing ``den`` divides some weight's own
         # denominator as often, so it does not divide that weight's numerator.
         self._store(nums, den)
 
     @classmethod
-    def _over(cls, nums: dict[Elem, int], den: int) -> "Dist":
-        """The library's builder from a fresh dict of positive integer
-        numerators over ``den``: it checks their sum and reduces, and keeps
-        the dict when it is reduced already."""
+    def _over(cls, outcomes: Collection[Elem], nums: Collection[int], den: int) -> "Dist":
+        """The library's builder from distinct outcomes and their positive
+        integer numerators over ``den``, given in parallel.
+
+        It checks that the numerators sum to ``den`` and divides them by
+        their gcd with it before it builds the one dict, so each outcome is
+        inserted once.  A caller that accumulated a dict passes its keys
+        and its values.
+        """
         _check_sum(nums, den)
-        g = gcd(den, *nums.values())
+        g = gcd(den, *nums)
         if g != 1:
             den //= g
-            nums = {e: n // g for e, n in nums.items()}
-        return cls._of(nums, den)
+            nums = [n // g for n in nums]
+        return cls._of(dict(zip(outcomes, nums)), den)
 
     @classmethod
     def uniform(cls, values: Iterable[Elem]) -> "Dist":
@@ -133,7 +139,8 @@ class Dist(_FiniteMap):
 
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
-        return Dist._over(self._image(f), self._total)
+        image = self._image(f)
+        return Dist._over(image, image.values(), self._total)
 
 
 def unit(elem: Elem) -> Dist:
@@ -157,7 +164,7 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
         scale = n * (den // d._total)
         for y, m in d._map.items():
             acc[y] = acc.get(y, 0) + scale * m
-    return Dist._over(acc, omega._total * den)
+    return Dist._over(acc, acc.values(), omega._total * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -294,7 +301,17 @@ def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
     if m.size == 0:
         raise DomainError("cannot normalize the empty multiset")
-    return Dist._over(dict(m._map), m.size)
+    return Dist._over(m._map, m._map.values(), m.size)
+
+
+def _truth(v, elem: Elem) -> tuple[int, int]:
+    """The numerator and the denominator of ``v`` when it is a predicate
+    value: a weight in [0, 1].  The ``DomainError`` otherwise names ``elem``."""
+    # Reduced, with a positive denominator, so integers decide.
+    n, d = _exact(v, elem).as_integer_ratio()
+    if 0 <= n <= d:
+        return n, d
+    raise DomainError(f"predicate value {v} for {_show(elem)} outside [0, 1]")
 
 
 class Predicate(_FiniteMap):
@@ -305,9 +322,7 @@ class Predicate(_FiniteMap):
     def __init__(self, data: Mapping[Elem, Weight] | Iterable[tuple[Elem, Weight]]):
         values: dict[Elem, Fraction] = {}
         for elem, v in _pairs(data):
-            v = Fraction(_exact(v, elem))
-            if not 0 <= v <= 1:
-                raise DomainError(f"predicate value {v} for {_show(elem)} outside [0, 1]")
+            v = Fraction(*_truth(v, elem))
             if elem in values:
                 raise DomainError(f"duplicate predicate entry for {_show(elem)}")
             values[elem] = v
@@ -323,33 +338,51 @@ class Predicate(_FiniteMap):
 PredicateLike = Predicate | Callable[[Elem], Fraction]
 
 
+def _weighed(omega: Dist, p: PredicateLike) -> tuple[list[int], int]:
+    """The prior numerators of ``omega`` times the values of ``p``, in the
+    order of its stored dict, over the values' least common denominator."""
+    values = [_truth(p(x), x) for x in omega._map]
+    den = lcm(*[d for _, d in values])
+    return [n * v * (den // d) for n, (v, d) in zip(omega._map.values(), values)], den
+
+
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    return sum((n * _exact(p(x), x) for x, n in omega._map.items()), Fraction(0)) / omega._total
+    nums, den = _weighed(omega, p)
+    return Fraction(sum(nums), den * omega._total)
 
 
 def update(omega: Dist, p: PredicateLike) -> Dist:
     """Condition the state on the evidence ``p`` and renormalize.
 
-    ``p`` is called once per element; the posterior numerators are the
-    prior's times the values over their least common denominator.
+    ``p`` is called once per element.  The posterior numerators are the
+    prior's times the values, over the values' least common denominator;
+    elements of value 0 drop out.
     """
-    values, _ = _numerators((x, p(x)) for x in omega._map)
-    nums = {x: omega._map[x] * v for x, v in values.items()}
-    total = sum(nums.values())
+    weighed, _ = _weighed(omega, p)
+    outcomes, nums = [], []
+    for x, n in zip(omega._map, weighed):
+        if n:
+            outcomes.append(x)
+            nums.append(n)
+    total = sum(nums)
     if total == 0:
         raise DomainError("cannot update on evidence with zero validity")
-    return Dist._over(nums, total)
+    return Dist._over(outcomes, nums, total)
 
 
 def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
     """Free extension of a predicate to multisets, by pointwise product."""
+    values: dict[Elem, tuple[int, int]] = {}  # ``p`` is read once per element
+
     def extended(m: Multiset) -> Fraction:
         num = den = 1
         for e, n in m._map.items():
-            v = _exact(p(e), e)
-            num *= v.numerator ** n
-            den *= v.denominator ** n
+            v = values.get(e)
+            if v is None:
+                v = values[e] = _truth(p(e), e)
+            num *= v[0] ** n
+            den *= v[1] ** n
         return Fraction(num, den)
     return extended
 

@@ -154,8 +154,13 @@ class _FiniteMap:
         ``Dist`` the counts are numerators over ``total`` and must also share
         no factor with it; each caller says why they do.
         """
+        # ``_store`` inlined: every outcome of every channel is built here.
         m = object.__new__(cls)
-        m._store(data, total)
+        _set_map(m, data)
+        _set_total(m, total)
+        _set_entries(m, None)
+        _set_hash(m, None)
+        _set_key(m, None)
         return m
 
     def _image(self, f) -> dict:
@@ -198,9 +203,11 @@ class _FiniteMap:
         return type(other) is type(self) and self._map == other._map
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            _set_hash(self, hash(frozenset(self._map.items())))
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self._map.items()))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"

@@ -6,19 +6,19 @@ are equal exactly when they are equal as functions from elements to
 counts, so ``==`` is the semantic equality the law checks rely on.
 
 The module also owns the enumerations the rest of the library is built
-on.  One walk, ``_bounded_counts``, lists the count vectors of a fixed
+on.  One walk, ``_bounded_counts``, yields the count vectors of a fixed
 sum under caps, stepping only through nonzero counts; it gives all
 multisets of a fixed size over a finite space (every cap the size), the
 draws without replacement from an urn (the urn's counts as caps) and the
 rows of ``mzip``'s contingency tables (the capacity the columns have
 left).  ``_sub_multiset_count`` counts that family for the budget.  The
 other enumeration lists all distinct sequences that collapse onto a given
-multiset.
+multiset, building each suffix once for all the prefixes that share it.
 """
 
 from bisect import bisect_right
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import multichoose
 from .elements import _MULTISET, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
@@ -113,7 +113,7 @@ def accumulate(xs: Sequence[Elem]) -> Multiset:
     return Multiset((x, 1) for x in xs)
 
 
-def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
+def _bounded_counts(caps: Iterable[tuple], k: int) -> Iterator[tuple]:
     """Every count vector under ``caps`` that sums to ``k``, in colex order.
 
     ``caps`` pairs distinct labels with their caps, as the entries of a
@@ -126,7 +126,8 @@ def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
     count, then refills the labels before it, from the first, with what is
     left.  A step only looks at the counts it moves and copies the refilled
     ones as one slice; labels with a zero cap never enter the walk, so the
-    cost follows the vectors returned.
+    cost follows the vectors yielded.  They are yielded, not listed, so
+    each is dropped as soon as its caller has read it.
     """
     full = []  # each label with room, filled up
     reach = [0]  # ``reach[p]``: what the first ``p`` of them hold
@@ -135,14 +136,14 @@ def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
             full.append(filled)
             reach.append(reach[-1] + filled[1])
     if not 0 <= k <= reach[-1]:
-        return []
+        return
     if k == reach[-1]:  # taking everything is the one way
-        return [tuple(full)]
+        yield tuple(full)
+        return
     size = len(full)
-    out = []
     # ``counts`` holds the nonzero counts in the order of ``full``.  Each
     # round puts ``n`` units in place of the first ``r`` counts (the first
-    # ``p`` labels full, then at most one partial), records the vector and
+    # ``p`` labels full, then at most one partial), yields the vector and
     # takes a step.  ``low`` is the place in ``full`` of the first count
     # when nothing was refilled.  A full count is always the very pair from
     # ``full``, so it is told by identity, and labels are compared by
@@ -155,7 +156,7 @@ def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
         if n > reach[p]:
             refill.append((full[p][0], n - reach[p]))
         counts[:r] = refill
-        out.append(tuple(counts))
+        yield tuple(counts)
         if not counts:
             break
         # The first count and the full ones right above it move: one unit
@@ -177,7 +178,6 @@ def _bounded_counts(caps: Iterable[tuple], k: int) -> list[tuple]:
         else:
             counts.insert(r, filled if cap == 1 else (x, 1))
         low = 0 if n else p
-    return out
 
 
 def _sub_multiset_count(caps: Iterable[tuple[Elem, int]], k: int) -> int:
@@ -215,29 +215,42 @@ def enumerate_multisets(space: Space | Iterable[Elem], k: int) -> list[Multiset]
 
 
 def enumerate_arrangements(m: Multiset) -> list[tuple]:
-    """All distinct sequences accumulating to ``m``, without duplicates.
+    """All distinct sequences accumulating to ``m``, in lexicographic order.
 
-    Steps from each sequence to the next in lexicographic element order,
-    so the cost is the number of distinct sequences (the multiset
-    coefficient), not size!.
+    Built level by level from the back: a level holds, for each
+    sub-multiset of ``m`` of its size, the arrangements of that
+    sub-multiset in order.  The next level puts a head of two elements
+    (of one, at the first step of an odd size) in front of the
+    arrangements of what is left, heads in order, so every prefix shares
+    the suffixes that follow it and each suffix is built once.  Only two
+    levels are alive at a time, and a level has at most as many sequences
+    as the result, the multiset coefficient; stepping two elements at a
+    time skips the second largest level.
     """
     check_cells(m.coefficient(), f"arrangements of a size-{m.size} multiset")
-    support = m.support
-    # Positions in the support, ascending: the least sequence.
-    seq = [i for i, (_, n) in enumerate(m.entries) for _ in range(n)]
-    last = len(seq) - 1
-    out: list[tuple] = []
-    while True:
-        out.append(tuple([support[i] for i in seq]))
-        # The next permutation: grow the last position that has a larger
-        # value after it, then put the tail in ascending order.
-        i = last - 1
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = last
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
+    # A sub-multiset is a packed int: element ``i`` of ``entries`` holds its
+    # count at bits ``[i * bits, (i + 1) * bits)``.
+    bits = m.size.bit_length()
+    places = [((e,), 1 << i * bits, ((1 << bits) - 1) << i * bits, n << i * bits)
+              for i, (e, n) in enumerate(m.entries)]
+    # Each head in lexicographic order, with its packed count and, for up
+    # to two masks, the most that the counts under them may be before it.
+    ones = [(e, unit, mask, cap - unit, 0, 0) for e, unit, mask, cap in places]
+    twos = [(e + f, unit + other, mask, cap - 2 * unit, 0, 0) if e == f else
+            (e + f, unit + other, mask, cap - unit, mask2, cap2 - other)
+            for e, unit, mask, cap in places for f, other, mask2, cap2 in places]
+    level = {0: [()]}
+    heads = ones if m.size % 2 else twos
+    for _ in range((m.size + 1) // 2):
+        grown: dict[int, list] = {}
+        for head, count, mask, most, mask2, most2 in heads:
+            for key, tails in level.items():
+                if key & mask <= most and key & mask2 <= most2:
+                    seqs = [head + t for t in tails]
+                    key += count
+                    if key in grown:
+                        grown[key] += seqs
+                    else:
+                        grown[key] = seqs
+        level, heads = grown, twos
+    return level.popitem()[1]

@@ -121,7 +121,7 @@ def _pairwise_sum(a: Dist, b: Dist) -> Dist:
         for chi, v in b_nums:
             key = phi + chi
             acc[key] = acc.get(key, 0) + w * v
-    return Dist._over(acc, a._total * b._total)
+    return Dist._over(acc, acc.values(), a._total * b._total)
 
 
 def monoid_algebra(psi: Multiset) -> Dist:

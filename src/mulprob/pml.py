@@ -8,13 +8,16 @@ formulations; the one computed here is
   size ``n`` from ``omega`` is a term of the polynomial
   ``(sum_x omega(x) t_x)^n`` in one variable per element, and summing
   independent draws multiplies polynomials, so ``pml`` lists the
-  coefficients of the product of those polynomials over the members.
-  ``monoid_sum``, the sum of two independent multiset-valued
-  distributions, is the same product of two factors.
+  coefficients of the product of those polynomials over the members.  It
+  multiplies by each member's linear factor ``sum_x omega(x) t_x``, ``n``
+  times, so no member's draws are listed and terms that meet merge as
+  they arise.
+* ``monoid_sum``, the sum of two independent multiset-valued
+  distributions, is the product of their two polynomials.
 
-Both products run on one kernel over packed counts: the elements get
-indices once, a count vector is one ``int`` with a fixed number of bits
-per element, so adding two outcomes is one integer addition, and each
+Both run on packed counts: the elements get indices once, a count vector
+is one ``int`` with a fixed number of bits per element, so adding an
+element to an outcome, or two outcomes, is one integer addition, and each
 outcome ``Multiset`` is built once, at the end.
 
 The other formulations, by joint outcomes, through the monoid structure
@@ -27,7 +30,7 @@ the workhorse behind the sampling round trip.
 
 from typing import Iterable
 
-from .channels import _draws
+from .combinatorics import multichoose
 from .dist import Channel, Dist
 from .elements import Elem, _show
 from .errors import DomainError, check_cells
@@ -97,8 +100,8 @@ class _Packing:
         """
         atoms, bits, low, of = self.atoms, self.bits, self.low, Multiset._of
         mask = (1 << bits) - 1
-        out = {}
-        for key, w in poly.items():
+        outcomes = []
+        for key in poly:
             key >>= low
             counts = {}
             size = i = 0
@@ -111,15 +114,13 @@ class _Packing:
                 size += n
                 key >>= bits
                 i += 1
-            out[of(counts, size)] = w
-        return Dist._over(out, den)
+            outcomes.append(of(counts, size))
+        return Dist._over(outcomes, poly.values(), den)
 
 
-def _times(acc: dict[int, int], factor: dict[int, int]) -> dict[int, int]:
-    """The product of two polynomials.  The budget counts pairs of terms."""
-    check_cells(len(acc) * len(factor), "monoid sum outcome pairs")
+def _times(acc: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The product of the polynomial ``acc`` and the one with ``terms``."""
     out: dict[int, int] = {}
-    terms = factor.items()
     for key, w in acc.items():
         for other, v in terms:
             k = key + other
@@ -147,24 +148,34 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     packing = _Packing(atoms, top)
     a_poly, b_poly = ({packing.pack(phi._map.items()): w for phi, w in d._map.items()}
                       for d in (a, b))
-    return packing.unpack(_times(a_poly, b_poly), a._total * b._total)
+    check_cells(len(a_poly) * len(b_poly), "monoid sum outcome pairs")
+    return packing.unpack(_times(a_poly, b_poly.items()), a._total * b._total)
 
 
 def pml(psi: Multiset) -> Dist:
-    """Parallel-draws formulation: one multinomial per member, then sum.
+    """Parallel draws: one multinomial per member, summed.
 
     The product of ``(sum_x omega(x) t_x)^n`` over the members ``(omega, n)``,
-    taken in canonical order; each step is budgeted as a monoid sum.
+    taken in canonical order, one linear factor ``sum_x omega(x) t_x`` at a
+    time, so no member's draws are listed.  Each member is budgeted, before
+    its factors, as the monoid sum of its draws with the outcomes so far:
+    its draws, then the pairs of them with those outcomes.
     """
     members = _check_members(psi)
     atoms: dict[Elem, None] = {}
     for omega, _ in members:
         atoms.update(dict.fromkeys(omega._map))
     packing = _Packing(atoms, psi.size)
+    units = packing.units
     acc = {0: 1}
     den = 1
     for omega, n in members:
-        acc = _times(acc, {packing.pack(draw): w for draw, w in _draws(omega, n)})
+        draws = multichoose(len(omega._map), n)
+        check_cells(draws, f"multisets of size {n} over {len(omega._map)} elements")
+        check_cells(len(acc) * draws, "monoid sum outcome pairs")
+        factor = [(units[x], v) for x, v in omega._map.items()]
+        for _ in range(n):
+            acc = _times(acc, factor)
         den *= omega._total ** n
     return packing.unpack(acc, den)
 

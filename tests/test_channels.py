@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from mulprob.channels import (
     ppr,
     zip_tuples,
 )
-from mulprob.dist import Dist, bind, flrn, unit
-from mulprob.elements import Pair, Space
+from mulprob.dist import Dist, Predicate, bind, flrn, pred_extend, unit, update
+from mulprob.elements import Pair, Space, _FiniteMap
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
+from mulprob.pml import pml
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -327,3 +329,58 @@ def test_every_draw_output_is_normalized():
             assert sum(w for _, w in hypergeometric(urn, k).entries) == 1
         if urn.size:
             assert sum(w for _, w in draw_delete(urn).entries) == 1
+
+
+class TestOutcomesBuiltOnce:
+    """Each outcome is built once, by the trusted ``_FiniteMap._of``, and
+    hashed for the first time once, when the output's one dict takes it;
+    no intermediate dict or ``Dist`` holds it first."""
+
+    URN = Multiset({"a": 4, "b": 3, "c": 2, Pair("d", "0"): 3})
+    PSI = Multiset({Dist({"a": F(1, 3), "b": F(2, 3)}): 2, Dist.uniform("bcd"): 3,
+                    Dist({Pair("a", "0"): F(1, 2), "e": F(1, 4), "7": F(1, 4)}): 1})
+    ABC = Dist.uniform("abc")
+    PRED = Predicate({"a": F(1, 2), "b": F(1, 3), "c": 1})
+
+    @staticmethod
+    def counted(monkeypatch, op):
+        """``op()`` with the values it builds and first hashes, by class."""
+        built, hashed = Counter(), Counter()
+        of, hash_ = _FiniteMap._of.__func__, _FiniteMap.__hash__
+
+        def counted_of(cls, data, total):
+            built[cls] += 1
+            return of(cls, data, total)
+
+        def counted_hash(value):
+            if value._hash is None:
+                hashed[type(value)] += 1
+            return hash_(value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_FiniteMap, "_of", classmethod(counted_of))
+            patch.setattr(_FiniteMap, "__hash__", counted_hash)
+            out = op()
+        return out, built, hashed
+
+    @pytest.mark.parametrize("op, dists", [
+        (lambda: hypergeometric(TestOutcomesBuiltOnce.URN, 6), 1),
+        (lambda: draw_delete(TestOutcomesBuiltOnce.URN), 1),
+        (lambda: mzip(ms(a=3, b=2, c=1), ms(u=2, v=2, w=2)), 1),
+        (lambda: pml(TestOutcomesBuiltOnce.PSI), 1),
+        # ``update`` builds no outcome of its own: those of the draws it weighs.
+        (lambda: update(multinomial(TestOutcomesBuiltOnce.ABC, 5),
+                        pred_extend(TestOutcomesBuiltOnce.PRED)), 2),
+    ], ids=["hypergeometric", "draw_delete", "mzip", "pml", "update"])
+    def test_one_multiset_per_outcome(self, monkeypatch, op, dists):
+        out, built, hashed = self.counted(monkeypatch, op)
+        n = len(out._map)
+        assert n > 1
+        assert built == {Multiset: n, Dist: dists}
+        assert hashed == {Multiset: n}
+
+    def test_arrange_builds_each_sequence_once(self, monkeypatch):
+        m = ms(a=3, b=2, c=2)
+        out, built, hashed = self.counted(monkeypatch, lambda: arrange(m))
+        assert len(out._map) == m.coefficient() == 210
+        assert built == {Dist: 1} and not hashed

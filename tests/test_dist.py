@@ -402,7 +402,7 @@ class TestPredicates:
 
     @pytest.mark.parametrize("value, message", [
         (0.5, "float weight 0.5 rejected"),
-        (F(-1, 2), "negative weight -1/2 for (a,b)"),
+        (F(-1, 2), "predicate value -1/2 for (a,b) outside [0, 1]"),
         (0, "cannot update on evidence with zero validity"),
     ])
     def test_update_rejects(self, value, message):
@@ -417,6 +417,19 @@ class TestPredicates:
         ext = pred_extend(lambda x: F(2, 3) if x == "a" else 1)
         assert ext(Multiset({"a": 2, "b": 5})) == F(4, 9)
         assert type(ext(Multiset({"b": 1}))) is Fraction
+
+    # A callable predicate's values obey the rule of ``Predicate``'s own.
+    def test_validity_rejects_a_callable_value_below_zero(self):
+        with pytest.raises(DomainError, match=r"^predicate value -1 for a outside \[0, 1\]$"):
+            validity(OMEGA, lambda x: -1)
+
+    def test_pred_extend_rejects_a_callable_value_above_one(self):
+        with pytest.raises(DomainError, match=r"^predicate value 2 for a outside \[0, 1\]$"):
+            pred_extend(lambda x: 2)(Multiset({"a": 2}))
+
+    def test_update_rejects_a_callable_value_above_one(self):
+        with pytest.raises(DomainError, match=r"^predicate value 5 for a outside \[0, 1\]$"):
+            update(OMEGA, lambda x: 5 if x == "a" else 1)
 
     def test_update_composition(self):
         # Updating twice is one update with the pointwise product.

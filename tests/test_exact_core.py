@@ -187,7 +187,7 @@ def test_internal_dist_order_does_not_matter(nums, scale, rng):
     shuffled = list(items)
     rng.shuffle(shuffled)
     den = sum(nums) * scale
-    a, b = Dist._over(dict(items), den), Dist._over(dict(shuffled), den)
+    a, b = (Dist._over([x for x, _ in xs], [n for _, n in xs], den) for xs in (items, shuffled))
     assert_same_value(a, b)
     assert a == Dist({x: F(n, den) for x, n in items})
 
@@ -522,5 +522,5 @@ def test_trusted_dists_are_normalized_and_reduced(omega, rho, omegas, k, m, x):
     # sum other than one and divides out a common factor.
     for d in [unit(x), dtensor(omega, rho), big_tensor(omegas), iid(omega, k),
               multinomial(omega, k), arrange(m)]:
-        again = Dist._over(dict(d._map), d._total)
+        again = Dist._over(d._map, d._map.values(), d._total)
         assert again == d and again._total == d._total

@@ -34,7 +34,7 @@ COIN = Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
     (lambda: lifted_map(Channel.identity(AB), -1), "multiset size must be nonnegative: -1"),
     (lambda: LawContext(x_size=5), "law spaces support at most 4 elements"),
     (lambda: LawContext(k_max=-1), "k_max must be nonnegative: -1"),
-    (lambda: Dist._over({"a": 1, "b": 2}, 4), "weights sum to 3/4, not 1"),
+    (lambda: Dist._over(["a", "b"], [1, 2], 4), "weights sum to 3/4, not 1"),
 ])
 def test_domain_guards(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mulprob.combinatorics import multichoose
-from mulprob.elements import Pair, Space
+from mulprob.elements import Pair, Space, elem_key
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import (
     Multiset,
@@ -168,6 +168,19 @@ class TestEnumerateArrangements:
                     assert all(accumulate(s) == m for s in seqs)
 
 
+# Identifiers, numerals (``0`` and ``00`` are equal in value) and pairs.
+MIXED_ATOMS = ["a", "b", "z1", "0", "00", "7", Pair("a", "0"), Pair("0", Pair("b", "b"))]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(MIXED_ATOMS), max_size=7)
+       .filter(lambda xs: len(set(xs)) <= 4).map(accumulate))
+def test_arrangements_are_the_sorted_distinct_permutations(m):
+    xs = [x for x, n in m.entries for _ in range(n)]
+    want = sorted(set(itertools.permutations(xs)), key=lambda seq: [elem_key(x) for x in seq])
+    assert enumerate_arrangements(m) == want
+
+
 elements = st.sampled_from(["a", "b", "c"])
 multisets = st.dictionaries(elements, st.integers(min_value=0, max_value=4)).map(Multiset)
 sequences = st.lists(elements, max_size=5)
@@ -208,7 +221,7 @@ def test_bounded_counts_is_the_filtered_product(caps, data):
     k = data.draw(st.integers(min_value=-1, max_value=sum(caps) + 1))
     vectors = [v for v in itertools.product(*(range(c + 1) for c in caps)) if sum(v) == k]
     vectors.sort(key=lambda v: v[::-1])
-    got = _bounded_counts(list(enumerate(caps)), k)
+    got = list(_bounded_counts(list(enumerate(caps)), k))
     assert got == [tuple((i, n) for i, n in enumerate(v) if n) for v in vectors]
     assert all(n > 0 for counts in got for _, n in counts)
     if k >= 0:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulprob.channels import multinomial
 from mulprob.combinatorics import multichoose
@@ -18,7 +19,7 @@ from mulprob.dist import (
     update,
     validity,
 )
-from mulprob.elements import Space
+from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
 from mulprob.oracles import pml_def1, pml_def3_check, pml_def4
@@ -231,6 +232,35 @@ class TestWideKeys:
             for chi, v in b.entries:
                 want[phi + chi] = want.get(phi + chi, 0) + w * v
         assert dict(monoid_sum(a, b).entries) == want
+
+
+@st.composite
+def dists_over(draw, atoms, min_size=1):
+    """A distribution on some of ``atoms`` with small integer weights."""
+    support = draw(st.lists(st.sampled_from(atoms), min_size=min_size, max_size=len(atoms),
+                            unique=True))
+    ws = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    return Dist({x: F(w, sum(ws)) for x, w in zip(support, ws)})
+
+
+NARROW = ["a", "b", "0", Pair("a", "0"), Pair("b", Pair("a", "a"))]
+# Four blocks of eight atoms, pairs among them.  Four members of one
+# occurrence each, on at least six atoms of their own block, pack their
+# outcomes over at least 24 atoms of 3 bits: past the 61 bits of one key.
+BLOCKS = [[f"x{i}{j}" for j in range(6)] + [Pair(f"x{i}", "0"), Pair("0", f"x{i}")]
+          for i in range(4)]
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    st.lists(st.tuples(dists_over(NARROW), st.integers(1, 2)), max_size=4)
+    .filter(lambda members: sum(n for _, n in members) <= 5),
+    st.tuples(*(dists_over(block, min_size=6) for block in BLOCKS)).map(
+        lambda members: [(d, 1) for d in members]),
+))
+def test_pml_agrees_with_joint_outcomes(members):
+    psi = Multiset(members)  # a repeated member adds up
+    assert pml(psi) == pml_def1(psi)
 
 
 class TestLiftedMap:
