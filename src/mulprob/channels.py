@@ -72,15 +72,15 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
 
     A draw takes ``phi(x)`` of the ``urn(x)`` copies of each ``x``; its
     weight is the product of ``C(urn(x), phi(x))`` over ``C(|urn|, k)``,
-    each binomial read from one table per element.  The budget counts the
-    draws exactly.
+    each binomial read from one table per element that stops at ``k``,
+    the most a draw takes.  The budget counts the draws exactly.
     """
     n = urn.size
     if _check_size(k, "draw size") > n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
     caps = urn._map
     check_cells(_sub_multiset_count(caps.items(), k), f"size-{k} sub-multisets of a size-{n} urn")
-    combs = {x: [comb(cap, t) for t in range(cap + 1)] for x, cap in caps.items()}
+    combs = {x: [comb(cap, t) for t in range(min(cap, k) + 1)] for x, cap in caps.items()}
     outcomes, nums = [], []
     for draw in _bounded_counts(urn.entries, k):
         w = 1

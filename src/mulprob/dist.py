@@ -373,16 +373,12 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
 
 def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
     """Free extension of a predicate to multisets, by pointwise product."""
-    values: dict[Elem, tuple[int, int]] = {}  # ``p`` is read once per element
-
     def extended(m: Multiset) -> Fraction:
         num = den = 1
         for e, n in m._map.items():
-            v = values.get(e)
-            if v is None:
-                v = values[e] = _truth(p(e), e)
-            num *= v[0] ** n
-            den *= v[1] ** n
+            v, d = _truth(p(e), e)
+            num *= v ** n
+            den *= d ** n
         return Fraction(num, den)
     return extended
 

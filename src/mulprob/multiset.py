@@ -13,7 +13,9 @@ draws without replacement from an urn (the urn's counts as caps) and the
 rows of ``mzip``'s contingency tables (the capacity the columns have
 left).  ``_sub_multiset_count`` counts that family for the budget.  The
 other enumeration lists all distinct sequences that collapse onto a given
-multiset, building each suffix once for all the prefixes that share it.
+multiset, building each suffix once for all the prefixes that share it,
+or stepping from each sequence to the next where sharing costs more than
+the sequences themselves.
 """
 
 from bisect import bisect_right
@@ -226,8 +228,16 @@ def enumerate_arrangements(m: Multiset) -> list[tuple]:
     levels are alive at a time, and a level has at most as many sequences
     as the result, the multiset coefficient; stepping two elements at a
     time skips the second largest level.
+
+    The levels below the result are held to the work of the result, the
+    coefficient times the size.  Long runs of one element make many short
+    levels of few sequences each (``[N a]`` has ``N / 2`` levels of one
+    sequence); once the levels built cost more than the result, the
+    sequences are listed by stepping from each to the next instead, so
+    the cost stays within a constant times the result's.
     """
-    check_cells(m.coefficient(), f"arrangements of a size-{m.size} multiset")
+    coefficient = m.coefficient()
+    check_cells(coefficient, f"arrangements of a size-{m.size} multiset")
     # A sub-multiset is a packed int: element ``i`` of ``entries`` holds its
     # count at bits ``[i * bits, (i + 1) * bits)``.
     bits = m.size.bit_length()
@@ -241,12 +251,16 @@ def enumerate_arrangements(m: Multiset) -> list[tuple]:
             for e, unit, mask, cap in places for f, other, mask2, cap2 in places]
     level = {0: [()]}
     heads = ones if m.size % 2 else twos
-    for _ in range((m.size + 1) // 2):
+    spare = coefficient * m.size  # the work the levels below the result may take
+    for length in range(2 - m.size % 2, m.size + 1, 2):
+        if spare < 0:
+            return _stepped_arrangements(m)
         grown: dict[int, list] = {}
         for head, count, mask, most, mask2, most2 in heads:
             for key, tails in level.items():
                 if key & mask <= most and key & mask2 <= most2:
                     seqs = [head + t for t in tails]
+                    spare -= len(seqs) * length
                     key += count
                     if key in grown:
                         grown[key] += seqs
@@ -254,3 +268,27 @@ def enumerate_arrangements(m: Multiset) -> list[tuple]:
                         grown[key] = seqs
         level, heads = grown, twos
     return level.popitem()[1]
+
+
+def _stepped_arrangements(m: Multiset) -> list[tuple]:
+    """``enumerate_arrangements(m)``, stepping from each sequence to the
+    next in lexicographic order: each step costs the size, shared or not."""
+    support = m.support
+    # Positions in the support, ascending: the least sequence.
+    seq = [i for i, (_, n) in enumerate(m.entries) for _ in range(n)]
+    last = len(seq) - 1
+    out: list[tuple] = []
+    while True:
+        out.append(tuple([support[i] for i in seq]))
+        # The next permutation: grow the last position that has a larger
+        # value after it, then put the tail in ascending order.
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])

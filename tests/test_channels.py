@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulprob import oracles
+from mulprob import channels, oracles
 from mulprob.channels import (
     arrange,
     draw_delete,
@@ -114,6 +114,20 @@ class TestHypergeometric:
 
     def test_draw_size_zero(self):
         assert hypergeometric(ms(a=1), 0) == unit(Multiset())
+
+    def test_small_draw_from_a_huge_count(self, monkeypatch):
+        # The binomials are those a size-k draw reads, t <= k, however
+        # many copies the urn holds.
+        calls = []
+
+        def counted_comb(n, t):
+            calls.append(t)
+            return math.comb(n, t)
+
+        monkeypatch.setattr(channels, "comb", counted_comb)
+        got = hypergeometric(Multiset({"a": 10**6, "b": 1}), 1)
+        assert got == Dist({ms(a=1): F(10**6, 10**6 + 1), ms(b=1): F(1, 10**6 + 1)})
+        assert max(calls) == 1
 
     def test_overdraw_rejected(self):
         with pytest.raises(DomainError):

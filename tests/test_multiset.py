@@ -3,12 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mulprob import multiset
 from mulprob.combinatorics import multichoose
 from mulprob.elements import Pair, Space, elem_key
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import (
     Multiset,
     _bounded_counts,
+    _stepped_arrangements,
     _sub_multiset_count,
     accumulate,
     enumerate_arrangements,
@@ -167,6 +169,26 @@ class TestEnumerateArrangements:
                     assert len(set(seqs)) == len(seqs)
                     assert all(accumulate(s) == m for s in seqs)
 
+    @pytest.mark.parametrize("counts, stepped", [
+        ({"a": 3, "b": 3, "c": 2, "d": 2}, False),
+        ({"a": 8, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1}, False),
+        ({"a": 2000}, True),
+        ({"a": 400, "b": 1}, True),
+        ({"a": 60, "b": 2}, True),
+    ])
+    def test_long_runs_step_instead_of_sharing(self, monkeypatch, counts, stepped):
+        # A large size over few elements makes many levels of few
+        # sequences; their work would pass the result's, so the
+        # sequences are stepped through instead.
+        m = Multiset(counts)
+        steps = []
+        monkeypatch.setattr(multiset, "_stepped_arrangements",
+                            lambda m: steps.append(m) or _stepped_arrangements(m))
+        got = enumerate_arrangements(m)
+        assert len(got) == m.coefficient()
+        assert steps == ([m] if stepped else [])
+        assert got == _stepped_arrangements(m)
+
 
 # Identifiers, numerals (``0`` and ``00`` are equal in value) and pairs.
 MIXED_ATOMS = ["a", "b", "z1", "0", "00", "7", Pair("a", "0"), Pair("0", Pair("b", "b"))]
@@ -179,6 +201,7 @@ def test_arrangements_are_the_sorted_distinct_permutations(m):
     xs = [x for x, n in m.entries for _ in range(n)]
     want = sorted(set(itertools.permutations(xs)), key=lambda seq: [elem_key(x) for x in seq])
     assert enumerate_arrangements(m) == want
+    assert _stepped_arrangements(m) == want
 
 
 elements = st.sampled_from(["a", "b", "c"])
