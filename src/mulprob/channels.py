@@ -23,7 +23,7 @@ from math import comb
 from typing import Sequence
 
 from .combinatorics import multichoose
-from .dist import Dist, flrn, unit
+from .dist import Dist, _dist, flrn, unit
 from .elements import Elem, Pair
 from .errors import DomainError, _check_size, check_cells
 from .multiset import (
@@ -53,7 +53,7 @@ def multinomial(omega: Dist, k: int) -> Dist:
     for any ``k``.  The budget counts the draws.
     """
     _check_size(k, "draw size")
-    nums = omega._map
+    nums = _dist(omega, "multinomial got")._map
     check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
     out = {}
     for draw in _bounded_counts([(x, k) for x in nums], k):

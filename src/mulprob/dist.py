@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
+from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, _Value, elem_key
 from .errors import DomainError, _check_size, check_cells
 from .multiset import Multiset, accumulate
 
@@ -143,6 +143,15 @@ class Dist(_FiniteMap):
         return Dist._over(image, image.values(), self._total)
 
 
+def _dist(v, said: str) -> Dist:
+    """``v`` when it is a ``Dist``.  A ``Multiset`` stores counts and their
+    sum as a ``Dist`` does, so without this check it would pass for its
+    normalization, stored unreduced.  ``said`` leads the one-line message."""
+    if type(v) is not Dist:
+        raise DomainError(f"{said} {_show(v)}, not a Dist")
+    return v
+
+
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
     return Dist._of({elem: 1}, 1)  # reduced: 1 over 1
@@ -156,7 +165,8 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     budget counts the outcomes of all kernel calls together, before they
     are combined.
     """
-    outs = [(n, f(x)) for x, n in omega._map.items()]
+    outs = [(n, _dist(f(x), "channel kernel returned"))
+            for x, n in _dist(omega, "bind got")._map.items()]
     check_cells(sum(len(d._map) for _, d in outs), "bind kernel outcomes")
     den = lcm(*[d._total for _, d in outs])
     acc: dict[Elem, int] = {}
@@ -176,7 +186,7 @@ def flatten(omega: Dist) -> Dist:
     return bind(omega, inner)
 
 
-class Channel:
+class Channel(_Value):
     """A finite domain together with a kernel into distributions.
 
     A channel is a function on its finite domain: the kernel runs at most
@@ -190,7 +200,9 @@ class Channel:
     Channels are values: two are equal when their domains are equal and
     they agree at every point, and the hash is taken over the whole table.
     Both fill the table, so a kernel that raises at some point makes ``==``
-    and ``hash`` raise too, and still stores nothing there.
+    and ``hash`` raise too, and still stores nothing there.  So does
+    pickling, which stores the filled table and rebuilds the channel with
+    ``from_mapping``, as parsing its ket text does; copies go the same way.
     """
 
     __slots__ = ("domain", "_kernel", "_table")
@@ -202,8 +214,8 @@ class Channel:
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_table", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Channel is immutable")
+    def __reduce__(self):
+        return Channel.from_mapping, ({x: self(x) for x in self.domain},)
 
     def __call__(self, x: Elem) -> Dist:
         # A stored point is in the domain, so the table is read first.
@@ -214,10 +226,7 @@ class Channel:
         if out is None:
             if x not in self.domain:
                 raise DomainError(f"{_show(x)} is outside the channel domain")
-            out = self._kernel(x)
-            if not isinstance(out, Dist):
-                raise DomainError(f"channel kernel returned {_show(out)}, not a Dist")
-            self._table[x] = out
+            out = self._table[x] = _dist(self._kernel(x), "channel kernel returned")
         return out
 
     def __eq__(self, other) -> bool:
@@ -253,7 +262,7 @@ def push(f: Channel, omega: Dist) -> Dist:
     Rejects distributions whose support escapes the channel domain rather
     than renormalizing silently.
     """
-    if not omega._map.keys() <= f.domain._map.keys():
+    if not _dist(omega, "push got")._map.keys() <= f.domain._map.keys():
         x = min([x for x in omega._map if x not in f.domain], key=elem_key)
         raise DomainError(f"support element {_show(x)} outside channel domain")
     return bind(omega, f)
@@ -267,7 +276,8 @@ def compose(g: Channel, f: Channel) -> Channel:
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
     # Reduced: the numerators' gcd is the product of the factors' gcds, 1 and 1.
-    return Dist._of(omega._tensor(rho), omega._total * rho._total)
+    return Dist._of(_dist(omega, "dtensor got")._tensor(_dist(rho, "dtensor got")),
+                    omega._total * rho._total)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
@@ -280,7 +290,7 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
     """Product of a whole sequence of distributions, over tuple elements."""
     cells = 1
     for w in omegas:
-        cells *= len(w._map)
+        cells *= len(_dist(w, "big_tensor got")._map)
     check_cells(cells, "big tensor support")
     acc: dict[tuple, int] = {(): 1}
     den = 1
@@ -348,7 +358,7 @@ def _weighed(omega: Dist, p: PredicateLike) -> tuple[list[int], int]:
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    nums, den = _weighed(omega, p)
+    nums, den = _weighed(_dist(omega, "validity got"), p)
     return Fraction(sum(nums), den * omega._total)
 
 
@@ -359,7 +369,7 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
     prior's times the values, over the values' least common denominator;
     elements of value 0 drop out.
     """
-    weighed, _ = _weighed(omega, p)
+    weighed, _ = _weighed(_dist(omega, "update got"), p)
     outcomes, nums = [], []
     for x, n in zip(omega._map, weighed):
         if n:

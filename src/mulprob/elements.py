@@ -5,6 +5,10 @@ Every value that can appear inside a multiset or a distribution is an
 of elements, a sequence of elements (plain ``tuple``), or a whole
 ``Multiset``/``Dist`` treated as a value.  All of them are immutable and
 hashable, and ``elem_key`` gives one strict total order across the lot.
+Every value kind of the library, channels included, derives from
+``_Value``, which makes it immutable and prints it in ket notation:
+``str`` is its ket text and ``repr`` wraps that text in the kind's name,
+as ``Pair('(a,b)')``.  A ``Space`` has no ket notation and prints its own.
 A ``Pair`` is a plain slotted class, neither a dataclass nor a tuple, so
 it never equals a sequence; it takes its hash when built and its sort key
 on first use.
@@ -39,7 +43,29 @@ _ATOM_KEY_CAP = 1 << 16
 _atom_keys: dict[str, tuple] = {}
 
 
-class Pair:
+class _Value:
+    """The protocol every value kind shares: no attribute can be set, and
+    the text is the ket notation of ``mulprob.ket.format_value``.
+
+    Library code sets slots past the guard: through the slots' own
+    setters, as ``_set_map`` and its kin below, or ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __str__(self) -> str:
+        from .ket import format_value
+
+        return format_value(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class Pair(_Value):
     """An element of a product space; components are elements themselves."""
 
     __slots__ = ("fst", "snd", "_hash", "_key")
@@ -52,14 +78,8 @@ class Pair:
         _set_pair_key(p, None)
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Pair is immutable")
-
     def __reduce__(self):
         return Pair, (self.fst, self.snd)
-
-    def __repr__(self) -> str:
-        return f"Pair({self.fst!r}, {self.snd!r})"
 
     def __eq__(self, other):
         if type(other) is not Pair:
@@ -116,7 +136,7 @@ def _pairs(data) -> Iterable[tuple]:
     return data.items() if isinstance(data, Mapping) else data
 
 
-class _FiniteMap:
+class _FiniteMap(_Value):
     """An immutable finitely supported function, stored as one dict.
 
     ``_map`` sends each element of the support to its stored value (a
@@ -177,9 +197,6 @@ class _FiniteMap:
         theirs = other._map.items()
         return {Pair(x, y): n * m for x, n in self._map.items() for y, m in theirs}
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
         # Rebuilt through the checking constructor, from the public values.
         return type(self), (self.entries,)
@@ -209,17 +226,9 @@ class _FiniteMap:
             _set_hash(self, h)
         return h
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
 
-    def __str__(self) -> str:
-        from .ket import format_value
-
-        return format_value(self)
-
-
-# The slots' own setters, which skip the ``__setattr__`` that makes the
-# values immutable; they cost half as much as ``object.__setattr__``.
+# The slots' own setters, which skip ``_Value.__setattr__``; they cost
+# half as much as ``object.__setattr__``.
 _set_map, _set_total, _set_entries, _set_hash, _set_key = (
     getattr(_FiniteMap, name).__set__ for name in _FiniteMap.__slots__)
 

@@ -76,18 +76,6 @@ class Multiset(_FiniteMap):
             counts[e] = counts.get(e, 0) + n
         return Multiset._of(counts, self._total + other._total)
 
-    def remove_one(self, elem: Elem) -> "Multiset":
-        """Decrement the multiplicity of ``elem`` by one."""
-        n = self._map.get(elem, 0)
-        if n == 0:
-            raise DomainError(f"cannot remove {_show(elem)}: not in the multiset")
-        counts = dict(self._map)
-        if n == 1:
-            del counts[elem]
-        else:
-            counts[elem] = n - 1
-        return Multiset._of(counts, self._total - 1)
-
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
         return Multiset._of(self._tensor(other), self._total * other._total)

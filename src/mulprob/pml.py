@@ -31,7 +31,7 @@ the workhorse behind the sampling round trip.
 from typing import Iterable
 
 from .combinatorics import multichoose
-from .dist import Channel, Dist
+from .dist import Channel, Dist, _dist
 from .elements import Elem, _show
 from .errors import DomainError, check_cells
 from .multiset import Multiset, enumerate_multisets
@@ -139,7 +139,7 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     top = 0
     for d in (a, b):
         largest = 0
-        for phi in d._map:
+        for phi in _dist(d, "monoid_sum got")._map:
             if type(phi) is not Multiset:
                 raise DomainError(f"monoid sum needs distributions over multisets, found {_show(phi)}")
             atoms.update(dict.fromkeys(phi._map))

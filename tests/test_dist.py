@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mulprob.channels import multinomial
 from mulprob.dist import (
     Channel,
     Dist,
@@ -27,7 +28,7 @@ from mulprob.dist import (
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets
-from mulprob.pml import lifted_map
+from mulprob.pml import lifted_map, monoid_sum
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -517,13 +518,28 @@ def test_flrn_convexity_of_monoid_sums():
      "duplicate predicate entry for (a,0)"),
     (lambda: Predicate({Multiset({"a": 1}): 2}), "predicate value 2 for [1 a] outside [0, 1]"),
     (lambda: Multiset({Pair("a", "b"): -1}), "negative multiplicity -1 for (a,b)"),
-    (lambda: Multiset({"a": 1}).remove_one(Pair("a", "b")),
-     "cannot remove (a,b): not in the multiset"),
     (lambda: Dist({Pair("a", "b"): F(3, 2), "c": F(-1, 2)}), "negative weight -1/2 for c"),
     (lambda: Dist({Pair("a", "b"): F(-1, 2), "c": F(3, 2)}), "negative weight -1/2 for (a,b)"),
     (lambda: flatten(unit(Pair("a", "b"))), "flatten needs distribution elements, got (a,b)"),
+    # A multiset stores counts and their sum as a distribution does, yet no
+    # operation that takes a distribution takes one, and no kernel returns one.
+    (lambda: dtensor(Multiset({"a": 2}), Multiset({"b": 2})), "dtensor got [2 a], not a Dist"),
+    (lambda: big_tensor([Multiset({"a": 2})]), "big_tensor got [2 a], not a Dist"),
+    (lambda: multinomial(Multiset({"a": 2}), 1), "multinomial got [2 a], not a Dist"),
+    (lambda: push(Channel.identity(AB), Multiset({"a": 2, "b": 2})),
+     "push got [2 a, 2 b], not a Dist"),
+    (lambda: bind(Multiset({"a": 2}), unit), "bind got [2 a], not a Dist"),
+    (lambda: validity(Multiset({"a": 2}), lambda _: 1), "validity got [2 a], not a Dist"),
+    (lambda: update(Multiset({"a": 2}), lambda _: 1), "update got [2 a], not a Dist"),
+    (lambda: monoid_sum(unit(Multiset()), Multiset({Multiset(): 2})),
+     "monoid_sum got [2 []], not a Dist"),
+    (lambda: bind(unit("a"), lambda _: Multiset({"u": 2, "v": 1})),
+     "channel kernel returned [2 u, 1 v], not a Dist"),
+    (lambda: bind(unit("a"), lambda _: 5), "channel kernel returned 5, not a Dist"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
-        "remove-one", "weight-atom", "weight-pair", "flatten"])
+        "weight-atom", "weight-pair", "flatten", "dtensor-multiset", "big-tensor-multiset",
+        "multinomial-multiset", "push-multiset", "bind-multiset", "validity-multiset",
+        "update-multiset", "monoid-sum-multiset", "kernel-multiset", "kernel-int"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mulprob.channels import arrange, hypergeometric, multinomial, mzip
+from mulprob.channels import arrange, draw_delete, hypergeometric, multinomial, mzip
 from mulprob.dist import (
     Channel,
     Dist,
@@ -317,7 +317,7 @@ def test_stored_totals_are_the_sums(xs, phi, psi, k, omega, omegas, data):
     ys = data.draw(st.lists(st.sampled_from("uvw"), min_size=phi.size, max_size=phi.size))
     multisets = [accumulate(xs), phi + psi, phi.tensor(psi),
                  phi.map_elements(lambda x: "a" if x == "b" else x),
-                 *[phi.remove_one(x) for x in phi.support], *enumerate_multisets("abc", k)]
+                 *(draw_delete(phi).support if phi else ()), *enumerate_multisets("abc", k)]
     dists_built = [multinomial(omega, k), hypergeometric(phi, min(k, phi.size)),
                    pml(accumulate(omegas)), mzip(phi, accumulate(ys))]
     for d in dists_built:
@@ -445,14 +445,34 @@ def test_a_raising_kernel_makes_equality_and_hash_raise(entries, rng):
     assert len(runs) == 4
 
 
+def test_a_raising_kernel_makes_pickling_and_copies_raise():
+    runs = []
+
+    def kernel(x):
+        if x == "b":
+            runs.append(x)
+            raise DomainError("no output here")
+        return unit(x)
+
+    f = Channel(["a", "b"], kernel)
+    for store in (pickle.dumps, copy.copy, copy.deepcopy):
+        with pytest.raises(DomainError, match="^no output here$"):
+            store(f)
+    # Nothing was stored at the raising point, so each attempt ran the kernel.
+    assert len(runs) == 3
+
+
+# Channels pickle and copy through their filled table, as ``from_mapping``.
 @settings(max_examples=200)
-@given(st.one_of(value_texts, predicate_texts))
+@given(st.one_of(value_texts, predicate_texts, channel_entries.map(channel_text)))
 @example("((a,0):1/2, (0,a):02/04, 7:0)")
+@example("{}")
+@example("{[1 a]: <1/2 [1 u], 1/2 [1 v]>, (a,<1 b>): <1 (u,u)>}")
 def test_values_survive_pickling_and_deep_copies(text):
     value = parse_value(text)
     copies = [pickle.loads(pickle.dumps(value, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for again in [*copies, copy.deepcopy(value)]:
+    for again in [*copies, copy.copy(value), copy.deepcopy(value)]:
         assert type(again) is type(value)
         assert again == value and hash(again) == hash(value)
 

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mulprob.channels import hypergeometric, multinomial
 from mulprob.combinatorics import multichoose
 from mulprob.dist import Channel, Dist, Predicate, iid, pred_extend, unit, update, validity
-from mulprob.elements import Space, elem_key
+from mulprob.elements import Pair, Space, elem_key
 from mulprob.errors import DomainError
 from mulprob.laws import Law, LawContext, run_law
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
@@ -51,6 +51,7 @@ def test_a_multiset_and_a_distribution_do_not_add():
     (Multiset({"a": 2}), "_total"),
     (COIN, "_total"),
     (Channel.identity(AB), "domain"),
+    (Pair("a", "b"), "fst"),
 ])
 def test_values_are_immutable(value, slot):
     # The slots exist, so only the guard stops the assignment.

@@ -157,6 +157,11 @@ class TestFormatting:
         assert repr(parse_value("[2 b, 1 [1 a]]")) == "Multiset('[2 b, 1 [1 a]]')"
         assert repr(Multiset()) == "Multiset('[]')"
         assert repr(parse_value("(b:1/2, a:1)")) == "Predicate('(a:1, b:1/2)')"
+        assert repr(Pair("a", Multiset({"b": 1}))) == "Pair('(a,[1 b])')"
+        assert str(Pair("a", Multiset({"b": 1}))) == "(a,[1 b])"
+        assert repr(parse_value("{b: <1 u>, a: <1/2 v, 1/2 u>}")) == (
+            "Channel('{a: <1/2 u, 1/2 v>, b: <1 u>}')")
+        assert repr(parse_value("{}")) == "Channel('{}')"
 
     @pytest.mark.parametrize("value", [1, None, ["a"], {"a": 1}])
     def test_other_objects_are_not_values(self, value):

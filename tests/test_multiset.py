@@ -47,12 +47,6 @@ class TestBasics:
         assert phi + Multiset() == phi
         assert ms(a=1) + ms(b=1) == ms(a=1, b=1)
 
-    def test_remove_one(self):
-        assert ms(a=3, b=2).remove_one("a") == ms(a=2, b=2)
-        assert ms(x=1).remove_one("x") == Multiset()
-        with pytest.raises(DomainError):
-            ms(b=2).remove_one("a")
-
     def test_tensor(self):
         left = ms(a=3, b=2, c=1)
         right = Multiset({"0": 2, "1": 4})
