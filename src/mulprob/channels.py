@@ -29,6 +29,7 @@ from .errors import DomainError, _check_size, check_cells
 from .multiset import (
     Multiset,
     _bounded_counts,
+    _multiset,
     _sub_multiset_count,
     accumulate,
     enumerate_arrangements,
@@ -37,7 +38,7 @@ from .multiset import (
 
 def arrange(m: Multiset) -> Dist:
     """Uniform distribution over the distinct sequences accumulating to m."""
-    seqs = enumerate_arrangements(m)
+    seqs = enumerate_arrangements(_multiset(m, "arrange got"))
     return Dist._of(dict.fromkeys(seqs, 1), len(seqs))  # reduced: every numerator is 1
 
 
@@ -75,7 +76,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     each binomial read from one table per element that stops at ``k``,
     the most a draw takes.  The budget counts the draws exactly.
     """
-    n = urn.size
+    n = _multiset(urn, "hypergeometric got").size
     if _check_size(k, "draw size") > n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
     caps = urn._map
@@ -93,7 +94,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
 
 def draw_delete(urn: Multiset) -> Dist:
     """Remove one element, chosen with probability proportional to count."""
-    size = urn.size
+    size = _multiset(urn, "draw_delete got").size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
     counts = urn._map
@@ -148,7 +149,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     the nonzero cells one table can have, at most its rows times its
     columns and at most ``K``.
     """
-    if phi.size != psi.size:
+    if _multiset(phi, "mzip got").size != _multiset(psi, "mzip got").size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
     rows, cols = phi.entries, psi.entries
     if not rows:

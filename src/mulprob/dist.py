@@ -36,7 +36,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, _Value, elem_key
 from .errors import DomainError, _check_size, check_cells
-from .multiset import Multiset, accumulate
+from .multiset import Multiset, _multiset, accumulate
 
 Weight = int | Fraction
 
@@ -163,18 +163,26 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     The kernel runs on the support in the order of ``omega``'s stored dict,
     which follows how ``omega`` was built and not the hash seed.  The
     budget counts the outcomes of all kernel calls together, before they
-    are combined.
+    are combined.  Each kernel outcome is merged with one dict operation,
+    which gives the slot of its numerator, first-seen outcomes first; an
+    outcome object seen before is found by its cached hash and identity,
+    with no comparison.
     """
     outs = [(n, _dist(f(x), "channel kernel returned"))
             for x, n in _dist(omega, "bind got")._map.items()]
     check_cells(sum(len(d._map) for _, d in outs), "bind kernel outcomes")
     den = lcm(*[d._total for _, d in outs])
-    acc: dict[Elem, int] = {}
+    index: dict[Elem, int] = {}
+    nums: list[int] = []
     for n, d in outs:
         scale = n * (den // d._total)
         for y, m in d._map.items():
-            acc[y] = acc.get(y, 0) + scale * m
-    return Dist._over(acc, acc.values(), omega._total * den)
+            i = index.setdefault(y, len(nums))
+            if i < len(nums):
+                nums[i] += scale * m
+            else:
+                nums.append(scale * m)
+    return Dist._over(index, nums, omega._total * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -215,7 +223,7 @@ class Channel(_Value):
         object.__setattr__(self, "_table", {})
 
     def __reduce__(self):
-        return Channel.from_mapping, ({x: self(x) for x in self.domain},)
+        return Channel.from_mapping, ({x: self(x) for x in self.domain._map},)
 
     def __call__(self, x: Elem) -> Dist:
         # A stored point is in the domain, so the table is read first.
@@ -309,7 +317,7 @@ def iid(omega: Dist, k: int) -> Dist:
 
 def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
-    if m.size == 0:
+    if _multiset(m, "flrn got").size == 0:
         raise DomainError("cannot normalize the empty multiset")
     return Dist._over(m._map, m._map.values(), m.size)
 

@@ -44,8 +44,11 @@ _atom_keys: dict[str, tuple] = {}
 
 
 class _Value:
-    """The protocol every value kind shares: no attribute can be set, and
-    the text is the ket notation of ``mulprob.ket.format_value``.
+    """The protocol every value kind shares: no attribute can be set or
+    deleted, and the text is the ket notation of
+    ``mulprob.ket.format_value``.  A value outside the grammar, such as a
+    pair of ints, has no ket text: its ``repr`` then shows the arguments
+    its ``__reduce__`` rebuilds it from instead of raising.
 
     Library code sets slots past the guard: through the slots' own
     setters, as ``_set_map`` and its kin below, or ``object.__setattr__``.
@@ -56,13 +59,19 @@ class _Value:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __str__(self) -> str:
         from .ket import format_value
 
         return format_value(self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
+        try:
+            return f"{type(self).__name__}({str(self)!r})"
+        except TypeError:  # an element outside the grammar has no ket text
+            return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
 
 class Pair(_Value):
@@ -199,7 +208,7 @@ class _FiniteMap(_Value):
 
     def __reduce__(self):
         # Rebuilt through the checking constructor, from the public values.
-        return type(self), (self.entries,)
+        return type(self), ({e: self._public(n) for e, n in self._map.items()},)
 
     @property
     def entries(self) -> tuple[tuple[Elem, Any], ...]:

@@ -97,6 +97,14 @@ class Multiset(_FiniteMap):
         return out
 
 
+def _multiset(v, said: str) -> Multiset:
+    """``v`` when it is a ``Multiset``.  A ``Dist`` stores numerators and their
+    sum as a multiset stores counts, so without this check it would pass for
+    a multiset of its numerators.  ``said`` leads the one-line message."""
+    if type(v) is not Multiset:
+        raise DomainError(f"{said} {_show(v)}, not a Multiset")
+    return v
+
 
 def accumulate(xs: Sequence[Elem]) -> Multiset:
     """Collapse a sequence to the multiset of its element counts."""

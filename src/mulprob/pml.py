@@ -18,23 +18,27 @@ formulations; the one computed here is
 Both run on packed counts: the elements get indices once, a count vector
 is one ``int`` with a fixed number of bits per element, so adding an
 element to an outcome, or two outcomes, is one integer addition, and each
-outcome ``Multiset`` is built once, at the end.
+outcome ``Multiset`` is built once, at the end, from its key.
+
+``lifted_map`` uses the law to apply a channel elementwise to a multiset,
+the workhorse behind the sampling round trip.  Its kernel runs the same
+product as ``pml``, over one packing that lasts as long as the channel
+and keeps the outcome built for each key, so an outcome that several
+outputs share is built once and is the same object in each of them.
 
 The other formulations, by joint outcomes, through the monoid structure
 and by the law's defining triangle, exist only to cross-check this one
 and live in ``mulprob.oracles``.  Their agreement is checked, not
 assumed: the law suite re-derives it on enumerated inputs.
-``lifted_map`` uses the law to apply a channel elementwise to a multiset,
-the workhorse behind the sampling round trip.
 """
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .combinatorics import multichoose
 from .dist import Channel, Dist, _dist
-from .elements import Elem, _show
+from .elements import Elem, _show, elem_key
 from .errors import DomainError, check_cells
-from .multiset import Multiset, enumerate_multisets
+from .multiset import Multiset, _multiset, enumerate_multisets
 
 
 def _check_members(psi: Multiset) -> tuple[tuple[Dist, int], ...]:
@@ -64,26 +68,38 @@ _BASE = 0x5DEECE66D
 
 
 class _Packing:
-    """Count vectors over a fixed list of elements, packed into ints.
+    """Count vectors over a growing list of elements, packed into ints.
 
     Element ``i`` holds its count at bits ``[low + i * bits, low + (i + 1)
     * bits)``, where ``bits`` is wide enough for ``top``, the largest size
     of a product outcome, so the sum of two keys never carries from one
-    element into the next.
+    element into the next.  An element gets the next index when it is
+    first added, and its unit never changes after, except once: when the
+    counts stop fitting one word, every unit moves above a fingerprint,
+    whose salts go by index.  A key then names one multiset for the life
+    of the packing: the keys of the two layouts never meet, since every
+    nonempty outcome's wide key lies above the word that holds the narrow
+    ones.
     """
 
-    def __init__(self, atoms: Iterable[Elem], top: int):
-        self.atoms = atoms = list(atoms)
-        self.bits = bits = top.bit_length()
-        if len(atoms) * bits <= _WORD:
-            self.low = 0
-            self.units = {x: 1 << i * bits for i, x in enumerate(atoms)}
-            return
-        self.low = low = _WORD + bits  # room for ``top`` occurrences of fingerprint
-        self.units, salt = {}, 1
-        for i, x in enumerate(atoms):
-            salt = salt * _BASE % _PRIME
-            self.units[x] = (1 << low + i * bits) + salt
+    def __init__(self, top: int):
+        self.bits = top.bit_length()
+        self.low = 0
+        self.atoms: list[Elem] = []
+        self.units: dict[Elem, int] = {}
+
+    def add(self, atoms: Iterable[Elem]) -> None:
+        """Index the distinct elements of ``atoms`` that have no index yet."""
+        units, indexed = self.units, self.atoms
+        start = len(indexed)
+        indexed += [x for x in atoms if x not in units]
+        bits = self.bits
+        if not self.low and len(indexed) * bits > _WORD:
+            # Room for ``top`` occurrences of fingerprint below the counts.
+            self.low, start = _WORD + bits, 0
+        low = self.low
+        for i in range(start, len(indexed)):
+            units[indexed[i]] = (1 << low + i * bits) + (pow(_BASE, i + 1, _PRIME) if low else 0)
 
     def pack(self, counts: Iterable[tuple[Elem, int]]) -> int:
         units = self.units
@@ -92,29 +108,38 @@ class _Packing:
             key += n * units[x]
         return key
 
-    def unpack(self, poly: dict[int, int], den: int) -> Dist:
+    def unpack(self, poly: dict[int, int], den: int,
+               known: dict[int, Multiset] | None = None) -> Dist:
         """The distribution over multisets that the terms weigh, over ``den``.
 
-        Decoding visits only the nonzero counts of a key: it skips the
-        empty elements below the lowest set bit in one shift.
+        With a table ``known`` of the outcomes built for earlier keys, a
+        key in it reuses its outcome, and a new one is stored there.  A new
+        key is decoded and built once, by ``Multiset._of``.  Decoding visits
+        only the nonzero counts of a key: it skips the empty elements below
+        the lowest set bit in one shift.
         """
         atoms, bits, low, of = self.atoms, self.bits, self.low, Multiset._of
         mask = (1 << bits) - 1
         outcomes = []
         for key in poly:
-            key >>= low
-            counts = {}
-            size = i = 0
-            while key:
-                skip = ((key & -key).bit_length() - 1) // bits
-                key >>= skip * bits
-                i += skip
-                n = key & mask
-                counts[atoms[i]] = n
-                size += n
-                key >>= bits
-                i += 1
-            outcomes.append(of(counts, size))
+            m = None if known is None else known.get(key)
+            if m is None:
+                counts = {}
+                size = i = 0
+                packed = key >> low
+                while packed:
+                    skip = ((packed & -packed).bit_length() - 1) // bits
+                    packed >>= skip * bits
+                    i += skip
+                    n = packed & mask
+                    counts[atoms[i]] = n
+                    size += n
+                    packed >>= bits
+                    i += 1
+                m = of(counts, size)
+                if known is not None:
+                    known[key] = m
+            outcomes.append(m)
         return Dist._over(outcomes, poly.values(), den)
 
 
@@ -145,27 +170,26 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
             atoms.update(dict.fromkeys(phi._map))
             largest = max(largest, phi._total)
         top += largest
-    packing = _Packing(atoms, top)
+    packing = _Packing(top)
+    packing.add(atoms)
     a_poly, b_poly = ({packing.pack(phi._map.items()): w for phi, w in d._map.items()}
                       for d in (a, b))
     check_cells(len(a_poly) * len(b_poly), "monoid sum outcome pairs")
     return packing.unpack(_times(a_poly, b_poly.items()), a._total * b._total)
 
 
-def pml(psi: Multiset) -> Dist:
-    """Parallel draws: one multinomial per member, summed.
-
-    The product of ``(sum_x omega(x) t_x)^n`` over the members ``(omega, n)``,
-    taken in canonical order, one linear factor ``sum_x omega(x) t_x`` at a
+def _product(members: Sequence[tuple[Dist, int]], packing: _Packing,
+             known: dict[int, Multiset] | None = None) -> Dist:
+    """The product of ``(sum_x omega(x) t_x)^n`` over the members ``(omega,
+    n)``, in their order, one linear factor ``sum_x omega(x) t_x`` at a
     time, so no member's draws are listed.  Each member is budgeted, before
     its factors, as the monoid sum of its draws with the outcomes so far:
-    its draws, then the pairs of them with those outcomes.
+    its draws, then the pairs of them with those outcomes.  The outcomes
+    are built, or read from ``known``, after the last charge, so a budget
+    error builds and stores none.
     """
-    members = _check_members(psi)
-    atoms: dict[Elem, None] = {}
     for omega, _ in members:
-        atoms.update(dict.fromkeys(omega._map))
-    packing = _Packing(atoms, psi.size)
+        packing.add(omega._map)
     units = packing.units
     acc = {0: 1}
     den = 1
@@ -177,16 +201,44 @@ def pml(psi: Multiset) -> Dist:
         for _ in range(n):
             acc = _times(acc, factor)
         den *= omega._total ** n
-    return packing.unpack(acc, den)
+    return packing.unpack(acc, den, known)
+
+
+def pml(psi: Multiset) -> Dist:
+    """Parallel draws: one multinomial per member, summed.
+
+    The product of the members' draw polynomials, taken in canonical
+    order over a packing of their elements of its own.
+    """
+    members = _check_members(_multiset(psi, "pml got"))
+    return _product(members, _Packing(psi.size))
 
 
 def lifted_map(f: Channel, k: int) -> Channel:
     """Apply a channel to every occurrence in a size-k multiset.
 
-    The result is a channel between multiset spaces: push each element of
-    the input multiset through ``f`` and recombine the outcome
-    distributions with ``pml``.  Both channels keep their tables, so a
+    The result is a channel between multiset spaces: its output at ``phi``
+    is ``pml(phi.map_elements(f))``, the product of the members ``f(x)``,
+    ``phi(x)`` times each, in canonical order.  The channel keeps one
+    packing for all its outputs, which indexes an element of ``f``'s
+    outputs when a point first draws on it, so ``f`` runs only at the
+    elements of the points asked, and one table from packed key to
+    outcome.  Every output has size ``k``, so the key of an outcome stays
+    fixed, and an outcome that several outputs share is built once and is
+    the same object in each.  Both channels keep their tables, so a
     repeat at one multiset is a lookup, and ``f`` runs its kernel once per
     element however many multisets share it.
     """
-    return Channel(enumerate_multisets(f.domain, k), lambda phi: pml(phi.map_elements(f)))
+    domain = enumerate_multisets(f.domain, k)
+    packing = _Packing(k)
+    known: dict[int, Multiset] = {}
+
+    def kernel(phi: Multiset) -> Dist:
+        image = phi._image(f)
+        if len(image) > 1:
+            members = sorted(image.items(), key=lambda member: elem_key(member[0]))
+        else:
+            members = list(image.items())
+        return _product(members, packing, known)
+
+    return Channel(domain, kernel)

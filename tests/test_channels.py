@@ -16,11 +16,11 @@ from mulprob.channels import (
     ppr,
     zip_tuples,
 )
-from mulprob.dist import Dist, Predicate, bind, flrn, pred_extend, unit, update
+from mulprob.dist import Channel, Dist, Predicate, bind, flrn, pred_extend, unit, update
 from mulprob.elements import Pair, Space, _FiniteMap
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
-from mulprob.pml import pml
+from mulprob.pml import lifted_map, pml
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -399,3 +399,46 @@ class TestOutcomesBuiltOnce:
         out, built, hashed = self.counted(monkeypatch, lambda: arrange(m))
         assert len(out._map) == m.coefficient() == 210
         assert built == {Dist: 1} and not hashed
+
+    def test_lifted_channel_builds_each_outcome_once_for_all_its_outputs(self, monkeypatch):
+        f = Channel.from_mapping({"a": Dist.uniform("uv"), "b": Dist({"u": F(1, 3), "w": F(2, 3)}),
+                                  "c": unit("v")})
+        hash(f)  # fills and hashes ``f``'s outputs before the count
+        lifted = lifted_map(f, 3)
+        outs, built, hashed = self.counted(monkeypatch,
+                                           lambda: [lifted(phi) for phi in lifted.domain])
+        # One object per distinct outcome, shared by every output that has it.
+        shared = {id(y): y for out in outs for y in out._map}
+        assert len(set(shared.values())) == len(shared) == 10
+        assert sum(len(out._map) for out in outs) > len(shared)
+        assert built == {Multiset: len(shared), Dist: len(lifted.domain)}
+        assert hashed == {Multiset: len(shared)}
+        assert all(out == pml(phi.map_elements(f)) for phi, out in zip(lifted.domain, outs))
+
+    def test_bind_merges_the_same_outcome_without_comparing(self, monkeypatch):
+        def outputs():
+            """A kernel over ``abc`` whose outputs overlap in three outcomes,
+            each the same object in every output that has it."""
+            u, v, w = ms(a=1), ms(a=1, b=1), ms(c=2)
+            return {"a": Dist({u: F(1, 2), v: F(1, 2)}), "b": Dist({v: F(1, 3), w: F(2, 3)}),
+                    "c": Dist({u: F(1, 4), v: F(1, 4), w: F(1, 2)})}
+
+        def compared(kernel):
+            calls = Counter()
+            eq = _FiniteMap.__eq__
+
+            def counted_eq(a, b):
+                calls[type(a)] += 1
+                return eq(a, b)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_FiniteMap, "__eq__", counted_eq)
+                out = bind(self.ABC, kernel)
+            return out, calls
+
+        want = Dist({ms(a=1): F(1, 4), ms(a=1, b=1): F(13, 36), ms(c=2): F(7, 18)})
+        out, calls = compared(outputs().__getitem__)
+        assert out == want and not calls
+        # Equal outcomes that are distinct objects are compared once per merge.
+        out, calls = compared(lambda x: outputs()[x])
+        assert out == want and calls == {Multiset: 4}

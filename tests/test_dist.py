@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulprob.channels import multinomial
+from mulprob.channels import arrange, draw_delete, hypergeometric, multinomial, mzip
 from mulprob.dist import (
     Channel,
     Dist,
@@ -28,7 +28,7 @@ from mulprob.dist import (
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets
-from mulprob.pml import lifted_map, monoid_sum
+from mulprob.pml import lifted_map, monoid_sum, pml
 
 F = Fraction
 AB = Space(["a", "b"])
@@ -536,10 +536,21 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: bind(unit("a"), lambda _: Multiset({"u": 2, "v": 1})),
      "channel kernel returned [2 u, 1 v], not a Dist"),
     (lambda: bind(unit("a"), lambda _: 5), "channel kernel returned 5, not a Dist"),
+    # And no operation that takes a multiset takes a distribution.
+    (lambda: hypergeometric(Dist({"a": 1}), 1), "hypergeometric got <1 a>, not a Multiset"),
+    (lambda: draw_delete(Dist({"a": 1})), "draw_delete got <1 a>, not a Multiset"),
+    (lambda: arrange(Dist({"a": 1})), "arrange got <1 a>, not a Multiset"),
+    (lambda: mzip(Multiset({"a": 1}), Dist({"b": 1})), "mzip got <1 b>, not a Multiset"),
+    (lambda: flrn(Dist({"a": 1})), "flrn got <1 a>, not a Multiset"),
+    (lambda: pml(Dist({unit("a"): 1})), "pml got <1 <1 a>>, not a Multiset"),
+    # A value outside the grammar has no ket text and is shown by its ``repr``.
+    (lambda: Predicate({"a": 1})(Pair(1, 2)), "predicate not defined at Pair(1, 2)"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
         "weight-atom", "weight-pair", "flatten", "dtensor-multiset", "big-tensor-multiset",
         "multinomial-multiset", "push-multiset", "bind-multiset", "validity-multiset",
-        "update-multiset", "monoid-sum-multiset", "kernel-multiset", "kernel-int"])
+        "update-multiset", "monoid-sum-multiset", "kernel-multiset", "kernel-int",
+        "hypergeometric-dist", "draw-delete-dist", "arrange-dist", "mzip-dist", "flrn-dist",
+        "pml-dist", "predicate-call-outside-grammar"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()

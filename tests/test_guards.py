@@ -54,10 +54,26 @@ def test_a_multiset_and_a_distribution_do_not_add():
     (Pair("a", "b"), "fst"),
 ])
 def test_values_are_immutable(value, slot):
-    # The slots exist, so only the guard stops the assignment.
+    # The slots exist, so only the guard stops the assignment and the deletion.
     name = type(value).__name__
-    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
-        setattr(value, slot, Space([]))
+    before = getattr(value, slot)
+    for change in (lambda: setattr(value, slot, Space([])), lambda: delattr(value, slot)):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            change()
+        assert getattr(value, slot) is before
+
+
+@pytest.mark.parametrize("value, text", [
+    (Pair(1, 2), "Pair(1, 2)"),
+    (Pair("a", Pair(1, "b")), "Pair('a', Pair(1, 'b'))"),
+    (Multiset({1: 2}), "Multiset({1: 2})"),
+    (Dist({1: 1}), "Dist({1: Fraction(1, 1)})"),
+    (Channel.from_mapping({"a": unit(1)}), "Channel({'a': Dist({1: Fraction(1, 1)})})"),
+], ids=["pair", "nested-pair", "multiset", "dist", "channel"])
+def test_repr_of_a_value_outside_the_grammar_shows_its_parts(value, text):
+    with pytest.raises(TypeError):
+        str(value)
+    assert repr(value) == text
 
 
 def test_elem_key_rejects_non_elements():

@@ -285,6 +285,28 @@ class TestLiftedMap:
             assert got == f(x).map(lambda y: Multiset({y: 1}))
 
 
+# Three domain points, each with outputs on all 11 atoms of its own block.
+# Size-2 and size-3 outcomes take 2 bits per atom, so two blocks fit one
+# key, and all three (66 bits) do not: asked in a random order, a lifted
+# channel switches its packing to wide keys at the first point that draws
+# on the third block.
+LIFT_BLOCKS = {x: [f"{x}{j}" for j in range(9)] + [Pair(x, "0"), Pair("0", x)] for x in "abc"}
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_lifted_map_agrees_with_pml_in_any_order(data):
+    wide = data.draw(st.booleans(), label="wide")
+    f = Channel.from_mapping({
+        x: data.draw(dists_over(LIFT_BLOCKS[x], min_size=11) if wide else dists_over(NARROW),
+                     label=x)
+        for x in "abc"})
+    k = data.draw(st.integers(2, 3) if wide else st.integers(0, 3), label="k")
+    lifted = lifted_map(f, k)
+    for phi in data.draw(st.permutations(lifted.domain.elements), label="order"):
+        assert lifted(phi) == pml(phi.map_elements(f))
+
+
 class TestLearningAndSampling:
     def test_learning_averages_the_members(self):
         lhs = bind(pml(PSI), flrn)
