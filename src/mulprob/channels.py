@@ -14,12 +14,16 @@ caps, and each ``mzip`` row with the capacity its columns have left.
 Each outcome multiset is built once, by the trusted ``Multiset._of`` that
 ``Multiset`` and ``Dist`` share, and is hashed and inserted once, into the
 output's one dict: the channels that reduce their weights hand outcomes
-and numerators to ``Dist._over`` as two parallel lists.
+and numerators to ``Dist._over`` as two parallel lists, and
+``draw_delete``, whose reduction is the gcd of the urn's counts, builds
+its reduced dict directly.  Chains of channels, such as repeated
+draw-and-delete, run through ``dist.bind``, which merges each kernel
+output as it returns, so no output outlives its merge.
 The literal definitions survive in ``mulprob.oracles`` and the test suite
 as independent cross-checks.
 """
 
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from .combinatorics import multichoose
@@ -98,15 +102,17 @@ def draw_delete(urn: Multiset) -> Dist:
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
     counts = urn._map
-    outcomes = []
+    g = gcd(*counts.values())
+    out = {}
     for x, n in counts.items():
         left = dict(counts)
         if n == 1:
             del left[x]
         else:
             left[x] = n - 1
-        outcomes.append(Multiset._of(left, size - 1))
-    return Dist._over(outcomes, counts.values(), size)
+        out[Multiset._of(left, size - 1)] = n // g
+    # Reduced: the counts sum to the size, so their gcd ``g`` is their gcd with it.
+    return Dist._of(out, size // g)
 
 
 def ppr(xs: tuple) -> Dist:

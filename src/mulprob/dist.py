@@ -161,28 +161,43 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     """Kleisli extension of a raw kernel function over a distribution.
 
     The kernel runs on the support in the order of ``omega``'s stored dict,
-    which follows how ``omega`` was built and not the hash seed.  The
-    budget counts the outcomes of all kernel calls together, before they
-    are combined.  Each kernel outcome is merged with one dict operation,
-    which gives the slot of its numerator, first-seen outcomes first; an
-    outcome object seen before is found by its cached hash and identity,
-    with no comparison.
+    which follows how ``omega`` was built and not the hash seed.  Each
+    kernel output is merged as soon as it returns and then dropped, so no
+    output outlives its merge: one dict operation gives each outcome the
+    slot of its numerator, first-seen outcomes first (an outcome object
+    seen before is found by its cached hash and identity, with no
+    comparison), and its numerator times the weight of the point is added
+    in the group of the kernel's denominator.  The budget counts the
+    outcomes of all kernel calls together; it is checked after the last
+    call, before the groups are combined over their least common
+    denominator into the one dict.
     """
-    outs = [(n, _dist(f(x), "channel kernel returned"))
-            for x, n in _dist(omega, "bind got")._map.items()]
-    check_cells(sum(len(d._map) for _, d in outs), "bind kernel outcomes")
-    den = lcm(*[d._total for _, d in outs])
     index: dict[Elem, int] = {}
-    nums: list[int] = []
-    for n, d in outs:
-        scale = n * (den // d._total)
-        for y, m in d._map.items():
-            i = index.setdefault(y, len(nums))
-            if i < len(nums):
-                nums[i] += scale * m
-            else:
-                nums.append(scale * m)
-    return Dist._over(index, nums, omega._total * den)
+    # Kernel denominator -> slot -> the sum of ``n * m`` over the outcomes
+    # in that slot of the calls with that denominator.  Sparse, so the
+    # work stays one step per outcome however many denominators there are.
+    groups: dict[int, dict[int, int]] = {}
+    cells = 0
+    for x, n in _dist(omega, "bind got")._map.items():
+        d = _dist(f(x), "channel kernel returned")
+        cells += len(d._map)
+        nums = groups.get(d._total)
+        if nums is None:
+            groups[d._total] = {index.setdefault(y, len(index)): n * m for y, m in d._map.items()}
+        else:
+            for y, m in d._map.items():
+                i = index.setdefault(y, len(index))
+                nums[i] = nums.get(i, 0) + n * m
+        # Dropped before the next call, so the output is freed now.
+        del d
+    check_cells(cells, "bind kernel outcomes")
+    den = lcm(*groups)
+    total = [0] * len(index)
+    for t, nums in groups.items():
+        scale = den // t
+        for i, v in nums.items():
+            total[i] += scale * v
+    return Dist._over(index, total, omega._total * den)
 
 
 def flatten(omega: Dist) -> Dist:
@@ -271,7 +286,11 @@ def push(f: Channel, omega: Dist) -> Dist:
     than renormalizing silently.
     """
     if not _dist(omega, "push got")._map.keys() <= f.domain._map.keys():
-        x = min([x for x in omega._map if x not in f.domain], key=elem_key)
+        escaping = [x for x in omega._map if x not in f.domain]
+        try:
+            x = min(escaping, key=elem_key)
+        except TypeError:  # an element outside the grammar has no sort key
+            x = escaping[0]
         raise DomainError(f"support element {_show(x)} outside channel domain")
     return bind(omega, f)
 

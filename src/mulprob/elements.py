@@ -286,7 +286,11 @@ class Space(_FiniteMap):
             return False
 
     def __repr__(self) -> str:
-        return f"Space({list(self.elements)!r})"
+        try:
+            elements = list(self.elements)
+        except TypeError:  # an element outside the grammar has no sort key
+            elements = list(self._map)
+        return f"Space({elements!r})"
 
     __str__ = __repr__
 

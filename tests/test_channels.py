@@ -164,6 +164,21 @@ class TestDrawDelete:
         with pytest.raises(DomainError):
             draw_delete(Multiset())
 
+    def test_output_is_stored_reduced(self):
+        # Numerators 2 and 4 over 6, stored over their gcd as 1 and 2 over 3.
+        got = draw_delete(ms(a=2, b=4))
+        assert got._total == 3
+        assert got._map == {ms(a=1, b=4): 1, ms(a=2, b=3): 2}
+
+    def test_four_steps_after_a_draw_of_twelve_are_a_draw_of_eight(self):
+        # The ``dd`` shape of the benchmark: deleting after drawing
+        # without replacement is drawing fewer.
+        urn = Multiset({x: 4 for x in "abcdef"})
+        out = hypergeometric(urn, 12)
+        for _ in range(4):
+            out = bind(out, draw_delete)
+        assert out == hypergeometric(urn, 8)
+
 
 class TestPpr:
     def test_single_position(self):

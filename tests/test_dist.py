@@ -1,7 +1,9 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from mulprob.dist import (
     validity,
 )
 from mulprob.elements import Pair, Space
-from mulprob.errors import DomainError, ResourceLimitError
+from mulprob.errors import DomainError, MulprobError, ResourceLimitError
 from mulprob.multiset import Multiset, enumerate_multisets
 from mulprob.pml import lifted_map, monoid_sum, pml
 
@@ -117,6 +119,17 @@ class TestPushAndCompose:
         with pytest.raises(DomainError, match=r"^support element c outside channel domain$"):
             push(self.f, omega)
 
+    def test_push_names_an_element_outside_the_grammar_in_one_line(self):
+        # ``1`` has no sort key, so the message names the first escaping
+        # element in stored order.  The value is built inside the block, so
+        # a constructor that rejects it passes too.
+        with pytest.raises(MulprobError) as raised:
+            push(Channel(["a"], unit), Dist([(1, F(1, 2)), ("b", F(1, 2))]))
+        message = str(raised.value)
+        assert "\n" not in message
+        if message.startswith("support element"):
+            assert message == "support element 1 outside channel domain"
+
     def test_unit_laws(self):
         assert compose(Channel.identity(Space(["0", "1"])), self.f)("a") == self.f("a")
         assert compose(self.f, Channel.identity(AB))("b") == self.f("b")
@@ -131,6 +144,24 @@ class TestPushAndCompose:
             bind(OMEGA, kernel)
         monkeypatch.setenv("MULPROB_MAX_CELLS", "12")
         assert len(bind(OMEGA, kernel).support) == 12
+
+    def test_bind_holds_no_earlier_kernel_output_while_the_kernel_runs(self):
+        # ``held[0]`` is a control that ``bind`` never sees; every output
+        # the kernel returned is held by ``held`` alone, as the control is.
+        held = [Dist.uniform(["z0", "z1"])]
+
+        def kernel(x):
+            dists = [sys.getrefcount(held[i]) for i in range(len(held))]
+            dicts = [sys.getrefcount(held[i]._map) for i in range(len(held))]
+            assert dists == [dists[0]] * len(held)
+            assert dicts == [dicts[0]] * len(held)
+            out = Dist.uniform([x + "0", x + "1", "c"])
+            held.append(out)
+            return out
+
+        out = bind(Dist.uniform("ab"), kernel)
+        assert len(held) == 3
+        assert out == Dist({"a0": F(1, 6), "a1": F(1, 6), "b0": F(1, 6), "b1": F(1, 6), "c": F(1, 3)})
 
     def test_associativity_on_random_channels(self):
         rng = random.Random(7)
@@ -473,6 +504,36 @@ def test_monad_associativity(omega, rng):
     nested = omega.map(lift)  # distribution over distributions
     doubly = nested.map(lambda inner: inner.map(unit))
     assert flatten(flatten(doubly)) == flatten(doubly.map(flatten))
+
+
+OUTCOMES = ("a", "b", "c", "d", "e", Pair("a", "b"), Multiset({"a": 2}))
+
+
+@st.composite
+def kernel_outputs(draw):
+    """A distribution over some of ``OUTCOMES`` whose weights are parts of
+    one denominator out of 2, 3, 4 and 6, in a random stored order."""
+    den = draw(st.sampled_from([2, 3, 4, 6]))
+    cuts = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=len(OUTCOMES) - 1))
+    bounds = [0, *sorted(cuts), den]
+    support = draw(st.permutations(OUTCOMES))[: len(bounds) - 1]
+    return Dist([(y, F(hi - lo, den)) for y, lo, hi in zip(support, bounds, bounds[1:])])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       st.lists(kernel_outputs(), min_size=5, max_size=5))
+def test_bind_agrees_with_a_fraction_fold_in_first_seen_order(weights, outputs):
+    omega = Dist([(f"x{i}", F(w, sum(weights))) for i, w in enumerate(weights)])
+    table = {f"x{i}": d for i, d in enumerate(outputs)}
+    want: dict = {}
+    for x in omega._map:  # the order the kernel runs in
+        for y in table[x]._map:
+            want[y] = want.get(y, 0) + omega[x] * table[x][y]
+    got = bind(omega, table.__getitem__)
+    assert list(got._map) == list(want)
+    assert {y: F(n, got._total) for y, n in got._map.items()} == want
+    assert gcd(got._total, *got._map.values()) == 1
 
 
 def test_flrn_convexity_of_monoid_sums():

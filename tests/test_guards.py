@@ -15,7 +15,7 @@ from mulprob.channels import hypergeometric, multinomial
 from mulprob.combinatorics import multichoose
 from mulprob.dist import Channel, Dist, Predicate, iid, pred_extend, unit, update, validity
 from mulprob.elements import Pair, Space, elem_key
-from mulprob.errors import DomainError
+from mulprob.errors import DomainError, MulprobError
 from mulprob.laws import Law, LawContext, run_law
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
 from mulprob.pml import lifted_map
@@ -74,6 +74,16 @@ def test_repr_of_a_value_outside_the_grammar_shows_its_parts(value, text):
     with pytest.raises(TypeError):
         str(value)
     assert repr(value) == text
+
+
+def test_a_space_of_elements_without_a_common_order_prints():
+    # Built inside the ``try``, so a constructor that rejects it passes too.
+    try:
+        space = Space(["a", 1])
+    except MulprobError:
+        return
+    for text in (repr(space), str(space)):
+        assert "'a'" in text and "1" in text
 
 
 def test_elem_key_rejects_non_elements():
