@@ -27,7 +27,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from .combinatorics import multichoose
-from .dist import Dist, _dist, flrn, unit
+from .dist import Dist, _dist, flrn
 from .elements import Elem, Pair
 from .errors import DomainError, _check_size, check_cells
 from .multiset import (
@@ -61,6 +61,9 @@ def multinomial(omega: Dist, k: int) -> Dist:
     nums = _dist(omega, "multinomial got")._map
     check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
     out = {}
+    # The draws are walked here rather than taken as a one-member ``pml``
+    # product, whose packing and unpacking of every draw measured slower
+    # across the law sweep.
     for draw in _bounded_counts([(x, k) for x in nums], k):
         coeff, w, drawn = 1, 1, 0
         for x, n in draw:
@@ -158,8 +161,6 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     if _multiset(phi, "mzip got").size != _multiset(psi, "mzip got").size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
     rows, cols = phi.entries, psi.entries
-    if not rows:
-        return unit(Multiset())
     bound = 1
     for _, r in rows[:-1]:
         bound *= multichoose(len(cols), r)

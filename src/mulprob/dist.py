@@ -152,6 +152,13 @@ def _dist(v, said: str) -> Dist:
     return v
 
 
+def _channel(v, said: str) -> "Channel":
+    """``v`` when it is a ``Channel``.  ``said`` leads the one-line message."""
+    if not isinstance(v, Channel):
+        raise DomainError(f"{said} {_show(v)}, not a Channel")
+    return v
+
+
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
     return Dist._of({elem: 1}, 1)  # reduced: 1 over 1
@@ -285,7 +292,7 @@ def push(f: Channel, omega: Dist) -> Dist:
     Rejects distributions whose support escapes the channel domain rather
     than renormalizing silently.
     """
-    if not _dist(omega, "push got")._map.keys() <= f.domain._map.keys():
+    if not _dist(omega, "push got")._map.keys() <= _channel(f, "push got").domain._map.keys():
         escaping = [x for x in omega._map if x not in f.domain]
         try:
             x = min(escaping, key=elem_key)
@@ -297,7 +304,8 @@ def push(f: Channel, omega: Dist) -> Dist:
 
 def compose(g: Channel, f: Channel) -> Channel:
     """Kleisli composition: run ``f``, then ``g`` on its outcomes."""
-    return Channel(f.domain, lambda x: push(g, f(x)))
+    _channel(g, "compose got")
+    return Channel(_channel(f, "compose got").domain, lambda x: push(g, f(x)))
 
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
@@ -309,7 +317,7 @@ def dtensor(omega: Dist, rho: Dist) -> Dist:
 
 def ctensor(f: Channel, g: Channel) -> Channel:
     """Parallel product of channels, living on the pair domain."""
-    domain = f.domain.product(g.domain)
+    domain = _channel(f, "ctensor got").domain.product(_channel(g, "ctensor got").domain)
     return Channel(domain, lambda p: dtensor(f(p.fst), g(p.snd)))
 
 

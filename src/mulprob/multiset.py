@@ -78,7 +78,7 @@ class Multiset(_FiniteMap):
 
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
-        return Multiset._of(self._tensor(other), self._total * other._total)
+        return Multiset._of(self._tensor(_multiset(other, "tensor got")), self._total * other._total)
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
@@ -134,9 +134,6 @@ def _bounded_counts(caps: Iterable[tuple], k: int) -> Iterator[tuple]:
             full.append(filled)
             reach.append(reach[-1] + filled[1])
     if not 0 <= k <= reach[-1]:
-        return
-    if k == reach[-1]:  # taking everything is the one way
-        yield tuple(full)
         return
     size = len(full)
     # ``counts`` holds the nonzero counts in the order of ``full``.  Each
@@ -232,7 +229,7 @@ def enumerate_arrangements(m: Multiset) -> list[tuple]:
     sequences are listed by stepping from each to the next instead, so
     the cost stays within a constant times the result's.
     """
-    coefficient = m.coefficient()
+    coefficient = _multiset(m, "enumerate_arrangements got").coefficient()
     check_cells(coefficient, f"arrangements of a size-{m.size} multiset")
     # A sub-multiset is a packed int: element ``i`` of ``entries`` holds its
     # count at bits ``[i * bits, (i + 1) * bits)``.

@@ -91,7 +91,7 @@ def pml_def1(psi: Multiset) -> Dist:
     The members are ordered canonically before tensoring; the result does
     not depend on that order.
     """
-    _check_members(psi)
+    _check_members(psi._map)
     cells = 1
     for member, n in psi.entries:
         cells *= len(member.entries) ** n
@@ -132,7 +132,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
     to the monoid unit.
     """
     out = unit(Multiset())
-    for member, n in _check_members(psi):
+    for member, n in _check_members(psi._map):
         for _ in range(n):
             out = _pairwise_sum(out, member)
     return out
@@ -140,7 +140,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
 
 def pml_def4(psi: Multiset) -> Dist:
     """Algebraic formulation: point-mass images folded by the monoid."""
-    _check_members(psi)
+    _check_members(psi._map)
     singletons = psi.map_elements(lambda w: w.map(lambda x: Multiset({x: 1})))
     return monoid_algebra(singletons)
 

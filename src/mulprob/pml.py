@@ -18,13 +18,16 @@ formulations; the one computed here is
 Both run on packed counts: the elements get indices once, a count vector
 is one ``int`` with a fixed number of bits per element, so adding an
 element to an outcome, or two outcomes, is one integer addition, and each
-outcome ``Multiset`` is built once, at the end, from its key.
+outcome ``Multiset`` is built once, at the end, from its key.  A key
+names a multiset only relative to its packing, so the packing owns the
+table from key to outcome; ``pml`` and ``monoid_sum`` start a fresh one
+each call.
 
 ``lifted_map`` uses the law to apply a channel elementwise to a multiset,
 the workhorse behind the sampling round trip.  Its kernel runs the same
-product as ``pml``, over one packing that lasts as long as the channel
-and keeps the outcome built for each key, so an outcome that several
-outputs share is built once and is the same object in each of them.
+product as ``pml``, through the same member sort, over one packing that
+lasts as long as the channel, so an outcome that several outputs share
+is built once and is the same object in each of them.
 
 The other formulations, by joint outcomes, through the monoid structure
 and by the law's defining triangle, exist only to cross-check this one
@@ -35,17 +38,18 @@ assumed: the law suite re-derives it on enumerated inputs.
 from typing import Iterable, Sequence
 
 from .combinatorics import multichoose
-from .dist import Channel, Dist, _dist
+from .dist import Channel, Dist, _channel, _dist
 from .elements import Elem, _show, elem_key
 from .errors import DomainError, check_cells
 from .multiset import Multiset, _multiset, enumerate_multisets
 
 
-def _check_members(psi: Multiset) -> tuple[tuple[Dist, int], ...]:
-    """The members of ``psi`` with their counts, in canonical order; each
-    must be a distribution."""
+def _check_members(counts: dict) -> list[tuple[Dist, int]]:
+    """The members of a count dict with their counts, in canonical order;
+    each must be a distribution."""
     # One member needs no order, and its sort key would read the whole distribution.
-    members = psi.entries if len(psi._map) > 1 else tuple(psi._map.items())
+    members = (sorted(counts.items(), key=lambda member: elem_key(member[0]))
+               if len(counts) > 1 else list(counts.items()))
     for member, _ in members:
         if not isinstance(member, Dist):
             raise DomainError(f"expected a multiset of distributions, found {_show(member)}")
@@ -79,7 +83,8 @@ class _Packing:
     whose salts go by index.  A key then names one multiset for the life
     of the packing: the keys of the two layouts never meet, since every
     nonempty outcome's wide key lies above the word that holds the narrow
-    ones.
+    ones.  So the packing owns its outcome table, ``outcomes``, from each
+    key unpacked so far to the multiset built for it.
     """
 
     def __init__(self, top: int):
@@ -87,6 +92,7 @@ class _Packing:
         self.low = 0
         self.atoms: list[Elem] = []
         self.units: dict[Elem, int] = {}
+        self.outcomes: dict[int, Multiset] = {}
 
     def add(self, atoms: Iterable[Elem]) -> None:
         """Index the distinct elements of ``atoms`` that have no index yet."""
@@ -101,28 +107,19 @@ class _Packing:
         for i in range(start, len(indexed)):
             units[indexed[i]] = (1 << low + i * bits) + (pow(_BASE, i + 1, _PRIME) if low else 0)
 
-    def pack(self, counts: Iterable[tuple[Elem, int]]) -> int:
-        units = self.units
-        key = 0
-        for x, n in counts:
-            key += n * units[x]
-        return key
-
-    def unpack(self, poly: dict[int, int], den: int,
-               known: dict[int, Multiset] | None = None) -> Dist:
+    def unpack(self, poly: dict[int, int], den: int) -> Dist:
         """The distribution over multisets that the terms weigh, over ``den``.
 
-        With a table ``known`` of the outcomes built for earlier keys, a
-        key in it reuses its outcome, and a new one is stored there.  A new
-        key is decoded and built once, by ``Multiset._of``.  Decoding visits
-        only the nonzero counts of a key: it skips the empty elements below
-        the lowest set bit in one shift.
+        A key in the outcome table reuses its outcome.  A new key is
+        decoded, built once by ``Multiset._of`` and stored there.  Decoding
+        visits only the nonzero counts of a key: it skips the empty elements
+        below the lowest set bit in one shift.
         """
         atoms, bits, low, of = self.atoms, self.bits, self.low, Multiset._of
         mask = (1 << bits) - 1
-        outcomes = []
+        table, outcomes = self.outcomes, []
         for key in poly:
-            m = None if known is None else known.get(key)
+            m = table.get(key)
             if m is None:
                 counts = {}
                 size = i = 0
@@ -136,9 +133,7 @@ class _Packing:
                     size += n
                     packed >>= bits
                     i += 1
-                m = of(counts, size)
-                if known is not None:
-                    known[key] = m
+                m = table[key] = of(counts, size)
             outcomes.append(m)
         return Dist._over(outcomes, poly.values(), den)
 
@@ -172,21 +167,21 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
         top += largest
     packing = _Packing(top)
     packing.add(atoms)
-    a_poly, b_poly = ({packing.pack(phi._map.items()): w for phi, w in d._map.items()}
-                      for d in (a, b))
+    units = packing.units
+    a_poly, b_poly = ({sum([units[x] * n for x, n in phi._map.items()]): w
+                       for phi, w in d._map.items()} for d in (a, b))
     check_cells(len(a_poly) * len(b_poly), "monoid sum outcome pairs")
     return packing.unpack(_times(a_poly, b_poly.items()), a._total * b._total)
 
 
-def _product(members: Sequence[tuple[Dist, int]], packing: _Packing,
-             known: dict[int, Multiset] | None = None) -> Dist:
+def _product(members: Sequence[tuple[Dist, int]], packing: _Packing) -> Dist:
     """The product of ``(sum_x omega(x) t_x)^n`` over the members ``(omega,
     n)``, in their order, one linear factor ``sum_x omega(x) t_x`` at a
     time, so no member's draws are listed.  Each member is budgeted, before
     its factors, as the monoid sum of its draws with the outcomes so far:
     its draws, then the pairs of them with those outcomes.  The outcomes
-    are built, or read from ``known``, after the last charge, so a budget
-    error builds and stores none.
+    are built, or read from the packing's outcome table, after the last
+    charge, so a budget error builds and stores none.
     """
     for omega, _ in members:
         packing.add(omega._map)
@@ -201,17 +196,17 @@ def _product(members: Sequence[tuple[Dist, int]], packing: _Packing,
         for _ in range(n):
             acc = _times(acc, factor)
         den *= omega._total ** n
-    return packing.unpack(acc, den, known)
+    return packing.unpack(acc, den)
 
 
 def pml(psi: Multiset) -> Dist:
     """Parallel draws: one multinomial per member, summed.
 
     The product of the members' draw polynomials, taken in canonical
-    order over a packing of their elements of its own.
+    order over a fresh packing of their elements, with its own outcome
+    table.
     """
-    members = _check_members(_multiset(psi, "pml got"))
-    return _product(members, _Packing(psi.size))
+    return _product(_check_members(_multiset(psi, "pml got")._map), _Packing(psi.size))
 
 
 def lifted_map(f: Channel, k: int) -> Channel:
@@ -222,23 +217,13 @@ def lifted_map(f: Channel, k: int) -> Channel:
     ``phi(x)`` times each, in canonical order.  The channel keeps one
     packing for all its outputs, which indexes an element of ``f``'s
     outputs when a point first draws on it, so ``f`` runs only at the
-    elements of the points asked, and one table from packed key to
-    outcome.  Every output has size ``k``, so the key of an outcome stays
-    fixed, and an outcome that several outputs share is built once and is
-    the same object in each.  Both channels keep their tables, so a
+    elements of the points asked, and which owns the table from packed
+    key to outcome.  Every output has size ``k``, so the key of an outcome
+    stays fixed, and an outcome that several outputs share is built once
+    and is the same object in each.  Both channels keep their tables, so a
     repeat at one multiset is a lookup, and ``f`` runs its kernel once per
     element however many multisets share it.
     """
-    domain = enumerate_multisets(f.domain, k)
+    domain = enumerate_multisets(_channel(f, "lifted_map got").domain, k)
     packing = _Packing(k)
-    known: dict[int, Multiset] = {}
-
-    def kernel(phi: Multiset) -> Dist:
-        image = phi._image(f)
-        if len(image) > 1:
-            members = sorted(image.items(), key=lambda member: elem_key(member[0]))
-        else:
-            members = list(image.items())
-        return _product(members, packing, known)
-
-    return Channel(domain, kernel)
+    return Channel(domain, lambda phi: _product(_check_members(phi._image(f)), packing))

@@ -1,8 +1,11 @@
 """The code-line counter in ``tools/code_lines.py``."""
 
 import importlib.util
+import subprocess
 import textwrap
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
@@ -79,3 +82,37 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["code", "wc", "-l", "file"], ["1", "2", str(a)], ["2", "3", str(b)], ["3", "5", "total"]]
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com",
+                    *args], check=True, capture_output=True)
+
+
+def test_against_counts_code_lines_added_and_removed(tmp_path, monkeypatch, capsys):
+    git(tmp_path, "init", "-q")
+    (tmp_path / "kept.py").write_text('"""Doc."""\nx = 1\ny = 2\nz = 3\n')
+    (tmp_path / "gone.py").write_text("a = 1\nb = 2\n")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "first")
+    # One code line changed, one removed, a comment and a docstring line added.
+    (tmp_path / "kept.py").write_text('"""Doc,\nlonger."""\n# note\nx = 1\ny = 20\n')
+    (tmp_path / "gone.py").unlink()
+    (tmp_path / "new.py").write_text("w = 1\n")
+    monkeypatch.chdir(tmp_path)
+    code_lines.main(["--against", "HEAD", "kept.py", "new.py", "gone.py", "kept.py"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["code", "wc", "-l", "added", "removed", "file"],
+        ["2", "5", "+1", "-2", "kept.py"],
+        ["1", "1", "+1", "-0", "new.py"],
+        ["0", "0", "+0", "-2", "gone.py"],
+        ["3", "6", "+2", "-4", "total"]]
+
+
+def test_against_rejects_an_unknown_revision(tmp_path, monkeypatch):
+    git(tmp_path, "init", "-q")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        code_lines.main(["--against", "HEAD", "a.py"])
+    assert "not a git revision here: HEAD" in str(exc.value)

@@ -29,7 +29,7 @@ from mulprob.dist import (
 )
 from mulprob.elements import Pair, Space
 from mulprob.errors import DomainError, MulprobError, ResourceLimitError
-from mulprob.multiset import Multiset, enumerate_multisets
+from mulprob.multiset import Multiset, enumerate_arrangements, enumerate_multisets
 from mulprob.pml import lifted_map, monoid_sum, pml
 
 F = Fraction
@@ -604,6 +604,18 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: mzip(Multiset({"a": 1}), Dist({"b": 1})), "mzip got <1 b>, not a Multiset"),
     (lambda: flrn(Dist({"a": 1})), "flrn got <1 a>, not a Multiset"),
     (lambda: pml(Dist({unit("a"): 1})), "pml got <1 <1 a>>, not a Multiset"),
+    (lambda: Multiset({"a": 1}).tensor(Dist({"u": F(1, 3), "v": F(2, 3)})),
+     "tensor got <1/3 u, 2/3 v>, not a Multiset"),
+    (lambda: Multiset({"a": 1}).tensor(Space(["u", "v"])),
+     "tensor got Space(['u', 'v']), not a Multiset"),
+    (lambda: enumerate_arrangements(unit("a")), "enumerate_arrangements got <1 a>, not a Multiset"),
+    # Nor does a distribution pass for a channel.
+    (lambda: push(unit("a"), unit("a")), "push got <1 a>, not a Channel"),
+    (lambda: compose(unit("a"), Channel.identity(AB)), "compose got <1 a>, not a Channel"),
+    (lambda: compose(Channel.identity(AB), unit("a")), "compose got <1 a>, not a Channel"),
+    (lambda: ctensor(Channel.identity(AB), unit("a")), "ctensor got <1 a>, not a Channel"),
+    (lambda: ctensor(unit("a"), Channel.identity(AB)), "ctensor got <1 a>, not a Channel"),
+    (lambda: lifted_map(unit("a"), 2), "lifted_map got <1 a>, not a Channel"),
     # A value outside the grammar has no ket text and is shown by its ``repr``.
     (lambda: Predicate({"a": 1})(Pair(1, 2)), "predicate not defined at Pair(1, 2)"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
@@ -611,7 +623,9 @@ def test_flrn_convexity_of_monoid_sums():
         "multinomial-multiset", "push-multiset", "bind-multiset", "validity-multiset",
         "update-multiset", "monoid-sum-multiset", "kernel-multiset", "kernel-int",
         "hypergeometric-dist", "draw-delete-dist", "arrange-dist", "mzip-dist", "flrn-dist",
-        "pml-dist", "predicate-call-outside-grammar"])
+        "pml-dist", "tensor-dist", "tensor-space", "enumerate-arrangements-dist",
+        "push-dist-channel", "compose-dist-first", "compose-dist-second", "ctensor-dist-second",
+        "ctensor-dist-first", "lifted-map-dist", "predicate-call-outside-grammar"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()
