@@ -24,16 +24,13 @@ as independent cross-checks.
 """
 
 from math import comb, gcd
-from typing import Sequence
-
 from .combinatorics import multichoose
-from .dist import Dist, _dist, flrn
-from .elements import Elem, Pair
+from .dist import Dist, flrn
+from .elements import Pair, _kind
 from .errors import DomainError, _check_size, check_cells
 from .multiset import (
     Multiset,
     _bounded_counts,
-    _multiset,
     _sub_multiset_count,
     accumulate,
     enumerate_arrangements,
@@ -42,7 +39,7 @@ from .multiset import (
 
 def arrange(m: Multiset) -> Dist:
     """Uniform distribution over the distinct sequences accumulating to m."""
-    seqs = enumerate_arrangements(_multiset(m, "arrange got"))
+    seqs = enumerate_arrangements(_kind(m, Multiset, "arrange got"))
     return Dist._of(dict.fromkeys(seqs, 1), len(seqs))  # reduced: every numerator is 1
 
 
@@ -58,7 +55,7 @@ def multinomial(omega: Dist, k: int) -> Dist:
     for any ``k``.  The budget counts the draws.
     """
     _check_size(k, "draw size")
-    nums = _dist(omega, "multinomial got")._map
+    nums = _kind(omega, Dist, "multinomial got")._map
     check_cells(multichoose(len(nums), k), f"multisets of size {k} over {len(nums)} elements")
     out = {}
     # The draws are walked here rather than taken as a one-member ``pml``
@@ -83,7 +80,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
     each binomial read from one table per element that stops at ``k``,
     the most a draw takes.  The budget counts the draws exactly.
     """
-    n = _multiset(urn, "hypergeometric got").size
+    n = _kind(urn, Multiset, "hypergeometric got").size
     if _check_size(k, "draw size") > n:
         raise DomainError(f"cannot draw {k} from an urn of size {n}")
     caps = urn._map
@@ -101,7 +98,7 @@ def hypergeometric(urn: Multiset, k: int) -> Dist:
 
 def draw_delete(urn: Multiset) -> Dist:
     """Remove one element, chosen with probability proportional to count."""
-    size = _multiset(urn, "draw_delete got").size
+    size = _kind(urn, Multiset, "draw_delete got").size
     if size == 0:
         raise DomainError("cannot draw from an empty urn")
     counts = urn._map
@@ -120,14 +117,14 @@ def draw_delete(urn: Multiset) -> Dist:
 
 def ppr(xs: tuple) -> Dist:
     """Uniform mixture of the single-position deletions of a sequence."""
-    if len(xs) == 0:
+    if len(_kind(xs, tuple, "ppr got")) == 0:
         raise DomainError("cannot project away a position of the empty sequence")
     return flrn(accumulate([xs[:i] + xs[i + 1:] for i in range(len(xs))]))
 
 
-def zip_tuples(xs: Sequence[Elem], ys: Sequence[Elem]) -> tuple:
+def zip_tuples(xs: tuple, ys: tuple) -> tuple:
     """Positionwise pairing of two equal-length sequences."""
-    if len(xs) != len(ys):
+    if len(_kind(xs, tuple, "zip_tuples got")) != len(_kind(ys, tuple, "zip_tuples got")):
         raise DomainError(f"zip length mismatch: {len(xs)} vs {len(ys)}")
     return tuple(Pair(x, y) for x, y in zip(xs, ys))
 
@@ -158,7 +155,7 @@ def mzip(phi: Multiset, psi: Multiset) -> Dist:
     the nonzero cells one table can have, at most its rows times its
     columns and at most ``K``.
     """
-    if _multiset(phi, "mzip got").size != _multiset(psi, "mzip got").size:
+    if _kind(phi, Multiset, "mzip got").size != _kind(psi, Multiset, "mzip got").size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
     rows, cols = phi.entries, psi.entries
     bound = 1

@@ -34,9 +34,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .elements import _DIST, Elem, Space, _FiniteMap, _pairs, _set_key, _show, _Value, elem_key
+from .elements import (
+    _DIST, Elem, Space, _FiniteMap, _kind, _pairs, _set_key, _show, _Value, elem_key)
 from .errors import DomainError, _check_size, check_cells
-from .multiset import Multiset, _multiset, accumulate
+from .multiset import Multiset, accumulate
 
 Weight = int | Fraction
 
@@ -143,22 +144,6 @@ class Dist(_FiniteMap):
         return Dist._over(image, image.values(), self._total)
 
 
-def _dist(v, said: str) -> Dist:
-    """``v`` when it is a ``Dist``.  A ``Multiset`` stores counts and their
-    sum as a ``Dist`` does, so without this check it would pass for its
-    normalization, stored unreduced.  ``said`` leads the one-line message."""
-    if type(v) is not Dist:
-        raise DomainError(f"{said} {_show(v)}, not a Dist")
-    return v
-
-
-def _channel(v, said: str) -> "Channel":
-    """``v`` when it is a ``Channel``.  ``said`` leads the one-line message."""
-    if not isinstance(v, Channel):
-        raise DomainError(f"{said} {_show(v)}, not a Channel")
-    return v
-
-
 def unit(elem: Elem) -> Dist:
     """Point mass: the unit of the distribution monad."""
     return Dist._of({elem: 1}, 1)  # reduced: 1 over 1
@@ -185,8 +170,8 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     # work stays one step per outcome however many denominators there are.
     groups: dict[int, dict[int, int]] = {}
     cells = 0
-    for x, n in _dist(omega, "bind got")._map.items():
-        d = _dist(f(x), "channel kernel returned")
+    for x, n in _kind(omega, Dist, "bind got")._map.items():
+        d = _kind(f(x), Dist, "channel kernel returned")
         cells += len(d._map)
         nums = groups.get(d._total)
         if nums is None:
@@ -256,7 +241,7 @@ class Channel(_Value):
         if out is None:
             if x not in self.domain:
                 raise DomainError(f"{_show(x)} is outside the channel domain")
-            out = self._table[x] = _dist(self._kernel(x), "channel kernel returned")
+            out = self._table[x] = _kind(self._kernel(x), Dist, "channel kernel returned")
         return out
 
     def __eq__(self, other) -> bool:
@@ -282,6 +267,8 @@ class Channel(_Value):
 
     @classmethod
     def from_mapping(cls, table: Mapping[Elem, Dist]) -> "Channel":
+        if not isinstance(table, Mapping):
+            raise DomainError(f"from_mapping got {_show(table)}, not a Mapping")
         frozen = dict(table)
         return cls(frozen.keys(), lambda x: frozen[x])
 
@@ -292,8 +279,9 @@ def push(f: Channel, omega: Dist) -> Dist:
     Rejects distributions whose support escapes the channel domain rather
     than renormalizing silently.
     """
-    if not _dist(omega, "push got")._map.keys() <= _channel(f, "push got").domain._map.keys():
-        escaping = [x for x in omega._map if x not in f.domain]
+    support = _kind(omega, Dist, "push got")._map.keys()
+    if not support <= _kind(f, Channel, "push got").domain._map.keys():
+        escaping = [x for x in support if x not in f.domain]
         try:
             x = min(escaping, key=elem_key)
         except TypeError:  # an element outside the grammar has no sort key
@@ -304,20 +292,21 @@ def push(f: Channel, omega: Dist) -> Dist:
 
 def compose(g: Channel, f: Channel) -> Channel:
     """Kleisli composition: run ``f``, then ``g`` on its outcomes."""
-    _channel(g, "compose got")
-    return Channel(_channel(f, "compose got").domain, lambda x: push(g, f(x)))
+    _kind(g, Channel, "compose got")
+    return Channel(_kind(f, Channel, "compose got").domain, lambda x: push(g, f(x)))
 
 
 def dtensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pair elements."""
     # Reduced: the numerators' gcd is the product of the factors' gcds, 1 and 1.
-    return Dist._of(_dist(omega, "dtensor got")._tensor(_dist(rho, "dtensor got")),
+    return Dist._of(_kind(omega, Dist, "dtensor got")._tensor(_kind(rho, Dist, "dtensor got")),
                     omega._total * rho._total)
 
 
 def ctensor(f: Channel, g: Channel) -> Channel:
     """Parallel product of channels, living on the pair domain."""
-    domain = _channel(f, "ctensor got").domain.product(_channel(g, "ctensor got").domain)
+    domain = _kind(f, Channel, "ctensor got").domain.product(
+        _kind(g, Channel, "ctensor got").domain)
     return Channel(domain, lambda p: dtensor(f(p.fst), g(p.snd)))
 
 
@@ -325,7 +314,7 @@ def big_tensor(omegas: Sequence[Dist]) -> Dist:
     """Product of a whole sequence of distributions, over tuple elements."""
     cells = 1
     for w in omegas:
-        cells *= len(_dist(w, "big_tensor got")._map)
+        cells *= len(_kind(w, Dist, "big_tensor got")._map)
     check_cells(cells, "big tensor support")
     acc: dict[tuple, int] = {(): 1}
     den = 1
@@ -344,7 +333,7 @@ def iid(omega: Dist, k: int) -> Dist:
 
 def flrn(m: Multiset) -> Dist:
     """Learn a distribution from a nonempty multiset by normalizing counts."""
-    if _multiset(m, "flrn got").size == 0:
+    if _kind(m, Multiset, "flrn got").size == 0:
         raise DomainError("cannot normalize the empty multiset")
     return Dist._over(m._map, m._map.values(), m.size)
 
@@ -393,7 +382,7 @@ def _weighed(omega: Dist, p: PredicateLike) -> tuple[list[int], int]:
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    nums, den = _weighed(_dist(omega, "validity got"), p)
+    nums, den = _weighed(_kind(omega, Dist, "validity got"), p)
     return Fraction(sum(nums), den * omega._total)
 
 
@@ -404,7 +393,7 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
     prior's times the values, over the values' least common denominator;
     elements of value 0 drop out.
     """
-    weighed, _ = _weighed(_dist(omega, "update got"), p)
+    weighed, _ = _weighed(_kind(omega, Dist, "update got"), p)
     outcomes, nums = [], []
     for x, n in zip(omega._map, weighed):
         if n:

@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
-from .errors import _check_size, check_cells
+from .errors import DomainError, _check_size, check_cells
 
 Elem = Any
 
@@ -252,6 +252,20 @@ def _show(e: Elem) -> str:
         return repr(e)
 
 
+def _kind(v, kind: type, said: str):
+    """``v`` when it is of the value kind ``kind`` itself, not a subclass.
+    ``said`` leads the one-line ``DomainError`` otherwise, which names ``v``.
+
+    A ``Multiset`` and a ``Dist`` share one count store: positive integer
+    counts and their sum.  Without this check a multiset would pass for its
+    normalization, stored unreduced, and a distribution for the multiset of
+    its numerators; a ``Space``, whose counts are all 1, for either.
+    """
+    if type(v) is not kind:
+        raise DomainError(f"{said} {_show(v)}, not a {kind.__name__}")
+    return v
+
+
 class Space(_FiniteMap):
     """A finite set of elements: a count store whose counts are all 1.
 
@@ -296,6 +310,7 @@ class Space(_FiniteMap):
 
     def product(self, other: "Space") -> "Space":
         """The product space, with Pair elements."""
+        other = _kind(other, Space, "product got")
         return Space._of(self._tensor(other), self._total * other._total)
 
     def power(self, k: int) -> list[tuple]:

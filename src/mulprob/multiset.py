@@ -23,7 +23,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import multichoose
-from .elements import _MULTISET, Elem, Space, _FiniteMap, _pairs, _set_key, _show, elem_key
+from .elements import _MULTISET, Elem, Space, _FiniteMap, _kind, _pairs, _set_key, _show, elem_key
 from .errors import DomainError, check_cells
 
 
@@ -78,7 +78,8 @@ class Multiset(_FiniteMap):
 
     def tensor(self, other: "Multiset") -> "Multiset":
         """Parallel product on pair elements; multiplicities multiply."""
-        return Multiset._of(self._tensor(_multiset(other, "tensor got")), self._total * other._total)
+        other = _kind(other, Multiset, "tensor got")
+        return Multiset._of(self._tensor(other), self._total * other._total)
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
@@ -95,15 +96,6 @@ class Multiset(_FiniteMap):
             placed += n
             out *= comb(placed, n)
         return out
-
-
-def _multiset(v, said: str) -> Multiset:
-    """``v`` when it is a ``Multiset``.  A ``Dist`` stores numerators and their
-    sum as a multiset stores counts, so without this check it would pass for
-    a multiset of its numerators.  ``said`` leads the one-line message."""
-    if type(v) is not Multiset:
-        raise DomainError(f"{said} {_show(v)}, not a Multiset")
-    return v
 
 
 def accumulate(xs: Sequence[Elem]) -> Multiset:
@@ -229,7 +221,7 @@ def enumerate_arrangements(m: Multiset) -> list[tuple]:
     sequences are listed by stepping from each to the next instead, so
     the cost stays within a constant times the result's.
     """
-    coefficient = _multiset(m, "enumerate_arrangements got").coefficient()
+    coefficient = _kind(m, Multiset, "enumerate_arrangements got").coefficient()
     check_cells(coefficient, f"arrangements of a size-{m.size} multiset")
     # A sub-multiset is a packed int: element ``i`` of ``entries`` holds its
     # count at bits ``[i * bits, (i + 1) * bits)``.

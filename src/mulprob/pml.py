@@ -38,10 +38,10 @@ assumed: the law suite re-derives it on enumerated inputs.
 from typing import Iterable, Sequence
 
 from .combinatorics import multichoose
-from .dist import Channel, Dist, _channel, _dist
-from .elements import Elem, _show, elem_key
+from .dist import Channel, Dist
+from .elements import Elem, _kind, _show, elem_key
 from .errors import DomainError, check_cells
-from .multiset import Multiset, _multiset, enumerate_multisets
+from .multiset import Multiset, enumerate_multisets
 
 
 def _check_members(counts: dict) -> list[tuple[Dist, int]]:
@@ -159,7 +159,7 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     top = 0
     for d in (a, b):
         largest = 0
-        for phi in _dist(d, "monoid_sum got")._map:
+        for phi in _kind(d, Dist, "monoid_sum got")._map:
             if type(phi) is not Multiset:
                 raise DomainError(f"monoid sum needs distributions over multisets, found {_show(phi)}")
             atoms.update(dict.fromkeys(phi._map))
@@ -206,7 +206,7 @@ def pml(psi: Multiset) -> Dist:
     order over a fresh packing of their elements, with its own outcome
     table.
     """
-    return _product(_check_members(_multiset(psi, "pml got")._map), _Packing(psi.size))
+    return _product(_check_members(_kind(psi, Multiset, "pml got")._map), _Packing(psi.size))
 
 
 def lifted_map(f: Channel, k: int) -> Channel:
@@ -224,6 +224,6 @@ def lifted_map(f: Channel, k: int) -> Channel:
     repeat at one multiset is a lookup, and ``f`` runs its kernel once per
     element however many multisets share it.
     """
-    domain = enumerate_multisets(_channel(f, "lifted_map got").domain, k)
+    domain = enumerate_multisets(_kind(f, Channel, "lifted_map got").domain, k)
     packing = _Packing(k)
     return Channel(domain, lambda phi: _product(_check_members(phi._image(f)), packing))

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulprob.channels import arrange, draw_delete, hypergeometric, multinomial, mzip
+from mulprob.channels import (
+    arrange, draw_delete, hypergeometric, multinomial, mzip, ppr, zip_tuples)
 from mulprob.dist import (
     Channel,
     Dist,
@@ -616,6 +617,13 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: ctensor(Channel.identity(AB), unit("a")), "ctensor got <1 a>, not a Channel"),
     (lambda: ctensor(unit("a"), Channel.identity(AB)), "ctensor got <1 a>, not a Channel"),
     (lambda: lifted_map(unit("a"), 2), "lifted_map got <1 a>, not a Channel"),
+    # A space's counts are all 1, so no other count store passes for one.
+    (lambda: Space(["a"]).product(Multiset({"b": 2})), "product got [2 b], not a Space"),
+    (lambda: Space(["a"]).product(unit("a")), "product got <1 a>, not a Space"),
+    # A sequence is a tuple, and a channel is built from a mapping.
+    (lambda: ppr(unit("a")), "ppr got <1 a>, not a tuple"),
+    (lambda: zip_tuples(unit("a"), unit("a")), "zip_tuples got <1 a>, not a tuple"),
+    (lambda: Channel.from_mapping(unit("a")), "from_mapping got <1 a>, not a Mapping"),
     # A value outside the grammar has no ket text and is shown by its ``repr``.
     (lambda: Predicate({"a": 1})(Pair(1, 2)), "predicate not defined at Pair(1, 2)"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
@@ -625,7 +633,8 @@ def test_flrn_convexity_of_monoid_sums():
         "hypergeometric-dist", "draw-delete-dist", "arrange-dist", "mzip-dist", "flrn-dist",
         "pml-dist", "tensor-dist", "tensor-space", "enumerate-arrangements-dist",
         "push-dist-channel", "compose-dist-first", "compose-dist-second", "ctensor-dist-second",
-        "ctensor-dist-first", "lifted-map-dist", "predicate-call-outside-grammar"])
+        "ctensor-dist-first", "lifted-map-dist", "product-multiset", "product-dist", "ppr-dist",
+        "zip-tuples-dist", "from-mapping-dist", "predicate-call-outside-grammar"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()

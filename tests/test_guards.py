@@ -6,19 +6,23 @@ weights to every operation that takes one.
 """
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mulprob.channels import hypergeometric, multinomial
+from mulprob.channels import (
+    arrange, draw_delete, hypergeometric, multinomial, mzip, ppr, zip_tuples)
 from mulprob.combinatorics import multichoose
-from mulprob.dist import Channel, Dist, Predicate, iid, pred_extend, unit, update, validity
-from mulprob.elements import Pair, Space, elem_key
+from mulprob.dist import (
+    Channel, Dist, Predicate, big_tensor, bind, compose, ctensor, dtensor, flrn, iid,
+    pred_extend, push, unit, update, validity)
+from mulprob.elements import Pair, Space, _show, elem_key
 from mulprob.errors import DomainError, MulprobError
 from mulprob.laws import Law, LawContext, run_law
-from mulprob.multiset import Multiset, accumulate, enumerate_multisets
-from mulprob.pml import lifted_map
+from mulprob.multiset import Multiset, accumulate, enumerate_arrangements, enumerate_multisets
+from mulprob.pml import lifted_map, monoid_sum, pml
 
 AB = Space(["a", "b"])
 COIN = Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
@@ -175,3 +179,67 @@ def test_hostile_arguments_raise_one_line_domain_errors(kind, call, value):
         call(value)
     message = str(err.value)
     assert "\n" not in message and repr(value) in message
+
+
+# Every entry point that checks the kind of a value: the kind it takes, the
+# words its message starts with, and the call as a function of that value.
+ID = Channel.identity(AB)
+KINDED = {
+    "bind": (Dist, "bind got", lambda v: bind(v, unit)),
+    "bind-kernel": (Dist, "channel kernel returned", lambda v: bind(COIN, lambda _: v)),
+    "channel-kernel": (Dist, "channel kernel returned", lambda v: Channel(AB, lambda _: v)("a")),
+    "push-state": (Dist, "push got", lambda v: push(ID, v)),
+    "push-channel": (Channel, "push got", lambda v: push(v, COIN)),
+    "compose-first": (Channel, "compose got", lambda v: compose(v, ID)),
+    "compose-second": (Channel, "compose got", lambda v: compose(ID, v)),
+    "dtensor-left": (Dist, "dtensor got", lambda v: dtensor(v, COIN)),
+    "dtensor-right": (Dist, "dtensor got", lambda v: dtensor(COIN, v)),
+    "ctensor-left": (Channel, "ctensor got", lambda v: ctensor(v, ID)),
+    "ctensor-right": (Channel, "ctensor got", lambda v: ctensor(ID, v)),
+    "big_tensor": (Dist, "big_tensor got", lambda v: big_tensor([COIN, v])),
+    "flrn": (Multiset, "flrn got", flrn),
+    "validity": (Dist, "validity got", lambda v: validity(v, lambda _: 1)),
+    "update": (Dist, "update got", lambda v: update(v, lambda _: 1)),
+    "from_mapping": (Mapping, "from_mapping got", Channel.from_mapping),
+    "multinomial": (Dist, "multinomial got", lambda v: multinomial(v, 1)),
+    "hypergeometric": (Multiset, "hypergeometric got", lambda v: hypergeometric(v, 1)),
+    "draw_delete": (Multiset, "draw_delete got", draw_delete),
+    "arrange": (Multiset, "arrange got", arrange),
+    "mzip-left": (Multiset, "mzip got", lambda v: mzip(v, Multiset({"a": 2}))),
+    "mzip-right": (Multiset, "mzip got", lambda v: mzip(Multiset({"a": 2}), v)),
+    "ppr": (tuple, "ppr got", ppr),
+    "zip_tuples-left": (tuple, "zip_tuples got", lambda v: zip_tuples(v, ("a",))),
+    "zip_tuples-right": (tuple, "zip_tuples got", lambda v: zip_tuples(("a",), v)),
+    "monoid_sum-left": (Dist, "monoid_sum got", lambda v: monoid_sum(v, unit(Multiset()))),
+    "monoid_sum-right": (Dist, "monoid_sum got", lambda v: monoid_sum(unit(Multiset()), v)),
+    "pml": (Multiset, "pml got", pml),
+    "lifted_map": (Channel, "lifted_map got", lambda v: lifted_map(v, 1)),
+    "tensor": (Multiset, "tensor got", Multiset({"a": 1}).tensor),
+    "enumerate_arrangements": (Multiset, "enumerate_arrangements got", enumerate_arrangements),
+    "product": (Space, "product got", AB.product),
+}
+
+# One value of each kind.
+KINDS = {
+    "Multiset": Multiset({"a": 2}),
+    "Dist": COIN,
+    "Space": AB,
+    "Channel": ID,
+    "Predicate": Predicate({"a": 1}),
+    "Pair": Pair("a", "b"),
+    "atom": "a",
+    "tuple": ("a", "b"),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{name}")
+    for entry, (kind, _, _) in KINDED.items()
+    for name, value in KINDS.items() if not isinstance(value, kind)])
+def test_each_kind_guard_rejects_every_other_kind(entry, value):
+    kind, said, call = KINDED[entry]
+    with pytest.raises(DomainError) as err:
+        call(value)
+    message = str(err.value)
+    assert message == f"{said} {_show(value)}, not a {kind.__name__}"
+    assert "\n" not in message
