@@ -41,16 +41,19 @@ from .multiset import Multiset, accumulate, enumerate_arrangements
 from .pml import _check_members, pml
 
 
-def _arrangement_pairs(phi: Multiset, psi: Multiset, what: str):
-    """Every pair of arrangements of the inputs, with its uniform weight."""
-    cphi = phi.coefficient()
-    cpsi = psi.coefficient()
-    check_cells(cphi * cpsi, what)
-    w = Fraction(1, cphi * cpsi)
+def _joined_pairs(phi: Multiset, psi: Multiset, join, what: str) -> Dist:
+    """Every pair of arrangements of the inputs, joined by ``join`` and
+    accumulated, each pair weighing the same: the number of pairs that
+    join to each outcome, over the number of pairs."""
+    pairs = phi.coefficient() * psi.coefficient()
+    check_cells(pairs, what)
     ys_all = enumerate_arrangements(psi)
+    counts: dict[Multiset, int] = {}
     for xs in enumerate_arrangements(phi):
         for ys in ys_all:
-            yield xs, ys, w
+            joined = accumulate(join(xs, ys))
+            counts[joined] = counts.get(joined, 0) + 1
+    return Dist({m: Fraction(n, pairs) for m, n in counts.items()})
 
 
 def mzip_arrangements(phi: Multiset, psi: Multiset) -> Dist:
@@ -61,11 +64,7 @@ def mzip_arrangements(phi: Multiset, psi: Multiset) -> Dist:
     """
     if phi.size != psi.size:
         raise DomainError(f"mzip size mismatch: {phi.size} vs {psi.size}")
-    acc: dict[Multiset, Fraction] = {}
-    for xs, ys, w in _arrangement_pairs(phi, psi, "mzip arrangement pairs"):
-        zipped = accumulate(zip_tuples(xs, ys))
-        acc[zipped] = acc.get(zipped, Fraction(0)) + w
-    return Dist(acc)
+    return _joined_pairs(phi, psi, zip_tuples, "mzip arrangement pairs")
 
 
 def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
@@ -75,11 +74,7 @@ def msum_channel(phi: Multiset, psi: Multiset) -> Dist:
     accumulates again.  The mixture provably collapses to a single point;
     this is asserted before returning.
     """
-    acc: dict[Multiset, Fraction] = {}
-    for xs, ys, w in _arrangement_pairs(phi, psi, "concatenation arrangement pairs"):
-        joined = accumulate(xs + ys)
-        acc[joined] = acc.get(joined, Fraction(0)) + w
-    out = Dist(acc)
+    out = _joined_pairs(phi, psi, tuple.__add__, "concatenation arrangement pairs")
     if out.support != (phi + psi,):
         raise DomainError("concatenation channel failed to collapse to the sum")
     return out
