@@ -280,9 +280,7 @@ class Space(_FiniteMap):
         data = dict.fromkeys(elements, 1)
         self._store(data, len(data))
 
-    @property
-    def elements(self) -> tuple[Elem, ...]:
-        return self.support
+    elements = _FiniteMap.support
 
     def __reduce__(self):
         return Space, (self.elements,)

@@ -257,11 +257,6 @@ class LawContext:
 # -- helpers shared by several checks -----------------------------------------
 
 
-def _acc_dist(omega: Dist) -> Dist:
-    """Push a distribution over sequences down to multisets."""
-    return omega.map(accumulate)
-
-
 def _power_channel(f: Channel) -> Callable[[tuple], Dist]:
     """A channel applied independently at every position of a sequence."""
     return lambda xs: big_tensor([f(x) for x in xs])
@@ -343,7 +338,7 @@ def law(name: str, summary: str, sizes: str = "", expect_fail: bool = False) -> 
 
 @law("acc-arr-id", "collapsing the arrangements of a multiset returns it", sizes="k")
 def _law_acc_arr_id(ctx: LawContext, k: int):
-    yield enumerate_multisets(ctx.X, k), lambda phi: _acc_dist(ch.arrange(phi)), unit
+    yield enumerate_multisets(ctx.X, k), lambda phi: ch.arrange(phi).map(accumulate), unit
 
 
 @law("arr-acc-perm", "arranging a collapsed sequence is the uniform permutation mix", sizes="k")
@@ -366,7 +361,7 @@ def _law_arr_mn_iid(ctx: LawContext, k: int):
 
 @law("acc-iid-mn", "collapsing independent copies gives multinomial draws", sizes="k")
 def _law_acc_iid_mn(ctx: LawContext, k: int):
-    yield (ctx.dist_pool(ctx.X), lambda omega: _acc_dist(iid(omega, k)),
+    yield (ctx.dist_pool(ctx.X), lambda omega: iid(omega, k).map(accumulate),
            lambda omega: ch.multinomial(omega, k))
 
 
@@ -566,7 +561,7 @@ def _law_pml_defs_agree(ctx: LawContext, j: int):
 @law("pml-squeeze-left", "the law collapses tuples of distributions as tensors do", sizes="k")
 def _law_pml_squeeze_left(ctx: LawContext, k: int):
     yield (itertools.product(ctx.corner_dists(ctx.X), repeat=k),
-           lambda ws: pml(accumulate(ws)), lambda ws: _acc_dist(big_tensor(list(ws))))
+           lambda ws: pml(accumulate(ws)), lambda ws: big_tensor(list(ws)).map(accumulate))
 
 
 @law("pml-squeeze-right", "arranging the law's output tensors the arrangements", sizes="k")
@@ -674,7 +669,7 @@ def _law_arr_chan_natural(ctx: LawContext, k: int):
 def _law_acc_chan_natural(ctx: LawContext, k: int):
     for f, lf in _lifted(ctx, "natural", k):
         yield (ctx.X.power(k), lambda xs: lf(accumulate(xs)),
-               lambda xs: _acc_dist(_power_channel(f)(xs)))
+               lambda xs: _power_channel(f)(xs).map(accumulate))
 
 
 @law("dd-chan-natural", "single deletion is natural for lifted channels", sizes="k")
