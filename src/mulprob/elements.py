@@ -21,6 +21,8 @@ multiset normalized.  So they also share the trusted constructor, the
 pushforward of counts and the budgeted tensor of counts on pairs.  A
 ``Space`` is a finite set, the support of a multiset: a count store whose
 counts are all 1, sorted on first read, whose product is that tensor.
+Since the count stores look alike inside, ``_kind`` is the one check, at
+each entry point, that a value is of the kind the operation takes.
 """
 
 import itertools
