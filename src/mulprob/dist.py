@@ -131,8 +131,8 @@ class Dist(_FiniteMap):
     def _element_sort_key(self) -> tuple:
         # Distributions order by support first, then by the weight vector.
         if self._key is None:
-            key = (_DIST, tuple([elem_key(e) for e, _ in self.entries]),
-                   tuple([w for _, w in self.entries]))
+            entries = self.entries
+            key = (_DIST, tuple([elem_key(e) for e, _ in entries]), tuple([w for _, w in entries]))
             _set_key(self, key)
         return self._key
 

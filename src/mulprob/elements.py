@@ -14,13 +14,14 @@ it never equals a sequence; it takes its hash when built and its sort key
 on first use.
 Multisets, distributions, predicates and spaces share one storage
 scheme, ``_FiniteMap``: one dict from elements to values, in no particular
-order, sorted by ``elem_key`` only when read in order.  A multiset and a
-distribution both store positive integer counts and their sum: the size
-of a multiset, the reduced denominator of a distribution, which is a
-multiset normalized.  So they also share the trusted constructor, the
-pushforward of counts and the budgeted tensor of counts on pairs.  A
+order, sorted by ``elem_key`` each time it is read in order; no sorted copy
+is kept.  A multiset and a distribution both store positive integer
+counts and their sum: the size of a multiset, the reduced denominator of
+a distribution, which is a multiset normalized.  So they also share the
+trusted constructor, the pushforward of counts and the budgeted tensor of
+counts on pairs.  A
 ``Space`` is a finite set, the support of a multiset: a count store whose
-counts are all 1, sorted on first read, whose product is that tensor.
+counts are all 1, whose product is that tensor.
 Since the count stores look alike inside, ``_kind`` is the one check, at
 each entry point, that a value is of the kind the operation takes.
 """
@@ -156,11 +157,12 @@ class _FiniteMap(_Value):
     in.  ``_total`` is the sum of integer counts (a space's size), ``None``
     for a predicate.
     ``entries`` lists the support in the canonical order with the public
-    values, sorted on first use and kept.
+    values, and ``support`` the elements alone; each read sorts the dict
+    afresh, since the order only prints and compares values.
     """
 
     # ``_key`` caches the sort key of the kinds that are elements themselves.
-    __slots__ = ("_map", "_total", "_entries", "_hash", "_key")
+    __slots__ = ("_map", "_total", "_hash", "_key")
 
     # Not iterable: without this, ``iter`` would fall back on the indexing
     # of ``Multiset`` and ``Dist``, which never runs out of keys.
@@ -172,7 +174,6 @@ class _FiniteMap(_Value):
     def _store(self, data: dict, total: int | None = None) -> None:
         _set_map(self, data)
         _set_total(self, total)
-        _set_entries(self, None)
         _set_hash(self, None)
         _set_key(self, None)
 
@@ -185,13 +186,8 @@ class _FiniteMap(_Value):
         ``Dist`` the counts are numerators over ``total`` and must also share
         no factor with it; each caller says why they do.
         """
-        # ``_store`` inlined: every outcome of every channel is built here.
         m = object.__new__(cls)
-        _set_map(m, data)
-        _set_total(m, total)
-        _set_entries(m, None)
-        _set_hash(m, None)
-        _set_key(m, None)
+        m._store(data, total)
         return m
 
     def _image(self, f) -> dict:
@@ -214,15 +210,12 @@ class _FiniteMap(_Value):
 
     @property
     def entries(self) -> tuple[tuple[Elem, Any], ...]:
-        if self._entries is None:
-            data, public = self._map, self._public
-            entries = tuple([(e, public(data[e])) for e in sorted(data, key=elem_key)])
-            _set_entries(self, entries)
-        return self._entries
+        data, public = self._map, self._public
+        return tuple([(e, public(data[e])) for e in sorted(data, key=elem_key)])
 
     @property
     def support(self) -> tuple[Elem, ...]:
-        return tuple([e for e, _ in self.entries])
+        return tuple(sorted(self._map, key=elem_key))
 
     def __contains__(self, elem: Elem) -> bool:
         return elem in self._map
@@ -240,7 +233,7 @@ class _FiniteMap(_Value):
 
 # The slots' own setters, which skip ``_Value.__setattr__``; they cost
 # half as much as ``object.__setattr__``.
-_set_map, _set_total, _set_entries, _set_hash, _set_key = (
+_set_map, _set_total, _set_hash, _set_key = (
     getattr(_FiniteMap, name).__set__ for name in _FiniteMap.__slots__)
 
 
@@ -272,8 +265,8 @@ class Space(_FiniteMap):
     """A finite set of elements: a count store whose counts are all 1.
 
     ``_total`` is the size; ``elements`` is the support, sorted by
-    ``elem_key`` on first read, so a space built and only tested for
-    membership is never sorted.
+    ``elem_key`` on each read, so a space only tested for membership is
+    never sorted.  It pickles as its base does, as ``Space({e: 1, ...})``.
     """
 
     __slots__ = ()
@@ -283,9 +276,6 @@ class Space(_FiniteMap):
         self._store(data, len(data))
 
     elements = _FiniteMap.support
-
-    def __reduce__(self):
-        return Space, (self.elements,)
 
     def __iter__(self) -> Iterator[Elem]:
         return iter(self.elements)

@@ -31,7 +31,7 @@ from mulprob.dist import (
     iid,
     unit,
 )
-from mulprob.elements import Pair, Space, elem_key
+from mulprob.elements import Pair, Space, _FiniteMap, elem_key
 from mulprob.errors import DomainError
 from mulprob.ket import format_value, parse_channel, parse_value
 from mulprob.multiset import Multiset, accumulate, enumerate_multisets
@@ -491,6 +491,23 @@ def test_spaces_survive_pickling_and_copies(elements):
         assert again == space and hash(again) == hash(space)
         assert again.elements == space.elements
         assert all(x in again for x in elements)
+
+
+def test_reading_a_support_builds_no_public_value(monkeypatch):
+    # Nothing sorted is kept, so ``support`` sorts the elements alone and
+    # builds no public value, such as a distribution's ``Fraction`` weights.
+    built = []
+    for cls in (_FiniteMap, Dist):
+        def counted(self, stored, public=cls._public):
+            built.append(stored)
+            return public(self, stored)
+        monkeypatch.setattr(cls, "_public", counted)
+    omega = Dist({"b": Fraction(1, 3), "a": Fraction(2, 3)})
+    space = Space(["b", "a"])
+    assert omega.support == space.elements == ("a", "b") and list(space) == ["a", "b"]
+    assert built == []
+    assert omega.entries == omega.entries == (("a", Fraction(2, 3)), ("b", Fraction(1, 3)))
+    assert built == [2, 1, 2, 1]
 
 
 @settings(max_examples=200)
