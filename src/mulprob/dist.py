@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .elements import (
-    _DIST, Elem, Space, _FiniteMap, _kind, _pairs, _set_key, _show, _Value, elem_key)
+    _DIST, Elem, Space, _FiniteMap, _function, _kind, _pairs, _set_key, _show, _Value, elem_key)
 from .errors import DomainError, _check_size, check_cells
 from .multiset import Multiset, accumulate
 
@@ -140,7 +140,7 @@ class Dist(_FiniteMap):
 
     def map(self, f: Callable[[Elem], Elem]) -> "Dist":
         """Deterministic pushforward; weights of collided images add up."""
-        image = self._image(f)
+        image = self._image(_function(f, "map got"))
         return Dist._over(image, image.values(), self._total)
 
 
@@ -170,6 +170,7 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
     # work stays one step per outcome however many denominators there are.
     groups: dict[int, dict[int, int]] = {}
     cells = 0
+    _function(f, "bind got")
     for x, n in _kind(omega, Dist, "bind got")._map.items():
         d = _kind(f(x), Dist, "channel kernel returned")
         cells += len(d._map)
@@ -226,7 +227,7 @@ class Channel(_Value):
         if not isinstance(domain, Space):
             domain = Space(domain)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_kernel", _function(kernel, "Channel got"))
         object.__setattr__(self, "_table", {})
 
     def __reduce__(self):
@@ -255,6 +256,7 @@ class Channel(_Value):
     @classmethod
     def deterministic(cls, domain, f: Callable[[Elem], Elem]) -> "Channel":
         """Promote a plain function to a channel of point masses."""
+        _function(f, "deterministic got")
         return cls(domain, lambda x: unit(f(x)))
 
     @classmethod
@@ -382,7 +384,7 @@ def _weighed(omega: Dist, p: PredicateLike) -> tuple[list[int], int]:
 
 def validity(omega: Dist, p: PredicateLike) -> Fraction:
     """Expected value of the predicate in the state."""
-    nums, den = _weighed(_kind(omega, Dist, "validity got"), p)
+    nums, den = _weighed(_kind(omega, Dist, "validity got"), _function(p, "validity got"))
     return Fraction(sum(nums), den * omega._total)
 
 
@@ -393,7 +395,7 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
     prior's times the values, over the values' least common denominator;
     elements of value 0 drop out.
     """
-    weighed, _ = _weighed(_kind(omega, Dist, "update got"), p)
+    weighed, _ = _weighed(_kind(omega, Dist, "update got"), _function(p, "update got"))
     outcomes, nums = [], []
     for x, n in zip(omega._map, weighed):
         if n:
@@ -407,6 +409,7 @@ def update(omega: Dist, p: PredicateLike) -> Dist:
 
 def pred_extend(p: PredicateLike) -> Callable[[Multiset], Fraction]:
     """Free extension of a predicate to multisets, by pointwise product."""
+    _function(p, "pred_extend got")
     def extended(m: Multiset) -> Fraction:
         num = den = 1
         for e, n in m._map.items():

@@ -19,11 +19,11 @@ is kept.  A multiset and a distribution both store positive integer
 counts and their sum: the size of a multiset, the reduced denominator of
 a distribution, which is a multiset normalized.  So they also share the
 trusted constructor, the pushforward of counts and the budgeted tensor of
-counts on pairs.  A
-``Space`` is a finite set, the support of a multiset: a count store whose
-counts are all 1, whose product is that tensor.
+counts on pairs.  A ``Space`` is a finite set, the support of a multiset:
+a count store whose counts are all 1, whose product is that tensor.
 Since the count stores look alike inside, ``_kind`` is the one check, at
-each entry point, that a value is of the kind the operation takes.
+each entry point, that a value is of the kind the operation takes;
+``_function`` is the one check that a function argument is callable.
 """
 
 import itertools
@@ -259,6 +259,17 @@ def _kind(v, kind: type, said: str):
     if type(v) is not kind:
         raise DomainError(f"{said} {_show(v)}, not a {kind.__name__}")
     return v
+
+
+def _function(f, said: str):
+    """``f`` when it is callable, as a kernel, a predicate or a map must be;
+    a ``Channel`` and a ``Predicate`` are.  ``said`` leads the one-line
+    ``DomainError`` otherwise, which names ``f``, so a value given for a
+    function fails where it enters, not where it is first called.
+    """
+    if not callable(f):
+        raise DomainError(f"{said} {_show(f)}, not a function")
+    return f
 
 
 class Space(_FiniteMap):

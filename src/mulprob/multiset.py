@@ -23,7 +23,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import multichoose
-from .elements import _MULTISET, Elem, Space, _FiniteMap, _kind, _pairs, _set_key, _show, elem_key
+from .elements import (
+    _MULTISET, Elem, Space, _FiniteMap, _function, _kind, _pairs, _set_key, _show, elem_key)
 from .errors import DomainError, check_cells
 
 
@@ -83,7 +84,7 @@ class Multiset(_FiniteMap):
 
     def map_elements(self, f: Callable[[Elem], Elem]) -> "Multiset":
         """Pushforward along a function; collided images merge, size is kept."""
-        return Multiset._of(self._image(f), self._total)
+        return Multiset._of(self._image(_function(f, "map_elements got")), self._total)
 
     def coefficient(self) -> int:
         """Number of distinct sequences that accumulate to this multiset.

@@ -243,3 +243,31 @@ def test_each_kind_guard_rejects_every_other_kind(entry, value):
     message = str(err.value)
     assert message == f"{said} {_show(value)}, not a {kind.__name__}"
     assert "\n" not in message
+
+
+# Every entry point that takes a function: the words its message starts
+# with, and the call as a function of the value given for the function.
+FUNCTIONED = {
+    "bind": ("bind got", lambda f: bind(COIN, f)),
+    "validity": ("validity got", lambda f: validity(COIN, f)),
+    "update": ("update got", lambda f: update(COIN, f)),
+    "pred_extend": ("pred_extend got", pred_extend),
+    "Channel": ("Channel got", lambda f: Channel(AB, f)),
+    "deterministic": ("deterministic got", lambda f: Channel.deterministic(AB, f)),
+    "Dist.map": ("map got", COIN.map),
+    "map_elements": ("map_elements got", Multiset({"a": 2}).map_elements),
+}
+
+
+# A channel and a predicate are functions; every other value kind is not.
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{name}")
+    for entry in FUNCTIONED
+    for name, value in KINDS.items() if name not in ("Channel", "Predicate")])
+def test_each_function_guard_rejects_every_value_kind(entry, value):
+    said, call = FUNCTIONED[entry]
+    with pytest.raises(DomainError) as err:
+        call(value)
+    message = str(err.value)
+    assert message == f"{said} {_show(value)}, not a function"
+    assert "\n" not in message
