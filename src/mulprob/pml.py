@@ -47,9 +47,7 @@ from .multiset import Multiset, enumerate_multisets
 def _check_members(counts: dict) -> list[tuple[Dist, int]]:
     """The members of a count dict with their counts, in canonical order;
     each must be a distribution."""
-    # One member needs no order, and its sort key would read the whole distribution.
-    members = (sorted(counts.items(), key=lambda member: elem_key(member[0]))
-               if len(counts) > 1 else list(counts.items()))
+    members = sorted(counts.items(), key=lambda member: elem_key(member[0]))
     for member, _ in members:
         if not isinstance(member, Dist):
             raise DomainError(f"expected a multiset of distributions, found {_show(member)}")
