@@ -1,3 +1,8 @@
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
 import mulprob
 
 # The submodules the package's imports bind are not exports; ``pml`` is the
@@ -18,3 +23,16 @@ EXPORTS = [
 
 def test_exports_are_pinned():
     assert mulprob.__all__ == EXPORTS
+
+
+def test_the_console_script_and_the_version_are_those_of_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["version"] == mulprob.__version__
+    module, _, name = project["scripts"]["mulprob"].partition(":")
+    main = getattr(import_module(module), name)
+    assert main is mulprob.cli.main
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"mulprob {mulprob.__version__}\n"
