@@ -195,11 +195,7 @@ def bind(omega: Dist, f: Callable[[Elem], Dist]) -> Dist:
 
 def flatten(omega: Dist) -> Dist:
     """Multiplication of the monad: average the inner distributions."""
-    def inner(d: Elem) -> Dist:
-        if not isinstance(d, Dist):
-            raise DomainError(f"flatten needs distribution elements, got {_show(d)}")
-        return d
-    return bind(omega, inner)
+    return bind(omega, lambda d: _kind(d, Dist, "flatten needs distribution elements, got"))
 
 
 class Channel(_Value):

@@ -39,8 +39,8 @@ from typing import Iterable, Sequence
 
 from .combinatorics import multichoose
 from .dist import Channel, Dist
-from .elements import Elem, _kind, _show, elem_key
-from .errors import DomainError, check_cells
+from .elements import Elem, _kind, elem_key
+from .errors import check_cells
 from .multiset import Multiset, enumerate_multisets
 
 
@@ -49,8 +49,7 @@ def _check_members(counts: dict) -> list[tuple[Dist, int]]:
     each must be a distribution."""
     members = sorted(counts.items(), key=lambda member: elem_key(member[0]))
     for member, _ in members:
-        if not isinstance(member, Dist):
-            raise DomainError(f"expected a multiset of distributions, found {_show(member)}")
+        _kind(member, Dist, "expected a multiset of distributions, found")
     return members
 
 
@@ -158,8 +157,7 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
     for d in (a, b):
         largest = 0
         for phi in _kind(d, Dist, "monoid_sum got")._map:
-            if type(phi) is not Multiset:
-                raise DomainError(f"monoid sum needs distributions over multisets, found {_show(phi)}")
+            _kind(phi, Multiset, "monoid sum needs distributions over multisets, found")
             atoms.update(dict.fromkeys(phi._map))
             largest = max(largest, phi._total)
         top += largest

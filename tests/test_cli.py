@@ -177,9 +177,9 @@ class TestErrors:
         (["sample-check", "<1 [1 a]>", "--chan", "{b: <1 u>}", "--k", "1"],
          "error: support element [1 a] outside channel domain\n"),
         (["pml", "[2 <1/2 a, 1/2 b>, 1 [1 a]]"],
-         "error: expected a multiset of distributions, found [1 a]\n"),
+         "error: expected a multiset of distributions, found [1 a], not a Dist\n"),
         (["pml", "[1 (0,00)]"],
-         "error: expected a multiset of distributions, found (0,00)\n"),
+         "error: expected a multiset of distributions, found (0,00), not a Dist\n"),
         (["validity", "<1/2 (a,b), 1/2 b>", "--pred", "(b:1)"],
          "error: predicate not defined at (a,b)\n"),
         (["update", "<1/2 [1 a], 1/2 b>", "--pred", "(b:1)"],

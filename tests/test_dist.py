@@ -582,7 +582,7 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: Multiset({Pair("a", "b"): -1}), "negative multiplicity -1 for (a,b)"),
     (lambda: Dist({Pair("a", "b"): F(3, 2), "c": F(-1, 2)}), "negative weight -1/2 for c"),
     (lambda: Dist({Pair("a", "b"): F(-1, 2), "c": F(3, 2)}), "negative weight -1/2 for (a,b)"),
-    (lambda: flatten(unit(Pair("a", "b"))), "flatten needs distribution elements, got (a,b)"),
+    (lambda: flatten(unit(Pair("a", "b"))), "flatten needs distribution elements, got (a,b), not a Dist"),
     # A multiset stores counts and their sum as a distribution does, yet no
     # operation that takes a distribution takes one, and no kernel returns one.
     (lambda: dtensor(Multiset({"a": 2}), Multiset({"b": 2})), "dtensor got [2 a], not a Dist"),

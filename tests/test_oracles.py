@@ -91,4 +91,4 @@ class TestMonoidAlgebra:
         for member, text in [("a", "a"), (Pair("a", "b"), "(a,b)"), (Multiset({"a": 2}), "[2 a]")]:
             with pytest.raises(DomainError) as err:
                 monoid_algebra(Multiset({member: 1}))
-            assert str(err.value) == f"expected a multiset of distributions, found {text}"
+            assert str(err.value) == f"expected a multiset of distributions, found {text}, not a Dist"

@@ -115,7 +115,7 @@ class TestMonoidStructure:
 
     def test_outcomes_must_be_multisets(self):
         # Atoms are strings, which ``+`` would concatenate.
-        with pytest.raises(DomainError, match=r"^monoid sum needs distributions over multisets, found a$"):
+        with pytest.raises(DomainError, match=r"^monoid sum needs distributions over multisets, found a, not a Multiset$"):
             monoid_sum(unit(Multiset()), unit("a"))
 
     def test_sum_is_under_the_cell_budget(self, monkeypatch):
