@@ -36,7 +36,7 @@ class Multiset(_FiniteMap):
     def __init__(self, data: Mapping[Elem, int] | Iterable[tuple[Elem, int]] = ()):
         counts: dict[Elem, int] = {}
         for elem, n in _pairs(data):
-            if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
+            if type(n) is not int:
                 raise DomainError(f"multiplicity must be an integer: {n!r}")
             if n > 0:
                 counts[elem] = counts.get(elem, 0) + n

@@ -7,6 +7,7 @@ weights to every operation that takes one.
 
 import re
 from collections.abc import Mapping
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -28,12 +29,18 @@ AB = Space(["a", "b"])
 COIN = Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 
 
+class Two(IntEnum):
+    TWO = 2
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: multichoose(-1, 2), "element count must be nonnegative: -1"),
     (lambda: Dist.uniform([]), "uniform distribution over nothing"),
     (lambda: iid(COIN, -1), "copy count must be nonnegative: -1"),
     (lambda: AB.power(-1), "sequence length must be nonnegative: -1"),
     (lambda: Multiset({"a": 1.5}), "multiplicity must be an integer: 1.5"),
+    # An ``int`` subclass is no size, as for ``iid`` and ``_check_size``.
+    (lambda: Multiset({"a": Two.TWO}), "multiplicity must be an integer: <Two.TWO: 2>"),
     (lambda: enumerate_multisets(AB, -1), "multiset size must be nonnegative: -1"),
     (lambda: lifted_map(Channel.identity(AB), -1), "multiset size must be nonnegative: -1"),
     (lambda: LawContext(x_size=5), "law spaces support at most 4 elements"),
