@@ -363,7 +363,7 @@ class Predicate(_FiniteMap):
     def __call__(self, elem: Elem) -> Fraction:
         try:
             return self._map[elem]
-        except KeyError:
+        except (KeyError, TypeError):  # or unhashable, so not an element value
             raise DomainError(f"predicate not defined at {_show(elem)}") from None
 
 

@@ -626,6 +626,7 @@ def test_flrn_convexity_of_monoid_sums():
     (lambda: Channel.from_mapping(unit("a")), "from_mapping got <1 a>, not a Mapping"),
     # A value outside the grammar has no ket text and is shown by its ``repr``.
     (lambda: Predicate({"a": 1})(Pair(1, 2)), "predicate not defined at Pair(1, 2)"),
+    (lambda: Predicate({"a": 1})([1]), "predicate not defined at [1]"),
 ], ids=["predicate-call", "predicate-duplicate", "predicate-range", "multiplicity",
         "weight-atom", "weight-pair", "flatten", "dtensor-multiset", "big-tensor-multiset",
         "multinomial-multiset", "push-multiset", "bind-multiset", "validity-multiset",
@@ -634,7 +635,8 @@ def test_flrn_convexity_of_monoid_sums():
         "pml-dist", "tensor-dist", "tensor-space", "enumerate-arrangements-dist",
         "push-dist-channel", "compose-dist-first", "compose-dist-second", "ctensor-dist-second",
         "ctensor-dist-first", "lifted-map-dist", "product-multiset", "product-dist", "ppr-dist",
-        "zip-tuples-dist", "from-mapping-dist", "predicate-call-outside-grammar"])
+        "zip-tuples-dist", "from-mapping-dist", "predicate-call-outside-grammar",
+        "predicate-call-unhashable"])
 def test_values_in_messages_are_in_ket_notation(make, message):
     with pytest.raises(DomainError) as exc:
         make()
