@@ -2,10 +2,11 @@
 
 The bit-exact surface syntax of the library:
 
-* element: an identifier (``a``, ``z0``), a numeral (``0``), a pair of
-  elements ``(a,0)``, a multiset or a distribution, so pair components,
-  multiset and distribution entries, predicate keys and channel keys may
-  all be multisets or distributions, as in ``([1 a],[1 u])``
+* element: an identifier (``a``, ``z0``), a numeral of ASCII digits
+  (``0``), a pair of elements ``(a,0)``, a multiset or a distribution, so
+  pair components, multiset and distribution entries, predicate keys and
+  channel keys may all be multisets or distributions, as in
+  ``([1 a],[1 u])``
 * multiset: ``[3 a, 2 b]``, empty ``[]``
 * distribution: ``<1/3 a, 2/3 b>``; never empty
 * predicate: ``(a:1, b:1/2)``, at the top level only
@@ -57,7 +58,7 @@ def format_value(v) -> str:
 # -- tokenizing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<space>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<space>\s+)|(?P<nat>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<sym>[\[\]<>(){},:/-])|(?P<bad>.)",
     re.S,
 )

@@ -145,6 +145,18 @@ class TestErrors:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["acc", "\u0663"],
+        ["flrn", "[\u0663 a]"],
+        ["mn", "--k", "1", "<1/\u0662 a, 1/2 b>"],
+    ], ids=["acc", "multiset", "distribution"])
+    def test_non_ascii_digits_are_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: unexpected character")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
         ["laws", "--n-random", "1"],
         ["bogus"],
         [],

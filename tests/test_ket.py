@@ -207,6 +207,14 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_multiset("[-1 a]")
 
+    @pytest.mark.parametrize("text", ["[\u0663 a]", "<1/\u0662 a, 1/2 b>", "\u0663", "[1 \uff11]"])
+    def test_numerals_are_ascii_digits(self, text):
+        # Other Unicode digits would parse to values the printer shows as
+        # ASCII, or as atoms that neither sort nor print as numerals.
+        with pytest.raises(ParseError) as err:
+            parse_value(text)
+        assert str(err.value).startswith("unexpected character")
+
     def test_empty_dist_is_invalid(self):
         with pytest.raises(ParseError):
             parse_dist("<>")
