@@ -22,7 +22,9 @@ trusted constructor, the pushforward of counts and the budgeted tensor of
 counts on pairs.  A ``Space`` is a finite set, the support of a multiset:
 a count store whose counts are all 1, whose product is that tensor.
 Since the count stores look alike inside, ``_kind`` is the one check, at
-each entry point, that a value is of the kind the operation takes;
+each entry point, that a value is of the kind the operation takes, and
+that the values inside one are: the elements ``flatten`` averages, the
+members of ``pml``'s multiset, the outcomes ``monoid_sum`` adds.
 ``_function`` is the one check that a function argument is callable.
 """
 
@@ -78,7 +80,12 @@ class _Value:
 
 
 class Pair(_Value):
-    """An element of a product space; components are elements themselves."""
+    """An element of a product space; components are elements themselves.
+
+    Its hash is taken when it is built and its sort key on first use.  The
+    key is one tuple over its components' keys, but building it on each
+    call, with no ``_key`` slot, cost the laws that sort many pairs up to 9%.
+    """
 
     __slots__ = ("fst", "snd", "_hash", "_key")
 
