@@ -19,10 +19,9 @@ that the fast route and the definition agree.
   It adds ``Fraction``s, independently of the integer arithmetic of the
   production route.
 * ``pml_def4`` and ``monoid_algebra``: the law by the monoid structure,
-  folding the monoid sum over the point-mass images of the members one
-  occurrence at a time.  Its monoid sum adds outcome multisets pairwise
-  with ``Multiset.__add__``, independently of the packed-count kernel
-  that ``pml.monoid_sum`` and ``pml.pml`` share.
+  folding the production ``pml.monoid_sum``, which adds outcome multisets
+  pairwise, over the point-mass images of the members one occurrence at a
+  time.  It shares no code with the packed-count kernel of ``pml.pml``.
 * ``pml_def3_check``: the law's defining triangle at one tuple of
   distributions, which characterizes it rather than computes it.
 * ``permutation_mix``: arranging the multiset of a sequence, by listing
@@ -39,7 +38,7 @@ from .channels import zip_tuples
 from .dist import Dist, big_tensor, bind, unit
 from .errors import DomainError, check_cells
 from .multiset import Multiset, accumulate, enumerate_arrangements
-from .pml import _check_members, pml
+from .pml import _check_members, monoid_sum, pml
 
 
 def _joined_pairs(phi: Multiset, psi: Multiset, join, what: str) -> Dist:
@@ -106,18 +105,6 @@ def pml_def1(psi: Multiset) -> Dist:
     return Dist(acc)
 
 
-def _pairwise_sum(a: Dist, b: Dist) -> Dist:
-    """The monoid sum, adding every pair of outcome multisets."""
-    check_cells(len(a._map) * len(b._map), "monoid sum outcome pairs")
-    acc: dict[Multiset, int] = {}
-    b_nums = b._map.items()
-    for phi, w in a._map.items():
-        for chi, v in b_nums:
-            key = phi + chi
-            acc[key] = acc.get(key, 0) + w * v
-    return Dist._over(acc, acc.values(), a._total * b._total)
-
-
 def monoid_algebra(psi: Multiset) -> Dist:
     """Fold a multiset of multiset-valued distributions with the monoid sum.
 
@@ -128,7 +115,7 @@ def monoid_algebra(psi: Multiset) -> Dist:
     out = unit(Multiset())
     for member, n in _check_members(psi._map):
         for _ in range(n):
-            out = _pairwise_sum(out, member)
+            out = monoid_sum(out, member)
     return out
 
 

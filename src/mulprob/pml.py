@@ -13,15 +13,16 @@ formulations; the one computed here is
   times, so no member's draws are listed and terms that meet merge as
   they arise.
 * ``monoid_sum``, the sum of two independent multiset-valued
-  distributions, is the product of their two polynomials.
+  distributions, adds every pair of outcomes as the paper defines it.
 
-Both run on packed counts: the elements get indices once, a count vector
-is one ``int`` with a fixed number of bits per element, so adding an
-element to an outcome, or two outcomes, is one integer addition, and each
-outcome ``Multiset`` is built once, at the end, from its key.  A key
-names a multiset only relative to its packing, so the packing owns the
-table from key to outcome; ``pml`` and ``monoid_sum`` start a fresh one
-each call.
+``pml``'s kernel alone runs on packed counts: the elements get indices once, a
+count vector is one ``int`` with a fixed number of bits per element, so
+adding an element to an outcome is one integer addition, and each outcome
+``Multiset`` is built once, at the end, from its key.  A key names a
+multiset only relative to its packing, so the packing owns the table from
+key to outcome; ``pml`` starts a fresh one each call.  ``monoid_sum``
+shares none of this code, so the laws that state ``pml`` is a monoid
+homomorphism compare two independent computations.
 
 ``lifted_map`` uses the law to apply a channel elementwise to a multiset,
 the workhorse behind the sampling round trip.  Its kernel runs the same
@@ -150,24 +151,23 @@ def monoid_sum(a: Dist, b: Dist) -> Dist:
 
     The convolution with respect to multiset addition; it makes the set of
     distributions over multisets a commutative monoid, with unit the point
-    mass at the empty multiset.  The budget counts pairs of outcomes.
+    mass at the empty multiset.  Every pair of outcomes is added with
+    ``Multiset.__add__``, in the order of ``a`` and then of ``b``, and the
+    pairs that meet add their weights; none of ``pml``'s packed kernel is
+    used, so the laws that compare the two check one against the other.
+    The budget counts pairs of outcomes.
     """
-    atoms: dict[Elem, None] = {}
-    top = 0
     for d in (a, b):
-        largest = 0
         for phi in _kind(d, Dist, "monoid_sum got")._map:
             _kind(phi, Multiset, "monoid sum needs distributions over multisets, found")
-            atoms.update(dict.fromkeys(phi._map))
-            largest = max(largest, phi._total)
-        top += largest
-    packing = _Packing(top)
-    packing.add(atoms)
-    units = packing.units
-    a_poly, b_poly = ({sum([units[x] * n for x, n in phi._map.items()]): w
-                       for phi, w in d._map.items()} for d in (a, b))
-    check_cells(len(a_poly) * len(b_poly), "monoid sum outcome pairs")
-    return packing.unpack(_times(a_poly, b_poly.items()), a._total * b._total)
+    check_cells(len(a._map) * len(b._map), "monoid sum outcome pairs")
+    acc: dict[Multiset, int] = {}
+    b_nums = b._map.items()
+    for phi, w in a._map.items():
+        for chi, v in b_nums:
+            key = phi + chi
+            acc[key] = acc.get(key, 0) + w * v
+    return Dist._over(acc, acc.values(), a._total * b._total)
 
 
 def _product(members: Sequence[tuple[Dist, int]], packing: _Packing) -> Dist:
