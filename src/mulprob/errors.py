@@ -65,13 +65,15 @@ def max_cells() -> int:
 
 
 def _parse_limit(raw) -> int:
+    """The budget that the raw value names: a count written in ASCII
+    digits, as the ket grammar writes numerals.  ``int`` alone would also
+    take a sign, spaces, underscores and other scripts' digits."""
     if raw is None:
         return DEFAULT_MAX_CELLS
     text = os.environ.decodevalue(raw)
-    try:
+    if text.isascii() and text.isdigit():
         return int(text)
-    except ValueError:
-        raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {text!r}") from None
+    raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {text!r}")
 
 
 def _check_size(k, what: str) -> int:

@@ -67,6 +67,14 @@ def test_invalid_limit_fails_every_check(monkeypatch):
     over_budget(11, 10)
 
 
+@pytest.mark.parametrize("raw", ["-1", " 5", "5_000", "+7", "\uff11\uff10"])
+def test_limit_is_a_count_in_ascii_digits(monkeypatch, raw):
+    monkeypatch.setenv(VAR, "10")
+    over_budget(11, 10)
+    monkeypatch.setenv(VAR, raw)
+    invalid(raw)
+
+
 def test_patch_dict_sets_and_restores_the_limit(monkeypatch):
     monkeypatch.setenv(VAR, "7")
     over_budget(8, 7)
