@@ -86,6 +86,8 @@ class TestMonoidAlgebra:
     def test_algebra_counts_multiplicities(self):
         d = multinomial(Dist({"a": F(1, 3), "b": F(2, 3)}), 1)
         assert monoid_algebra(Multiset({d: 2})) == monoid_sum(d, d)
+        # The route of law mn-combine, which shares no code with the fold.
+        assert monoid_algebra(Multiset({d: 2})) == multinomial(Dist({"a": F(1, 3), "b": F(2, 3)}), 2)
 
     def test_non_distribution_member_in_ket_notation(self):
         for member, text in [("a", "a"), (Pair("a", "b"), "(a,b)"), (Multiset({"a": 2}), "[2 a]")]:
