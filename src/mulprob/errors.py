@@ -72,7 +72,10 @@ def _parse_limit(raw) -> int:
         return DEFAULT_MAX_CELLS
     text = os.environ.decodevalue(raw)
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
     raise ResourceLimitError(f"invalid {_MAX_CELLS_ENV} value: {text!r}")
 
 

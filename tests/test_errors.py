@@ -67,7 +67,8 @@ def test_invalid_limit_fails_every_check(monkeypatch):
     over_budget(11, 10)
 
 
-@pytest.mark.parametrize("raw", ["-1", " 5", "5_000", "+7", "\uff11\uff10"])
+# The last value has more digits than ``int`` converts by default.
+@pytest.mark.parametrize("raw", ["-1", " 5", "5_000", "+7", "\uff11\uff10", "9" * 5000])
 def test_limit_is_a_count_in_ascii_digits(monkeypatch, raw):
     monkeypatch.setenv(VAR, "10")
     over_budget(11, 10)
