@@ -12,7 +12,7 @@ Internally a ``Dist`` is a reduced multiset: positive integer numerators
 whose sum is the denominator, reduced once on construction so that they
 share no factor.  That representation is canonical, so equality compares
 integers, and the operations that build distributions (``bind``, the
-tensors, the draw channels, the monoid sum behind ``pml``) add and multiply
+tensors, the draw channels, ``pml`` and the monoid sum) add and multiply
 integers rather than ``Fraction``s.  It is the count store of
 ``elements._FiniteMap``, the one ``Multiset`` uses: the modules of the
 package read it through ``_map`` (element to numerator, in no particular

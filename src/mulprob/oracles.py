@@ -106,7 +106,8 @@ def pml_def1(psi: Multiset) -> Dist:
 
 
 def monoid_algebra(psi: Multiset) -> Dist:
-    """Fold a multiset of multiset-valued distributions with the monoid sum.
+    """Fold a multiset of multiset-valued distributions with the monoid sum,
+    the production ``pml.monoid_sum``.
 
     This is the structure map induced by the monoid: formal sums of
     distributions become iterated convolutions.  The empty multiset maps
@@ -120,7 +121,8 @@ def monoid_algebra(psi: Multiset) -> Dist:
 
 
 def pml_def4(psi: Multiset) -> Dist:
-    """Algebraic formulation: point-mass images folded by the monoid."""
+    """Algebraic formulation: point-mass images folded by the production
+    monoid sum."""
     _check_members(psi._map)
     singletons = psi.map_elements(lambda w: w.map(lambda x: Multiset({x: 1})))
     return monoid_algebra(singletons)
